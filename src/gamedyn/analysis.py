@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .dynamics import BeliefGraph, DynamicsGraph
-from .graphs import Digraph, shortest_path, strongly_connected_components
+from .graphs import Digraph, is_nontrivial, shortest_path, strongly_connected_components
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,9 @@ def terminates(dg: DynamicsGraph) -> bool:
 def find_cycle(dg: DynamicsGraph) -> Optional[CycleWitness]:
     g = dg.digraph()
     for scc in strongly_connected_components(g):
-        if not _is_nontrivial(g, scc):
-            continue
-        cycle = _cycle_within(g, scc)
-        return CycleWitness(path_to_cycle=(), cycle=tuple(cycle))
+        if is_nontrivial(g, scc):
+            cycle = _cycle_through(g, scc, min(scc, key=repr))
+            return CycleWitness(path_to_cycle=(), cycle=tuple(cycle))
     return None
 
 
@@ -61,27 +60,12 @@ def equilibria(dg: DynamicsGraph) -> frozenset:
     return frozenset(n for n in dg.nodes if n not in sources)
 
 
-def _is_nontrivial(g: Digraph, scc: frozenset) -> bool:
-    if len(scc) > 1:
-        return True
-    (node,) = scc
-    return node in g.successors(node)
-
-
-def _cycle_within(g: Digraph, scc: frozenset) -> list:
-    start = min(scc, key=repr)
-    restricted = _restrict(g, scc)
-    # walk one edge out of start, then return to start
-    first = restricted.successors(start)[0]
+def _cycle_through(g: Digraph, scc: frozenset, start) -> list:
+    """A closed walk in the component from start: one edge out, then back."""
+    first = next(w for w in g.successors(start) if w in scc)
     if first == start:
         return [start]
-    ret = shortest_path(restricted, first, {start})
-    return [start] + ret[:-1]
-
-
-def _restrict(g: Digraph, nodes: frozenset) -> Digraph:
-    return Digraph(tuple(n for n in g.nodes if n in nodes),
-                   frozenset((u, v) for u, v in g.edges if u in nodes and v in nodes))
+    return [start] + shortest_path(g, first, {start}, within=scc)[:-1]
 
 
 def _players_of(dg: DynamicsGraph):
@@ -104,26 +88,34 @@ def find_fair_cycle(dg: DynamicsGraph, players=None) -> FairnessReport:
         players = sorted(_players_of(dg))
     g = dg.digraph()
     can_switch = _can_switch_map(dg, players)
+    changed = {(u, v): c for u, v, c in dg.edges}
+    pos = {n: i for i, n in enumerate(g.nodes)}
 
     report_per_player = {}
-    best_scc = None
     for scc in strongly_connected_components(g):
-        if not _is_nontrivial(g, scc):
+        if not is_nontrivial(g, scc):
             continue
-        inside = [(u, v, c) for u, v, c in dg.edges if u in scc and v in scc]
+        # members in g.nodes order and edges in successor order, so the
+        # witness does not depend on set iteration order
+        members = sorted(scc, key=pos.__getitem__)
+        inside = [(u, v) for u in members for v in g.successors(u) if v in scc]
         clauses = {}
         for i in players:
-            if any(i in c for _, _, c in inside):
+            if any(i in changed[e] for e in inside):
                 clauses[i] = SWITCHES
             elif any(i not in can_switch[n] for n in scc):
                 clauses[i] = CANNOT_SWITCH
             else:
                 clauses[i] = NON_SWITCHER
         if all(v is not NON_SWITCHER for v in clauses.values()):
-            witness = _fair_witness(g, scc, inside, clauses, can_switch, players)
+            edge_targets = [next(e for e in inside if i in changed[e])
+                            for i in players if clauses[i] == SWITCHES]
+            node_targets = [next(n for n in members if i not in can_switch[n])
+                            for i in players if clauses[i] == CANNOT_SWITCH]
+            witness = _fair_witness(g, scc, edge_targets, node_targets)
             return FairnessReport(fair=True, witness=witness, per_player=clauses)
-        if best_scc is None:
-            best_scc, report_per_player = scc, clauses
+        # no fair SCC: report the first nontrivial one
+        report_per_player = report_per_player or clauses
     return FairnessReport(fair=False, witness=None, per_player=report_per_player)
 
 
@@ -135,37 +127,26 @@ def _can_switch_map(dg: DynamicsGraph, players):
     return can
 
 
-def _fair_witness(g, scc, inside_edges, clauses, can_switch, players):
-    """Closed walk in the SCC visiting, per player, a switching edge or a
-    cannot-switch node."""
-    restricted = _restrict(g, scc)
-    # targets: for SWITCHES players pick an inside edge; for CANNOT_SWITCH a node
-    edge_targets = []
-    node_targets = []
-    for i in players:
-        if clauses[i] == SWITCHES:
-            edge_targets.append(next((u, v) for u, v, c in inside_edges if i in c))
-        else:
-            node_targets.append(next(n for n in scc if i not in can_switch[n]))
+def _fair_witness(g, scc, edge_targets, node_targets):
+    """Closed walk in the SCC through every target edge, then every target
+    node."""
     start = edge_targets[0][0] if edge_targets else (node_targets[0] if node_targets else
                                                      min(scc, key=repr))
     walk = [start]
     for u, v in edge_targets:
-        walk += shortest_path(restricted, walk[-1], {u})[1:]
+        walk += shortest_path(g, walk[-1], {u}, within=scc)[1:]
         walk.append(v)
     for n in node_targets:
-        walk += shortest_path(restricted, walk[-1], {n})[1:]
+        walk += shortest_path(g, walk[-1], {n}, within=scc)[1:]
     # close the walk
     if walk[-1] != start:
-        walk += shortest_path(restricted, walk[-1], {start})[1:]
+        walk += shortest_path(g, walk[-1], {start}, within=scc)[1:]
         walk.pop()  # last->first edge is implicit in CycleWitness
     elif len(walk) > 1:
         walk.pop()
     else:
         # single node: needs a real cycle through it
-        first = restricted.successors(start)[0]
-        if first != start:
-            walk += [first] + shortest_path(restricted, first, {start})[1:-1]
+        walk = _cycle_through(g, scc, start)
     return CycleWitness(path_to_cycle=(), cycle=tuple(walk))
 
 
@@ -199,18 +180,18 @@ def find_lfair_cycle(lg: BeliefGraph) -> Optional[CycleWitness]:
     internal edge carrying that label.
     """
     g = lg.digraph()
+    pos = {n: i for i, n in enumerate(g.nodes)}
     for scc in strongly_connected_components(g):
         if len(scc) < 2:
             continue
         per_label = {}
-        for n in scc:
+        for n in sorted(scc, key=pos.__getitem__):
             for a in lg.label_set:
                 m = lg.successor(n, a)
                 if m in scc and a not in per_label:
                     per_label[a] = (n, m)
         if len(per_label) < len(lg.label_set):
             continue
-        restricted = _restrict(g, scc)
         walk = None
         for a in sorted(per_label):
             u, v = per_label[a]
@@ -218,11 +199,11 @@ def find_lfair_cycle(lg: BeliefGraph) -> Optional[CycleWitness]:
                 walk = [u, v] if u != v else [u]
                 continue
             if walk[-1] != u:
-                walk += shortest_path(restricted, walk[-1], {u})[1:]
+                walk += shortest_path(g, walk[-1], {u}, within=scc)[1:]
             if u != v:
                 walk.append(v)
         if walk[0] != walk[-1]:
-            walk += shortest_path(restricted, walk[-1], {walk[0]})[1:]
+            walk += shortest_path(g, walk[-1], {walk[0]}, within=scc)[1:]
         walk.pop()
         if len(walk) < 2:
             continue  # constant cycles are excluded

@@ -256,18 +256,24 @@ def positional_plays(game: Game, v: str) -> frozenset[Play]:
 _GAME_FIELDS = {"players", "vertices", "edges", "owner", "preferences"}
 
 
+def _is_id_list(seq):
+    return isinstance(seq, list) and all(isinstance(x, str) for x in seq)
+
+
 def _parse_play(obj, where):
     if not isinstance(obj, dict) or len(obj) != 1:
         raise GameFormatError("a play is {'path': [...]} or {'lasso': {...}}", where)
     if "path" in obj:
         seq = obj["path"]
-        if not isinstance(seq, list) or not seq:
+        if not _is_id_list(seq) or not seq:
             raise GameFormatError("'path' must be a non-empty list of vertex ids", where)
         return canonicalize(seq)
     if "lasso" in obj:
         body = obj["lasso"]
         if not isinstance(body, dict) or set(body) != {"stem", "loop"}:
             raise GameFormatError("'lasso' must have exactly 'stem' and 'loop'", where)
+        if not (_is_id_list(body["stem"]) and _is_id_list(body["loop"])):
+            raise GameFormatError("'stem' and 'loop' must be lists of vertex ids", where)
         return canonicalize(body["stem"], body["loop"])
     raise GameFormatError(f"unknown play form {sorted(obj)}", where)
 
@@ -288,17 +294,21 @@ def parse_game(text: str) -> Game:
         raise GameFormatError(f"missing fields {sorted(missing)}")
 
     n = doc["players"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise GameFormatError("'players' must be a positive integer")
     vertices = doc["vertices"]
-    if not isinstance(vertices, list) or len(set(vertices)) != len(vertices):
+    if not _is_id_list(vertices) or len(set(vertices)) != len(vertices):
         raise GameFormatError("'vertices' must be a list of unique id strings")
     vset = set(vertices)
+    for field, kind, name in (("edges", list, "a list"), ("owner", dict, "an object"),
+                              ("preferences", dict, "an object")):
+        if not isinstance(doc[field], kind):
+            raise GameFormatError(f"'{field}' must be {name}")
 
     edges = set()
     labels = {}
     for item in doc["edges"]:
-        if not isinstance(item, list) or len(item) not in (2, 3):
+        if not _is_id_list(item) or len(item) not in (2, 3):
             raise GameFormatError(f"edge {item} must be [from, to] or [from, to, label]")
         u, v = item[0], item[1]
         for x in (u, v):
@@ -314,14 +324,17 @@ def parse_game(text: str) -> Game:
     for v, p in doc["owner"].items():
         if v not in vset:
             raise UnknownVertex(v, context="owner map")
-        if not isinstance(p, int) or not 1 <= p <= n:
+        if type(p) is not int or not 1 <= p <= n:
             raise GameFormatError(f"owner of {v!r} must be a player in 1..{n}")
         owner[v] = p
 
     prefs = []
     for i in range(1, n + 1):
         ranks = []
-        for j, cls in enumerate(doc["preferences"].get(str(i), [])):
+        classes = doc["preferences"].get(str(i), [])
+        if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
+            raise GameFormatError(f"preferences[{i}] must be a list of rank classes (lists)")
+        for j, cls in enumerate(classes):
             plays = set()
             for obj in cls:
                 play = _parse_play(obj, where=f"preferences[{i}][{j}]")

@@ -34,57 +34,52 @@ class Digraph:
 
 def strongly_connected_components(g: Digraph) -> list[frozenset]:
     """Tarjan's algorithm, iterative; components in reverse topological order."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
+    index, low, on_stack, stack, sccs = {}, {}, set(), [], []
+    work = []  # (node, iterator over its remaining successors)
 
-    def strongconnect(root):
-        work = [(root, 0)]
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter(g.successors(v))))
+
+    for root in g.nodes:
+        if root in index:
+            continue
+        visit(root)
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack.add(v)
-            recurse = False
-            succ = g.successors(v)
-            for i in range(pi, len(succ)):
-                w = succ[i]
+            v, succ = work[-1]
+            for w in succ:
                 if w not in index:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
+                    visit(w)
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-
-    for v in g.nodes:
-        if v not in index:
-            strongconnect(v)
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = set()
+                    while v not in comp:
+                        comp.add(stack.pop())
+                    on_stack -= comp
+                    sccs.append(frozenset(comp))
     return sccs
 
 
-def shortest_path(g: Digraph, source, targets) -> list | None:
-    """BFS path from source to any node in targets, restricted to g."""
+def is_nontrivial(g: Digraph, scc: frozenset) -> bool:
+    """True iff the component holds a cycle: two nodes or a self-loop."""
+    if len(scc) > 1:
+        return True
+    (node,) = scc
+    return node in g.successors(node)
+
+
+def shortest_path(g: Digraph, source, targets, within=None) -> list | None:
+    """BFS path from source to any node in targets; with `within`, every
+    node after source lies in that set."""
     targets = set(targets)
     if source in targets:
         return [source]
@@ -94,7 +89,7 @@ def shortest_path(g: Digraph, source, targets) -> list | None:
         next_todo = []
         for u in todo:
             for w in g.successors(u):
-                if w in prev:
+                if w in prev or (within is not None and w not in within):
                     continue
                 prev[w] = u
                 if w in targets:
@@ -105,6 +100,51 @@ def shortest_path(g: Digraph, source, targets) -> list | None:
                 next_todo.append(w)
         todo = next_todo
     return None
+
+
+def simple_cycles(g: Digraph) -> list[list]:
+    """Every elementary cycle of g once, starting at its repr-least node.
+
+    Johnson's algorithm (SIAM J. Comput. 4(1), 1975), iterative: roots are
+    taken in repr order, and the search from root s uses only nodes after s.
+    A node stays blocked until a cycle through it is found; B[w] lists the
+    blocked nodes to release when w is.
+    """
+    order = sorted(g.nodes, key=repr)
+    rank = {v: i for i, v in enumerate(order)}
+    cycles = []
+    for i, s in enumerate(order):
+        blocked, B = {s}, {}
+        path, succ = [s], [iter(g.successors(s))]
+        closed = [False]  # per path node: a cycle was found through it
+        while path:
+            for w in succ[-1]:
+                if w == s:
+                    cycles.append(list(path))
+                    closed[-1] = True
+                elif rank[w] > i and w not in blocked:
+                    blocked.add(w)
+                    path.append(w)
+                    succ.append(iter(g.successors(w)))
+                    closed.append(False)
+                    break
+            else:
+                v = path.pop()
+                succ.pop()
+                if closed.pop():
+                    todo = [v]
+                    while todo:
+                        u = todo.pop()
+                        if u in blocked:
+                            blocked.discard(u)
+                            todo.extend(B.pop(u, ()))
+                    if closed:
+                        closed[-1] = True
+                else:
+                    for w in g.successors(v):
+                        if rank[w] > i:
+                            B.setdefault(w, set()).add(v)
+    return cycles
 
 
 def transitive_closure(g: Digraph) -> Digraph:

@@ -68,11 +68,15 @@ class DeletionScript:
 
     @staticmethod
     def from_json(data) -> "DeletionScript":
+        if not isinstance(data, list):
+            raise GameDynError("a deletion script must be a list of steps")
         steps = []
         for i, rec in enumerate(data):
             if not isinstance(rec, dict) or len(rec) != 1:
                 raise GameDynError(f"script step {i}: expected one-key record")
             if "edge" in rec:
+                if not isinstance(rec["edge"], list) or len(rec["edge"]) != 2:
+                    raise GameDynError(f"script step {i}: 'edge' must be [source, target]")
                 u, v = rec["edge"]
                 steps.append(DeleteEdge(str(u), str(v)))
             elif "vertex" in rec:

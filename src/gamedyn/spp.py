@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-import networkx as nx
-
 from .dynamics import build_dynamics
 from .errors import (
     GameDynError,
@@ -31,6 +29,7 @@ from .game import (
     PreferenceOrder,
     positional_plays,
 )
+from .graphs import Digraph, simple_cycles
 from .minors import DeleteEdge, DeletionScript, DeleteVertex, apply_step, delete_edge
 from .strategy import PROFILE_GUARD, StrategyProfile
 
@@ -243,17 +242,7 @@ def _wheel_from_cycle(cycle, decomps, choice=None):
 
 
 def _cycles(nodes, decomps):
-    g = nx.DiGraph()
-    g.add_nodes_from(nodes)
-    g.add_edges_from(decomps.keys())
-
-    # rotate each cycle to a canonical starting node and sort the lot, so
-    # results do not depend on hash-randomized set iteration inside networkx
-    def canon(cycle):
-        i = min(range(len(cycle)), key=lambda j: repr(cycle[j]))
-        return cycle[i:] + cycle[:i]
-
-    return sorted((canon(c) for c in nx.simple_cycles(g)), key=repr)
+    return sorted(simple_cycles(Digraph(tuple(nodes), frozenset(decomps))), key=repr)
 
 
 def find_dispute_wheel(otg: OneTargetGame) -> Optional[DisputeWheel]:

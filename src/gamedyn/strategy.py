@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .errors import CyclicArena, StateSpaceTooLarge, UnknownVertex
 from .game import Comparison, FinitePlay, Game, Play, canonicalize
+from .graphs import Digraph, is_nontrivial, strongly_connected_components
 
 PROFILE_GUARD = 10**7
 
@@ -99,20 +100,6 @@ def outcome(game: Game, profile: StrategyProfile, v: str) -> Play:
     return FinitePlay(tuple(path))
 
 
-def deviations_p1(game: Game, profile: StrategyProfile, player: int):
-    """All (v, profile') with v owned by the player and profile' differing only at v.
-
-    The strict-improvement condition is NOT applied here; it belongs to the
-    dynamics layer.
-    """
-    out = set()
-    for v in game.owned_by(player):
-        for w in game.successors(v):
-            if w != profile[v]:
-                out.add((v, profile.updated(v, w)))
-    return out
-
-
 def best_replies(game: Game, profile: StrategyProfile, v: str) -> frozenset[str]:
     """Successors of v whose one-state deviation outcome is preference-maximal."""
     player = game.owner[v]
@@ -138,41 +125,18 @@ def best_replies(game: Game, profile: StrategyProfile, v: str) -> frozenset[str]
 
 def enumerate_histories(game: Game) -> list[tuple[str, ...]]:
     """All non-maximal paths of an acyclic arena, sorted."""
-    order = _topological_order(game)
+    arena = Digraph(game.vertices, game.edges)
+    sccs = strongly_connected_components(arena)
+    for scc in sccs:
+        if is_nontrivial(arena, scc):
+            raise CyclicArena(f"cycle through {min(scc)!r}")
     terms = game.terminals
     # paths_to[v]: all paths ending in v
     paths_to: dict[str, list[tuple[str, ...]]] = {v: [(v,)] for v in game.vertices}
-    for v in order:
+    for (v,) in reversed(sccs):
         for w in game.successors(v):
             paths_to[w].extend(p + (w,) for p in paths_to[v])
     return sorted(h for v, ps in paths_to.items() if v not in terms for h in ps)
-
-
-def _topological_order(game: Game):
-    seen: dict[str, int] = {}  # 1 = on stack, 2 = done
-    order = []
-
-    def visit(v):
-        stack = [(v, iter(game.successors(v)))]
-        seen[v] = 1
-        while stack:
-            u, it = stack[-1]
-            for w in it:
-                if seen.get(w) == 1:
-                    raise CyclicArena(f"cycle through {w!r}")
-                if w not in seen:
-                    seen[w] = 1
-                    stack.append((w, iter(game.successors(w))))
-                    break
-            else:
-                seen[u] = 2
-                order.append(u)
-                stack.pop()
-
-    for v in sorted(game.vertices):
-        if v not in seen:
-            visit(v)
-    return list(reversed(order))
 
 
 def history_profile_count(game: Game) -> int:

@@ -2,7 +2,7 @@
 check and kept deliberately naive.  Do not "optimize" these against the
 library: their value is that they share no code with it."""
 
-from itertools import product
+from itertools import permutations, product
 
 
 def closure_by_matrix_powers(nodes, edges):
@@ -77,3 +77,18 @@ def simulation_exists_by_enumeration(small_nodes, small_edges, big_nodes, big_ed
         if ok(dict(zip(small, combo))):
             return True
     return False
+
+
+def elementary_cycles_by_enumeration(nodes, edges):
+    """Every elementary cycle, as a tuple that starts at its repr-least node,
+    found by trying every sequence of distinct nodes.  Exponential; only for
+    graphs of a few nodes."""
+    edges = set(edges)
+    out = set()
+    for k in range(1, len(nodes) + 1):
+        for seq in permutations(nodes, k):
+            if min(seq, key=repr) != seq[0]:
+                continue
+            if all((a, b) in edges for a, b in zip(seq, seq[1:] + seq[:1])):
+                out.add(seq)
+    return out

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +19,7 @@ from gamedyn.cli import (
 )
 
 from .conftest import FIXTURES
+from .golden import ROOT, TRANSCRIPT, run_captured
 
 GDIS = str(FIXTURES / "gdis.json")
 FIG2 = str(FIXTURES / "fig2.json")
@@ -160,3 +164,86 @@ def test_outputs_are_deterministic():
     first = run("--output", "json", "spp", "safety", GDIS_SPP, "--mode", "both")
     second = run("--output", "json", "spp", "safety", GDIS_SPP, "--mode", "both")
     assert first == second
+
+
+GOLDEN = json.loads(TRANSCRIPT.read_text())
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=[e["id"] for e in GOLDEN])
+def test_golden_transcript(entry, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    expected = {k: v for k, v in entry.items() if k not in ("id", "argv")}
+    assert run_captured(entry["argv"]) == expected
+
+
+@pytest.mark.parametrize("name", ["gdis", "fig3", "fig4", "fig5"])
+def test_one_step_rejects_cyclic_arena(name):
+    code, out, err = run("dynamics", str(FIXTURES / f"{name}.json"), "--kind", "1")
+    assert (code, out, err) == (EXIT_ERROR, "", "error: cycle through 'v1'\n")
+
+
+def _subprocess_env(**extra):
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src"), **extra}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--output", "json", "analyze", "fixtures/gdis.json", "--kind", "pc",
+     "--check", "fair-termination"],
+    ["analyze", "fixtures/fig5.json", "--kind", "pc", "--check", "fair-termination"],
+    ["belief", "fixtures/gdis.json"],
+], ids=["gdis-fair-json", "fig5-fair-text", "gdis-belief-text"])
+def test_witnesses_do_not_depend_on_hash_seed(argv):
+    outs = {
+        subprocess.run([sys.executable, "-m", "gamedyn.cli", *argv], cwd=ROOT,
+                       env=_subprocess_env(PYTHONHASHSEED=seed), capture_output=True,
+                       text=True, timeout=120).stdout
+        for seed in ("1", "2")
+    }
+    assert len(outs) == 1 and "cycle" in outs.pop()
+
+
+def test_cli_imports_only_the_standard_library():
+    probe = ("import sys; before = set(sys.modules); import gamedyn.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    loaded = subprocess.run([sys.executable, "-c", probe], cwd=ROOT,
+                            env=_subprocess_env(), capture_output=True, text=True,
+                            timeout=120, check=True).stdout.split()
+    assert "gamedyn.cli" in loaded
+    tops = {name.partition(".")[0] for name in loaded}
+    assert {t for t in tops if t != "gamedyn" and t not in sys.stdlib_module_names} == set()
+
+
+GDIS_DOC = json.loads((FIXTURES / "gdis.json").read_text())
+FIG2_DOC = json.loads((FIXTURES / "fig2.json").read_text())
+MALFORMED_GAMES = {
+    "edges-not-a-list": {**GDIS_DOC, "edges": 5},
+    "owner-is-a-list": {**GDIS_DOC, "owner": [1, 2]},
+    "preferences-is-a-list": {**GDIS_DOC, "preferences": [[]]},
+    "non-string-vertex": {**GDIS_DOC, "vertices": GDIS_DOC["vertices"] + [7]},
+    "rank-class-not-a-list": {**GDIS_DOC, "preferences": {"1": [5]}},
+    "lasso-stem-not-a-list": {**GDIS_DOC, "preferences": {
+        "1": [[{"lasso": {"stem": 5, "loop": ["v1", "v2"]}}]]}},
+    "edge-label-not-a-string": {**GDIS_DOC,
+                                "edges": [["v1", "v2", 5]] + GDIS_DOC["edges"][1:]},
+    "players-is-a-bool": {**FIG2_DOC, "players": True},
+    "owner-is-a-bool": {**FIG2_DOC, "owner": {**FIG2_DOC["owner"], "v1": True}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GAMES))
+def test_malformed_game_exits_5(tmp_path, name):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(MALFORMED_GAMES[name]))
+    code, _, err = run("analyze", str(path), "--kind", "p1", "--check", "termination")
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("script", [[{"edge": ["v1"]}], [{"edge": 5}], 5],
+                         ids=["edge-one-vertex", "edge-not-a-list", "not-a-list"])
+def test_malformed_script_exits_5(tmp_path, script):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    code, _, err = run("minor", GDIS, "--script", str(path))
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Digraph utilities: SCCs, shortest paths, transitive closure."""
+"""Digraph utilities: SCCs, shortest paths, elementary cycles, transitive closure."""
 
 import random
 
@@ -7,18 +7,19 @@ from hypothesis import given, strategies as st
 from gamedyn.graphs import (
     Digraph,
     shortest_path,
+    simple_cycles,
     strongly_connected_components,
     transitive_closure,
 )
 
-from .oracles import closure_by_matrix_powers
+from .oracles import closure_by_matrix_powers, elementary_cycles_by_enumeration
 
 
-def random_digraph(seed, n=6, p=0.3):
+def random_digraph(seed, n=6, p=0.3, loops=False):
     rng = random.Random(seed)
     nodes = tuple(f"n{i}" for i in range(n))
     edges = frozenset(
-        (u, v) for u in nodes for v in nodes if u != v and rng.random() < p
+        (u, v) for u in nodes for v in nodes if (loops or u != v) and rng.random() < p
     )
     return Digraph(nodes, edges)
 
@@ -83,6 +84,36 @@ def test_shortest_path_valid_and_minimal():
                     dist[w] = dist[u] + 1
                     todo.append(w)
         assert len(path) - 1 == dist[path[-1]]
+
+
+def test_shortest_path_stays_within():
+    for seed in range(60):
+        g = random_digraph(seed)
+        rng = random.Random(seed + 10_000)
+        within = {n for n in g.nodes if rng.random() < 0.6} | {g.nodes[0]}
+        inside = {(u, v) for u, v in g.edges if u in within and v in within}
+        path = shortest_path(g, g.nodes[0], {g.nodes[-1]}, within=within)
+        if path is None:
+            assert (g.nodes[0], g.nodes[-1]) not in closure_by_matrix_powers(within, inside)
+            continue
+        assert set(path) <= within and path[-1] == g.nodes[-1]
+        assert all((a, b) in inside for a, b in zip(path, path[1:]))
+
+
+def test_shortest_path_within_refuses_a_path_outside():
+    g = Digraph(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
+    assert shortest_path(g, "a", {"c"}) == ["a", "b", "c"]
+    assert shortest_path(g, "a", {"c"}, within={"a", "c"}) is None
+
+
+def test_simple_cycles_match_brute_force():
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = random_digraph(seed, n=rng.randint(1, 6), p=rng.random(), loops=True)
+        cycles = [tuple(c) for c in simple_cycles(g)]
+        assert len(cycles) == len(set(cycles))
+        assert all(c[0] == min(c, key=repr) for c in cycles)
+        assert set(cycles) == elementary_cycles_by_enumeration(g.nodes, g.edges)
 
 
 @given(st.integers(0, 10_000))
