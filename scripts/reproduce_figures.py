@@ -12,7 +12,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from gamedyn import (  # noqa: E402
     build_belief_graph,
     build_dynamics,
-    build_one_step,
     check_diamond,
     delete_edge,
     equilibria,
@@ -62,7 +61,7 @@ def main():
 
     print("acyclic five-vertex game (fig2.json)")
     fig2 = load("fig2.json")
-    one = build_one_step(fig2)
+    one = build_dynamics(fig2, "1")
     print(f"  one-step graph: {len(one.nodes)} profiles, "
           f"terminates={terminates(one)}")
 

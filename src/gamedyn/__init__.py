@@ -25,7 +25,6 @@ from .dynamics import (
     KINDS,
     build_belief_graph,
     build_dynamics,
-    build_one_step,
     profile_display,
 )
 from .dot import export_dot

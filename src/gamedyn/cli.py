@@ -46,15 +46,9 @@ def _load_game(path: str):
     return parse_game(Path(path).read_text(encoding="utf-8"))
 
 
-def _build(game, kind: str, args):
-    if kind == "1":
-        return dynamics.build_one_step(game, guard=args.guard, force=args.force)
-    return dynamics.build_dynamics(game, kind, guard=args.guard, force=args.force)
-
-
 def _cmd_dynamics(args) -> int:
     game = _load_game(args.game)
-    dg = _build(game, args.kind, args)
+    dg = dynamics.build_dynamics(game, args.kind, guard=args.guard, force=args.force)
     if args.output == "dot":
         sys.stdout.write(export_dot(dg))
         return EXIT_OK
@@ -74,7 +68,7 @@ def _cmd_dynamics(args) -> int:
 
 def _cmd_analyze(args) -> int:
     game = _load_game(args.game)
-    dg = _build(game, args.kind, args)
+    dg = dynamics.build_dynamics(game, args.kind, guard=args.guard, force=args.force)
     if args.check == "termination":
         witness = analysis.find_cycle(dg)
         record = {"check": "termination", "kind": args.kind,
@@ -107,8 +101,9 @@ def _cmd_minor(args) -> int:
     script = DeletionScript.from_json(
         json.loads(Path(args.script).read_text(encoding="utf-8")))
     minor = minors.apply_script(game, script)
-    small = _build(minor, args.kind, args).digraph()
-    big = _build(game, args.kind, args).digraph()
+    small, big = (dynamics.build_dynamics(g, args.kind, guard=args.guard,
+                                          force=args.force).digraph()
+                  for g in (minor, game))
     _, full = relations.largest_simulation(small, big)
     record = {
         "vertices": sorted(minor.vertices),

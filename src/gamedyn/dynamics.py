@@ -11,13 +11,11 @@ from .game import Comparison, Game
 from .graphs import Digraph
 from .strategy import (
     PROFILE_GUARD,
-    HistoryProfile,
     StrategyProfile,
-    enumerate_history_profiles,
     enumerate_profiles,
-    history_outcome,
     outcome,
     profile_count,
+    unfold,
 )
 
 KINDS = ("1", "p1", "bp1", "pc", "bpc")
@@ -88,12 +86,17 @@ def _improving_deviations(game: Game, profile: StrategyProfile, best_reply: bool
 
 def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
                    force: bool = False) -> DynamicsGraph:
-    """Dynamics graph over positional profiles for kind in {p1, bp1, pc, bpc}."""
+    """Dynamics graph over positional profiles for kind in KINDS.
+
+    Kind 1, the one-step dynamics of an acyclic arena, is p1 on its tree
+    unfolding, with profiles labelled by history; its equilibria are the
+    subgame perfect equilibria.
+    """
     kind = kind.lower()
-    if kind == "1":
-        return build_one_step(game, guard=guard, force=force)
-    if kind not in ("p1", "bp1", "pc", "bpc"):
+    if kind not in KINDS:
         raise ValueError(f"unknown dynamics kind {kind!r}")
+    if kind == "1":
+        game = unfold(game)
     best_reply = kind.startswith("b")
     concurrent = kind.endswith("pc")
     profiles = tuple(enumerate_profiles(game, guard=guard, force=force))
@@ -114,35 +117,11 @@ def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
                         choice[v] = w
                     prof2 = StrategyProfile.from_dict(choice)
                     edges.add((prof, prof2, frozenset(subset)))
-    labels = {p: profile_display(game, p) for p in profiles}
+    if kind == "1":
+        labels = {p: ",".join(f"{'.'.join(h)}:{c[-1]}" for h, c in p.items) for p in profiles}
+    else:
+        labels = {p: profile_display(game, p) for p in profiles}
     return DynamicsGraph(kind=kind, nodes=profiles, edges=frozenset(edges), labels=labels)
-
-
-def build_one_step(game: Game, guard: int = PROFILE_GUARD, force: bool = False) -> DynamicsGraph:
-    """History-based one-step dynamics; requires an acyclic arena.
-
-    Equilibria of the result are the subgame perfect equilibria.
-    """
-    profiles = tuple(enumerate_history_profiles(game, guard=guard, force=force))
-    edges = set()
-    for prof in profiles:
-        for h, _ in prof.items:
-            player = game.owner[h[-1]]
-            pref = game.preference(player)
-            current = history_outcome(game, prof, h)
-            for w in game.successors(h[-1]):
-                if w == prof[h]:
-                    continue
-                prof2 = prof.updated(h, w)
-                play = history_outcome(game, prof2, h)
-                if pref.compare(current, play) is Comparison.LESS:
-                    edges.add((prof, prof2, frozenset({player})))
-    labels = {p: _history_profile_display(p) for p in profiles}
-    return DynamicsGraph(kind="1", nodes=profiles, edges=frozenset(edges), labels=labels)
-
-
-def _history_profile_display(profile: HistoryProfile) -> str:
-    return ",".join(f"{'.'.join(h)}:{w}" for h, w in profile.items)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import GameFormatError, NotMaximal, UnknownVertex
@@ -171,18 +171,21 @@ class Game:
     owner: Mapping[str, int]
     preferences: tuple[PreferenceOrder, ...]
     edge_labels: Mapping[tuple[str, str], str]
+    vertex_set: frozenset[str] = field(init=False, compare=False, repr=False)
+    terminals: frozenset[str] = field(init=False, compare=False, repr=False)
+    _succ: dict = field(init=False, compare=False, repr=False)
 
-    @property
-    def vertex_set(self):
-        return frozenset(self.vertices)
-
-    @property
-    def terminals(self) -> frozenset[str]:
-        with_out = {u for u, _ in self.edges}
-        return frozenset(v for v in self.vertices if v not in with_out)
+    def __post_init__(self):
+        succ: dict[str, list[str]] = {}
+        for u, w in self.edges:
+            succ.setdefault(u, []).append(w)
+        object.__setattr__(self, "vertex_set", frozenset(self.vertices))
+        object.__setattr__(self, "terminals",
+                           frozenset(v for v in self.vertices if v not in succ))
+        object.__setattr__(self, "_succ", {u: tuple(sorted(ws)) for u, ws in succ.items()})
 
     def successors(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted(w for u, w in self.edges if u == v))
+        return self._succ.get(v, ())
 
     def predecessors(self, v: str) -> tuple[str, ...]:
         return tuple(sorted(u for u, w in self.edges if w == v))
@@ -228,25 +231,26 @@ def positional_plays(game: Game, v: str) -> frozenset[Play]:
     if v not in game.vertex_set:
         raise UnknownVertex(v)
     terms = game.terminals
+    if v in terms:
+        return frozenset({FinitePlay((v,))})
     out: set[Play] = set()
-
-    def walk(path, on_path):
-        last = path[-1]
-        if last in terms:
-            out.add(FinitePlay(tuple(path)))
-            return
-        for w in game.successors(last):
+    path, on_path = [v], {v: 0}  # on_path: vertex -> its index in path
+    work = [iter(game.successors(v))]  # one successor iterator per path vertex
+    while work:
+        for w in work[-1]:
             if w in on_path:
-                i = path.index(w)
+                i = on_path[w]
                 out.add(canonicalize(path[:i], path[i:]))
+            elif w in terms:
+                out.add(FinitePlay(tuple(path) + (w,)))
             else:
+                on_path[w] = len(path)
                 path.append(w)
-                on_path.add(w)
-                walk(path, on_path)
-                on_path.discard(w)
-                path.pop()
-
-    walk([v], {v})
+                work.append(iter(game.successors(w)))
+                break
+        else:
+            work.pop()
+            del on_path[path.pop()]
     return frozenset(out)
 
 

@@ -529,10 +529,13 @@ def parse_spp(text: str, *, complete_suffixes: bool = False) -> OneTargetGame:
 
     ranked: dict[str, list[tuple[str, ...]]] = {}
     for node, rec in sorted(nodes.items()):
-        if not isinstance(rec, dict) or set(rec) != {"paths"}:
+        if not isinstance(rec, dict) or set(rec) != {"paths"} or not isinstance(
+                rec["paths"], list):
             raise GameFormatError(f"node {node}: expected a paths list", locus=node)
         paths = []
         for p in rec["paths"]:
+            if not isinstance(p, list):
+                raise GameFormatError(f"node {node}: path {p!r} must be a list", locus=node)
             p = tuple(str(x) for x in p)
             if len(p) < 2 or p[0] != node or p[-1] != origin:
                 raise GameFormatError(
@@ -571,7 +574,11 @@ def parse_spp(text: str, *, complete_suffixes: bool = False) -> OneTargetGame:
     players = sorted(ranked)
     vertices = sorted({origin} | {v for ps in ranked.values() for p in ps for v in p})
     edges = {step for ps in ranked.values() for p in ps for step in zip(p, p[1:])}
-    for rec in data.get("extra_edges", []):
+    extra = data.get("extra_edges", [])
+    if not isinstance(extra, list) or not all(
+            isinstance(rec, list) and len(rec) == 2 for rec in extra):
+        raise GameFormatError("'extra_edges' must be a list of [from, to] pairs")
+    for rec in extra:
         u, v = (str(x) for x in rec)
         if u not in vertices or v not in vertices:
             raise GameFormatError(f"extra edge ({u},{v}) uses unknown vertices")

@@ -1,4 +1,4 @@
-"""Positional and history-based strategy profiles, outcomes and deviations."""
+"""Positional strategy profiles, outcomes, deviations and the tree unfolding."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CyclicArena, StateSpaceTooLarge, UnknownVertex
-from .game import Comparison, FinitePlay, Game, Play, canonicalize
+from .game import Comparison, FinitePlay, Game, Play, PreferenceOrder, canonicalize
 from .graphs import Digraph, is_nontrivial, strongly_connected_components
 
 PROFILE_GUARD = 10**7
@@ -37,33 +37,6 @@ class StrategyProfile:
     def changed_vertices(self, other):
         mine, theirs = self.as_dict(), other.as_dict()
         return tuple(sorted(v for v in mine if mine[v] != theirs.get(v)))
-
-
-@dataclass(frozen=True)
-class HistoryProfile:
-    """One successor choice per history (non-maximal path); acyclic arenas only."""
-
-    items: tuple[tuple[tuple[str, ...], str], ...]
-
-    @classmethod
-    def from_dict(cls, choice):
-        return cls(tuple(sorted(choice.items())))
-
-    def __getitem__(self, h):
-        for k, w in self.items:
-            if k == h:
-                return w
-        raise KeyError(h)
-
-    def as_dict(self):
-        return dict(self.items)
-
-    def updated(self, h, w):
-        return HistoryProfile(tuple(sorted((dict(self.items) | {h: w}).items())))
-
-    def changed_histories(self, other):
-        mine, theirs = self.as_dict(), other.as_dict()
-        return tuple(sorted(h for h in mine if mine[h] != theirs.get(h)))
 
 
 def profile_count(game: Game) -> int:
@@ -120,7 +93,7 @@ def best_replies(game: Game, profile: StrategyProfile, v: str) -> frozenset[str]
 
 
 # ---------------------------------------------------------------------------
-# Histories (for the one-step dynamics on acyclic arenas)
+# Histories and the tree unfolding (for the one-step dynamics on acyclic arenas)
 
 
 def enumerate_histories(game: Game) -> list[tuple[str, ...]]:
@@ -139,28 +112,26 @@ def enumerate_histories(game: Game) -> list[tuple[str, ...]]:
     return sorted(h for v, ps in paths_to.items() if v not in terms for h in ps)
 
 
-def history_profile_count(game: Game) -> int:
-    count = 1
-    for h in enumerate_histories(game):
-        count *= len(game.successors(h[-1]))
-    return count
+def unfold(game: Game) -> Game:
+    """The tree unfolding of an acyclic arena.
 
+    Its vertices are the histories and their terminal children, each history
+    h owned by the owner of h[-1], with an edge h -> h + (w,) for each arena
+    edge (h[-1], w).  A tree play ranks, for each player, as the arena play
+    its leaf spells, so the one-step dynamics of the game are the unilateral
+    dynamics of its unfolding.
+    """
+    histories = enumerate_histories(game)
+    edges = frozenset((h, h + (w,)) for h in histories for w in game.successors(h[-1]))
+    vertices = sorted(set(histories) | {c for _, c in edges})
 
-def enumerate_history_profiles(game: Game, guard: int = PROFILE_GUARD, force: bool = False):
-    hs = enumerate_histories(game)
-    count = 1
-    for h in hs:
-        count *= len(game.successors(h[-1]))
-    if count > guard and not force:
-        raise StateSpaceTooLarge(count, guard)
-    for combo in itertools.product(*(game.successors(h[-1]) for h in hs)):
-        yield HistoryProfile(tuple(zip(hs, combo)))
+    def tree_plays(play):
+        """The tree plays whose leaf spells play: one from each of its prefixes."""
+        prefixes = tuple(play.path[:j] for j in range(1, len(play.path) + 1))
+        return (FinitePlay(prefixes[k:]) for k in range(len(prefixes)))
 
-
-def history_outcome(game: Game, profile: HistoryProfile, h: tuple[str, ...]) -> Play:
-    """Extend the history h by the profile's choices until a terminal vertex."""
-    terms = game.terminals
-    path = list(h)
-    while path[-1] not in terms:
-        path.append(profile[tuple(path)])
-    return FinitePlay(tuple(path))
+    prefs = tuple(PreferenceOrder(tuple(frozenset(t for play in cls for t in tree_plays(play))
+                                        for cls in pref.ranks))
+                  for pref in game.preferences)
+    return Game(game.n_players, tuple(vertices), edges,
+                {h: game.owner[h[-1]] for h in histories}, prefs, {})

@@ -92,3 +92,48 @@ def elementary_cycles_by_enumeration(nodes, edges):
             if all((a, b) in edges for a, b in zip(seq, seq[1:] + seq[:1])):
                 out.add(seq)
     return out
+
+
+def one_step_by_enumeration(vertices, edges, owners, ranks):
+    """The one-step dynamics of an acyclic arena, by brute force.
+
+    ``ranks`` maps each player to {path: rank}, lower is better; unranked
+    paths share the bottom class.  A history is a path that does not end in
+    a terminal vertex; a profile picks a successor for every history.  An
+    update changes the choice at one history h and is kept when the owner of
+    h[-1] strictly prefers the path it then follows from h.  Returns the
+    profile labels, in enumeration order, and the set of updates as
+    (label, label, (player,)) triples.
+    """
+    succ = {v: sorted(w for u, w in edges if u == v) for v in vertices}
+    histories = []
+    todo = [(v,) for v in vertices]
+    while todo:
+        h = todo.pop()
+        if succ[h[-1]]:
+            histories.append(h)
+            todo.extend(h + (w,) for w in succ[h[-1]])
+    histories.sort()
+
+    def follow(choice, h):
+        path = h
+        while succ[path[-1]]:
+            path = path + (choice[path],)
+        return path
+
+    def label(choice):
+        return ",".join(f"{'.'.join(h)}:{choice[h]}" for h in histories)
+
+    labels, updates = [], set()
+    for combo in product(*(succ[h[-1]] for h in histories)):
+        choice = dict(zip(histories, combo))
+        labels.append(label(choice))
+        for h in histories:
+            player = owners[h[-1]]
+            rank = ranks.get(player, {})
+            now = rank.get(follow(choice, h), float("inf"))
+            for w in succ[h[-1]]:
+                other = {**choice, h: w}
+                if rank.get(follow(other, h), float("inf")) < now:
+                    updates.add((label(choice), label(other), (player,)))
+    return labels, updates

@@ -247,3 +247,31 @@ def test_malformed_script_exits_5(tmp_path, script):
     code, _, err = run("minor", GDIS, "--script", str(path))
     assert code == EXIT_ERROR
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_one_step_guard_counts_history_profiles():
+    code, out, err = run("--guard", "100", "dynamics", FIG2, "--kind", "1")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == ("error: state space has 768 elements, guard is 100 "
+                   "(use force to override)\n")
+
+
+GDIS_SPP_DOC = json.loads((FIXTURES / "gdis.spp.json").read_text())
+MALFORMED_SPP = {
+    "paths-not-a-list": {**GDIS_SPP_DOC, "nodes": {
+        **GDIS_SPP_DOC["nodes"], "v1": {"paths": 5}}},
+    "path-not-a-list": {**GDIS_SPP_DOC, "nodes": {
+        **GDIS_SPP_DOC["nodes"], "v1": {"paths": [5]}}},
+    "extra-edges-not-a-list": {**GDIS_SPP_DOC, "extra_edges": 5},
+    "extra-edge-not-a-list": {**GDIS_SPP_DOC, "extra_edges": [5]},
+    "extra-edge-one-node": {**GDIS_SPP_DOC, "extra_edges": [["a"]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPP))
+def test_malformed_spp_exits_5(tmp_path, name):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(MALFORMED_SPP[name]))
+    code, _, err = run("spp", "validate", str(path))
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and "Traceback" not in err

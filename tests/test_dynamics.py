@@ -5,7 +5,6 @@ import pytest
 from gamedyn import (
     build_belief_graph,
     build_dynamics,
-    build_one_step,
     equilibria,
     profile_display,
 )
@@ -15,6 +14,7 @@ from gamedyn.strategy import enumerate_profiles, outcome
 from gamedyn.game import Comparison
 
 from .generators import random_game
+from .oracles import one_step_by_enumeration
 
 
 def edge_set(dg):
@@ -99,16 +99,30 @@ def test_pc_edges_decompose_into_unilateral_moves():
 
 def test_one_step_requires_acyclic(gdis):
     with pytest.raises(CyclicArena):
-        build_one_step(gdis)
+        build_dynamics(gdis, "1")
 
 
 def test_one_step_fig2(fig2):
-    dg = build_one_step(fig2, force=True)
+    dg = build_dynamics(fig2, "1", force=True)
     assert len(dg.nodes) == 768
     # history-based updating never revisits a profile: the graph is acyclic
     from gamedyn.analysis import terminates
 
     assert terminates(dg)
+
+
+def _one_step_oracle(game):
+    ranks = {i: {play.path: r for r, cls in enumerate(pref.ranks) for play in cls}
+             for i, pref in enumerate(game.preferences, start=1)}
+    return one_step_by_enumeration(game.vertices, game.edges, game.owner, ranks)
+
+
+def test_one_step_matches_enumeration(fig2):
+    for game in (fig2, *(random_game(seed, acyclic=True) for seed in range(200))):
+        dg = build_dynamics(game, "1", force=True)
+        labels, updates = _one_step_oracle(game)
+        assert [dg.label(n) for n in dg.nodes] == labels
+        assert {(dg.label(u), dg.label(v), tuple(sorted(c))) for u, v, c in dg.edges} == updates
 
 
 def test_kinds_table(gdis):

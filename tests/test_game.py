@@ -6,14 +6,20 @@ from hypothesis import given, strategies as st
 from gamedyn import (
     Comparison,
     FinitePlay,
+    Game,
     LassoPlay,
     PreferenceOrder,
     canonicalize,
     compare_plays,
+    enumerate_profiles,
+    outcome,
     parse_game,
     positional_plays,
 )
 from gamedyn.errors import GameFormatError, UnknownVertex
+
+from .conftest import FIXTURES, load_game
+from .generators import random_game
 
 # ---------------------------------------------------------------------------
 # canonicalize
@@ -137,6 +143,24 @@ def test_positional_plays_gdis(gdis):
         LassoPlay((), ("v1", "v2")),
     })
     assert positional_plays(gdis, "vbot") == frozenset({FinitePlay(("vbot",))})
+
+
+def test_positional_plays_long_chain():
+    names = tuple(f"v{i:04d}" for i in range(1200))
+    chain = Game(1, names, frozenset(zip(names, names[1:])), {v: 1 for v in names[:-1]},
+                 (PreferenceOrder(()),), {})
+    assert positional_plays(chain, names[0]) == frozenset({FinitePlay(names)})
+
+
+def test_positional_plays_are_the_profile_outcomes():
+    games = [load_game(p.name) for p in sorted(FIXTURES.glob("*.json"))
+             if not p.name.endswith(".spp.json")]
+    games += [random_game(seed, acyclic=acyclic) for seed in range(200)
+              for acyclic in (False, True)]
+    for game in games:
+        profiles = list(enumerate_profiles(game, force=True))
+        for v in game.vertices:
+            assert positional_plays(game, v) == {outcome(game, s, v) for s in profiles}
 
 
 # ---------------------------------------------------------------------------

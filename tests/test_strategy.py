@@ -1,18 +1,15 @@
-"""Strategy profiles, outcomes, best replies, history profiles."""
+"""Strategy profiles, outcomes, best replies, the tree unfolding."""
 
 import pytest
 
-from gamedyn import FinitePlay, LassoPlay, StrategyProfile, outcome
+from gamedyn import FinitePlay, LassoPlay, StrategyProfile, outcome, positional_plays
 from gamedyn.errors import CyclicArena, StateSpaceTooLarge
 from gamedyn.strategy import (
-    HistoryProfile,
     best_replies,
     enumerate_histories,
-    enumerate_history_profiles,
     enumerate_profiles,
-    history_outcome,
-    history_profile_count,
     profile_count,
+    unfold,
 )
 
 from .generators import random_game
@@ -93,24 +90,28 @@ def test_history_profiles(fig2):
     hists = enumerate_histories(fig2)
     assert all(h[-1] not in fig2.terminals for h in hists)
     assert len(set(hists)) == len(hists)
-    count = history_profile_count(fig2)
-    profiles = list(enumerate_history_profiles(fig2, force=True))
-    assert len(profiles) == count
+    tree = unfold(fig2)
+    assert tree.non_terminals() == tuple(hists)
+    for h in hists:
+        assert tree.owner[h] == fig2.owner[h[-1]]
+        assert tree.successors(h) == tuple(h + (w,) for w in fig2.successors(h[-1]))
+    assert len(list(enumerate_profiles(tree, force=True))) == profile_count(tree) == 768
 
 
-def test_history_outcome_consistent(fig2):
-    tau = next(iter(enumerate_history_profiles(fig2, force=True)))
+def test_unfolding_outcome_consistent(fig2):
+    tree = unfold(fig2)
+    tau = next(iter(enumerate_profiles(tree, force=True)))
     for v in fig2.non_terminals():
-        play = history_outcome(fig2, tau, (v,))
-        assert play.start == v
-        assert play.path[-1] in fig2.terminals
+        play = outcome(tree, tau, (v,))
+        assert play.start == (v,)
+        assert play.path[-1][-1] in fig2.terminals
+        assert all(b[:-1] == a for a, b in zip(play.path, play.path[1:]))
 
 
-def test_history_profile_updated(fig2):
-    tau = next(iter(enumerate_history_profiles(fig2, force=True)))
-    h = next(iter(tau.as_dict()))
-    options = fig2.successors(h[-1])
-    other = next(w for w in options if True)
-    tau2 = tau.updated(h, other)
-    assert tau2[h] == other
-    assert set(tau.changed_histories(tau2)) <= {h}
+def test_unfolding_ranks_tree_plays_by_their_leaf(fig2):
+    tree = unfold(fig2)
+    for player in range(1, fig2.n_players + 1):
+        pref, tree_pref = fig2.preference(player), tree.preference(player)
+        for h in tree.non_terminals():
+            for play in positional_plays(tree, h):
+                assert tree_pref.rank_of(play) == pref.rank_of(FinitePlay(play.path[-1]))
