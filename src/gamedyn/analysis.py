@@ -46,33 +46,25 @@ def terminates(dg: DynamicsGraph) -> bool:
 
 
 def find_cycle(dg: DynamicsGraph) -> Optional[CycleWitness]:
-    g = dg.digraph()
+    g = dg.succ
     for scc in strongly_connected_components(g):
         if is_nontrivial(g, scc):
-            cycle = _cycle_through(g, scc, min(scc, key=repr))
-            return CycleWitness(path_to_cycle=(), cycle=tuple(cycle))
+            cycle = _cycle_through(g, scc, min(scc))
+            return CycleWitness(path_to_cycle=(), cycle=tuple(dg.nodes[n] for n in cycle))
     return None
 
 
 def equilibria(dg: DynamicsGraph) -> frozenset:
     """Nodes with no outgoing edge."""
-    sources = {u for u, _, _ in dg.edges}
-    return frozenset(n for n in dg.nodes if n not in sources)
+    return frozenset(n for n, out in zip(dg.nodes, dg.succ) if not out)
 
 
-def _cycle_through(g: Digraph, scc: frozenset, start) -> list:
+def _cycle_through(g, scc: frozenset, start) -> list:
     """A closed walk in the component from start: one edge out, then back."""
     first = next(w for w in g.successors(start) if w in scc)
     if first == start:
         return [start]
     return [start] + shortest_path(g, first, {start}, within=scc)[:-1]
-
-
-def _players_of(dg: DynamicsGraph):
-    players = set()
-    for _, _, changed in dg.edges:
-        players |= changed
-    return players
 
 
 def find_fair_cycle(dg: DynamicsGraph, players=None) -> FairnessReport:
@@ -84,54 +76,46 @@ def find_fair_cycle(dg: DynamicsGraph, players=None) -> FairnessReport:
     strategy.  The witness is a closed walk in S visiting all per-player
     witnesses.
     """
+    g, changed = dg.succ, dg.changed
     if players is None:
-        players = sorted(_players_of(dg))
-    g = dg.digraph()
-    can_switch = _can_switch_map(dg, players)
-    changed = {(u, v): c for u, v, c in dg.edges}
-    pos = {n: i for i, n in enumerate(g.nodes)}
+        players = sorted(frozenset().union(*(c for cs in changed for c in cs)))
+
+    def can_switch(n):
+        """The players with some outgoing edge of n changing them."""
+        return frozenset().union(*changed[n])
 
     report_per_player = {}
     for scc in strongly_connected_components(g):
         if not is_nontrivial(g, scc):
             continue
-        # members in g.nodes order and edges in successor order, so the
-        # witness does not depend on set iteration order
-        members = sorted(scc, key=pos.__getitem__)
-        inside = [(u, v) for u in members for v in g.successors(u) if v in scc]
+        members = sorted(scc)
+        inside = [(u, v, c) for u in members for v, c in zip(g[u], changed[u]) if v in scc]
         clauses = {}
         for i in players:
-            if any(i in changed[e] for e in inside):
+            if any(i in c for _, _, c in inside):
                 clauses[i] = SWITCHES
-            elif any(i not in can_switch[n] for n in scc):
+            elif any(i not in can_switch(n) for n in members):
                 clauses[i] = CANNOT_SWITCH
             else:
                 clauses[i] = NON_SWITCHER
         if all(v is not NON_SWITCHER for v in clauses.values()):
-            edge_targets = [next(e for e in inside if i in changed[e])
+            edge_targets = [next((u, v) for u, v, c in inside if i in c)
                             for i in players if clauses[i] == SWITCHES]
-            node_targets = [next(n for n in members if i not in can_switch[n])
+            node_targets = [next(n for n in members if i not in can_switch(n))
                             for i in players if clauses[i] == CANNOT_SWITCH]
-            witness = _fair_witness(g, scc, edge_targets, node_targets)
+            walk = _fair_witness(g, scc, edge_targets, node_targets)
+            witness = CycleWitness(path_to_cycle=(), cycle=tuple(dg.nodes[n] for n in walk))
             return FairnessReport(fair=True, witness=witness, per_player=clauses)
         # no fair SCC: report the first nontrivial one
         report_per_player = report_per_player or clauses
     return FairnessReport(fair=False, witness=None, per_player=report_per_player)
 
 
-def _can_switch_map(dg: DynamicsGraph, players):
-    """For each node, the set of players with some outgoing edge changing them."""
-    can = {n: set() for n in dg.nodes}
-    for u, _, changed in dg.edges:
-        can[u] |= changed
-    return can
-
-
-def _fair_witness(g, scc, edge_targets, node_targets):
+def _fair_witness(g, scc, edge_targets, node_targets) -> list:
     """Closed walk in the SCC through every target edge, then every target
     node."""
     start = edge_targets[0][0] if edge_targets else (node_targets[0] if node_targets else
-                                                     min(scc, key=repr))
+                                                     min(scc))
     walk = [start]
     for u, v in edge_targets:
         walk += shortest_path(g, walk[-1], {u}, within=scc)[1:]
@@ -147,7 +131,7 @@ def _fair_witness(g, scc, edge_targets, node_targets):
     else:
         # single node: needs a real cycle through it
         walk = _cycle_through(g, scc, start)
-    return CycleWitness(path_to_cycle=(), cycle=tuple(walk))
+    return walk
 
 
 # ---------------------------------------------------------------------------

@@ -53,14 +53,15 @@ def _cmd_dynamics(args) -> int:
         sys.stdout.write(export_dot(dg))
         return EXIT_OK
     eq = sorted(dg.label(n) for n in analysis.equilibria(dg))
+    updates = sum(map(len, dg.succ))
     record = {
         "kind": dg.kind,
         "nodes": len(dg.nodes),
-        "edges": len(dg.edges),
+        "edges": updates,
         "equilibria": eq,
     }
     _emit(args, record, [
-        f"dynamics {dg.kind}: {len(dg.nodes)} profiles, {len(dg.edges)} updates",
+        f"dynamics {dg.kind}: {len(dg.nodes)} profiles, {updates} updates",
         f"equilibria: {', '.join(eq) if eq else '(none)'}",
     ])
     return EXIT_OK

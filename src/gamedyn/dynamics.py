@@ -4,37 +4,51 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import NonDeterministicBestReply, StateSpaceTooLarge
-from .game import Comparison, Game
-from .graphs import Digraph
-from .strategy import (
-    PROFILE_GUARD,
-    StrategyProfile,
-    enumerate_profiles,
-    outcome,
-    profile_count,
-    unfold,
-)
+from .game import FinitePlay, Game, canonicalize
+from .graphs import Digraph, IndexGraph
+from .strategy import PROFILE_GUARD, StrategyProfile, enumerate_profiles, profile_count, unfold
 
 KINDS = ("1", "p1", "bp1", "pc", "bpc")
 
 
 @dataclass(frozen=True)
 class DynamicsGraph:
+    """Update dynamics over positional profiles.
+
+    Node i is the i-th profile enumerate_profiles yields.  succ[i] lists the
+    indices node i updates to, ascending, and changed[i] the players each of
+    those updates changes, so index order is the one successor order.
+    """
+
     kind: str
-    nodes: tuple
-    edges: frozenset  # of (src, dst, changed_players frozenset)
+    nodes: tuple  # StrategyProfile per index
+    succ: IndexGraph
+    changed: tuple  # per index: a frozenset of players per successor
     labels: Mapping  # node -> compact display name
 
+    @cached_property
+    def _index(self):
+        return {n: i for i, n in enumerate(self.nodes)}
+
+    @property
+    def edges(self) -> frozenset:
+        """(src, dst, changed players) triples, derived from the successor lists."""
+        nodes = self.nodes
+        return frozenset((u, nodes[j], c) for u, js, cs in zip(nodes, self.succ, self.changed)
+                         for j, c in zip(js, cs))
+
     def digraph(self) -> Digraph:
-        return Digraph(self.nodes, frozenset((u, v) for u, v, _ in self.edges))
+        nodes = self.nodes
+        succ = {u: [nodes[j] for j in js] for u, js in zip(nodes, self.succ)}
+        return Digraph(nodes, frozenset((u, v) for u, vs in succ.items() for v in vs), succ)
 
     def successors(self, node):
-        return sorted(
-            ((v, c) for u, v, c in self.edges if u == node), key=lambda t: repr(t[0])
-        )
+        i = self._index[node]
+        return [(self.nodes[j], c) for j, c in zip(self.succ[i], self.changed[i])]
 
     def label(self, node) -> str:
         return self.labels[node]
@@ -42,46 +56,114 @@ class DynamicsGraph:
 
 def profile_display(game: Game, profile: StrategyProfile) -> str:
     """Compact name: per-vertex edge labels, skipping forced (out-degree 1) vertices."""
-    parts = []
-    for v in game.non_terminals():
-        succs = game.successors(v)
-        if len(succs) == 1:
-            continue
-        w = profile[v]
-        parts.append(game.edge_labels.get((v, w), f"{v}:{w}"))
+    choice = profile.as_dict()
+    parts = [game.edge_labels.get((v, choice[v]), f"{v}:{choice[v]}")
+             for v in game.non_terminals() if len(game.successors(v)) > 1]
     return "".join(parts) if parts else "<only>"
 
 
-def _improving_deviations(game: Game, profile: StrategyProfile, best_reply: bool):
-    """Per player: the single-vertex strictly-improving deviations.
+def _display_names(game: Game, one_step: bool = False) -> list[str]:
+    """profile_display of every profile, in index order; one_step names
+    each history's choice as kind 1 labels do."""
+    vs = game.non_terminals()
+    if one_step:
+        parts = [[f"{'.'.join(h)}:{c[-1]}" for c in game.successors(h)] for h in vs]
+        return [",".join(p[c] for p, c in zip(parts, digits))
+                for digits in itertools.product(*map(range, map(len, parts)))]
+    parts = [[game.edge_labels.get((v, w), f"{v}:{w}") for w in game.successors(v)] for v in vs]
+    shown = [k for k, p in enumerate(parts) if len(p) > 1]
+    return ["".join(parts[k][digits[k]] for k in shown) or "<only>"
+            for digits in itertools.product(*map(range, map(len, parts)))]
 
-    Returns {player: [(v, w, profile'), ...]}.  With best_reply=True only the
-    deviations whose outcome is maximal among all one-state deviations at v
-    are kept: best replies are judged per state, not per whole strategy.
+
+class _Moves:
+    """Improving one-vertex moves over a game's positional profiles, on ints.
+
+    Profile i is the i-th profile enumerate_profiles yields: a mixed-radix
+    number whose digit k is the choice index at the k-th non-terminal, the
+    last one varying fastest.  Moving non-terminal k from choice c to c'
+    therefore adds (c' - c) * weight[k].  Plays are walked on vertex ids and
+    ranked once each, through the players' play -> rank dicts.  With
+    best_reply only the best improving moves at a vertex are kept: best
+    replies are judged per state, not per whole strategy.
     """
+
+    def __init__(self, game: Game, best_reply: bool):
+        self.movers = game.non_terminals()
+        vid = {v: i for i, v in enumerate(game.vertices)}
+        self.succ = [tuple(vid[w] for w in game.successors(v)) for v in self.movers]
+        self.owner = [game.owner[v] for v in self.movers]
+        self.weight = [1] * len(self.succ)
+        for k in range(len(self.succ) - 2, -1, -1):
+            self.weight[k] = self.weight[k + 1] * len(self.succ[k + 1])
+        self.best_reply = best_reply
+        self._at = [vid[v] for v in self.movers]
+        self._names = game.vertices
+        self._prefs = game.preferences
+        self._ranks = {}  # (vertex ids of the play, loop start or -1) -> rank per player
+        self._next = [-1] * len(game.vertices)  # the current profile; -1 at terminals
+
+    def digits(self):
+        """Every profile's choice indices, in index order."""
+        return itertools.product(*(range(len(s)) for s in self.succ))
+
+    def _rank(self, v, w):
+        """Ranks of the play from v that steps to w, then follows the profile."""
+        nxt = self._next
+        path, seen = [v], {v: 0}
+        while w not in seen:
+            seen[w] = len(path)
+            path.append(w)
+            w = nxt[w]
+            if w < 0:
+                key = (tuple(path), -1)
+                break
+        else:
+            key = (tuple(path), seen[w])
+        ranks = self._ranks.get(key)
+        if ranks is None:
+            names = [self._names[x] for x in path]
+            i = key[1]
+            play = FinitePlay(tuple(names)) if i < 0 else canonicalize(names[:i], names[i:])
+            ranks = self._ranks[key] = tuple(p.rank_of(play) for p in self._prefs)
+        return ranks
+
+    def better(self, digits):
+        """Per non-terminal k: the choices its owner prefers to digits[k]."""
+        for x, s, c in zip(self._at, self.succ, digits):
+            self._next[x] = s[c]
+        out = []
+        for v, s, player, c in zip(self._at, self.succ, self.owner, digits):
+            ranks = [self._rank(v, w)[player - 1] for w in s]
+            now = ranks[c]
+            better = [j for j, r in enumerate(ranks) if r < now]
+            if self.best_reply and better:
+                top = min(ranks[j] for j in better)
+                better = [j for j in better if ranks[j] == top]
+            out.append(better)
+        return out
+
+
+def _improving_deviations(game: Game, profile: StrategyProfile, best_reply: bool):
+    """Per player: the (v, w) single-vertex strictly-improving deviations."""
+    moves = _Moves(game, best_reply)
+    choice = profile.as_dict()
+    succs = [game.successors(v) for v in moves.movers]
+    digits = [s.index(choice[v]) for v, s in zip(moves.movers, succs)]
     by_player: dict[int, list] = {i: [] for i in range(1, game.n_players + 1)}
-    for v in game.non_terminals():
-        player = game.owner[v]
-        pref = game.preference(player)
-        current = outcome(game, profile, v)
-        options = []
-        for w in game.successors(v):
-            if w == profile[v]:
-                continue
-            prof2 = profile.updated(v, w)
-            play = outcome(game, prof2, v)
-            if pref.compare(current, play) is Comparison.LESS:
-                options.append((w, prof2, play))
-        if not options:
-            continue
-        if best_reply:
-            best = options[0][2]
-            for _, _, play in options[1:]:
-                if pref.compare(best, play) is Comparison.LESS:
-                    best = play
-            options = [o for o in options if pref.compare(o[2], best) is Comparison.EQUAL]
-        by_player[player].extend((v, w, p2) for w, p2, _ in options)
+    for v, s, player, better in zip(moves.movers, succs, moves.owner, moves.better(digits)):
+        by_player[player].extend((v, s[j]) for j in better)
     return by_player
+
+
+def _offsets(moves: _Moves, n_players: int):
+    """Per profile, in index order: per player, the index offsets of its moves."""
+    for digits in moves.digits():
+        by_player = [[] for _ in range(n_players)]
+        for k, better in enumerate(moves.better(digits)):
+            step, c = moves.weight[k], digits[k]
+            by_player[moves.owner[k] - 1].extend((j - c) * step for j in better)
+        yield by_player
 
 
 def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
@@ -97,31 +179,28 @@ def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
         raise ValueError(f"unknown dynamics kind {kind!r}")
     if kind == "1":
         game = unfold(game)
-    best_reply = kind.startswith("b")
     concurrent = kind.endswith("pc")
-    profiles = tuple(enumerate_profiles(game, guard=guard, force=force))
-    edges = set()
-    for prof in profiles:
-        by_player = _improving_deviations(game, prof, best_reply)
-        if not concurrent:
-            for player, opts in by_player.items():
-                for _, _, prof2 in opts:
-                    edges.add((prof, prof2, frozenset({player})))
-            continue
-        players = [i for i, opts in by_player.items() if opts]
-        for r in range(1, len(players) + 1):
-            for subset in itertools.combinations(players, r):
-                for combo in itertools.product(*(by_player[i] for i in subset)):
-                    choice = prof.as_dict()
-                    for v, w, _ in combo:
-                        choice[v] = w
-                    prof2 = StrategyProfile.from_dict(choice)
-                    edges.add((prof, prof2, frozenset(subset)))
-    if kind == "1":
-        labels = {p: ",".join(f"{'.'.join(h)}:{c[-1]}" for h, c in p.items) for p in profiles}
-    else:
-        labels = {p: profile_display(game, p) for p in profiles}
-    return DynamicsGraph(kind=kind, nodes=profiles, edges=frozenset(edges), labels=labels)
+    nodes = tuple(enumerate_profiles(game, guard=guard, force=force))
+    groups = {}  # tuple of player indices -> frozenset of players
+    succ, changed = [], []
+    for p, by_player in enumerate(_offsets(_Moves(game, kind.startswith("b")), game.n_players)):
+        movers = [i for i, offsets in enumerate(by_player) if offsets]
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(movers, r) for r in range(1, len(movers) + 1)
+        ) if concurrent else ((i,) for i in movers)
+        out = []
+        for subset in subsets:
+            who = groups.get(subset)
+            if who is None:
+                who = groups[subset] = frozenset(i + 1 for i in subset)
+            out.extend((p + sum(combo), who)
+                       for combo in itertools.product(*(by_player[i] for i in subset)))
+        out.sort(key=lambda t: t[0])
+        succ.append(tuple(t for t, _ in out))
+        changed.append(tuple(c for _, c in out))
+    labels = dict(zip(nodes, _display_names(game, one_step=kind == "1")))
+    return DynamicsGraph(kind=kind, nodes=nodes, succ=IndexGraph(succ),
+                         changed=tuple(changed), labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +240,6 @@ class BeliefGraph:
         )
 
 
-def _true_profile(game: Game, node: BeliefNode) -> StrategyProfile:
-    choice = {}
-    for v in game.non_terminals():
-        choice[v] = node.row(game.owner[v])[v]
-    return StrategyProfile.from_dict(choice)
-
-
 def build_belief_graph(game: Game, guard: int = PROFILE_GUARD, force: bool = False) -> BeliefGraph:
     """The complete deterministic labelled graph over belief matrices.
 
@@ -182,34 +254,32 @@ def build_belief_graph(game: Game, guard: int = PROFILE_GUARD, force: bool = Fal
         raise StateSpaceTooLarge(count, guard)
     profiles = tuple(enumerate_profiles(game, guard=guard, force=force))
     nodes = tuple(BeliefNode(rows) for rows in itertools.product(profiles, repeat=n))
+    # node i has rows (r_1, ..., r_n) with i = sum of r_j * place[j - 1]
+    place = [base ** (n - j) for j in range(1, n + 1)]
+    moves = _Moves(game, best_reply=True)
+    digits = list(moves.digits())
+    offsets = list(_offsets(moves, n))
+    names = _display_names(game)
+
+    def player_update(r: int, player: int) -> int:
+        targets = offsets[r][player - 1]
+        if len(targets) > 1:
+            raise NonDeterministicBestReply(
+                player, sorted((profiles[r + d] for d in targets), key=repr))
+        return r + targets[0] if targets else r
 
     delta = {}
     v0 = set()
-    update_cache: dict[tuple[StrategyProfile, int], StrategyProfile] = {}
-
-    def player_update(belief: StrategyProfile, player: int) -> StrategyProfile:
-        key = (belief, player)
-        if key not in update_cache:
-            by_player = _improving_deviations(game, belief, best_reply=True)
-            targets = sorted({p2 for _, _, p2 in by_player[player]}, key=repr)
-            if len(targets) > 1:
-                raise NonDeterministicBestReply(player, targets)
-            update_cache[key] = targets[0] if targets else belief
-        return update_cache[key]
-
-    for node in nodes:
-        true = _true_profile(game, node)
-        if all(row == true for row in node.rows):
+    labels_of = {}
+    for i, rows in enumerate(itertools.product(range(base), repeat=n)):
+        node = nodes[i]
+        true = sum(digits[rows[player - 1]][k] * w
+                   for k, (player, w) in enumerate(zip(moves.owner, moves.weight)))
+        if all(r == true for r in rows):
             v0.add(node)
-        delta[(node, 0)] = BeliefNode(tuple(true for _ in range(n)))
-        for player in range(1, n + 1):
-            new_row = player_update(node.row(player), player)
-            rows = list(node.rows)
-            rows[player - 1] = new_row
-            delta[(node, player)] = BeliefNode(tuple(rows))
-
-    labels_of = {
-        node: "|".join(profile_display(game, row) for row in node.rows) for node in nodes
-    }
+        delta[(node, 0)] = nodes[true * sum(place)]
+        for player, r in enumerate(rows, start=1):
+            delta[(node, player)] = nodes[i + (player_update(r, player) - r) * place[player - 1]]
+        labels_of[node] = "|".join(names[r] for r in rows)
     return BeliefGraph(nodes=nodes, n_players=n, delta=delta, v0_nodes=frozenset(v0),
                        labels_of=labels_of)

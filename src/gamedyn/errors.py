@@ -57,6 +57,7 @@ class NotDeletable(GameDynError):
     MULTIPLE_SUCCESSORS = "MultipleSuccessors"
     PREDECESSOR_CONFLICT = "PredecessorConflict"
     PREFERENCE_COLLAPSE = "PreferenceCollapse"
+    INVALID_PLAY = "InvalidPlay"
 
     def __init__(self, vertex, reason):
         super().__init__(f"vertex {vertex!r} is not deletable: {reason}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import GameFormatError, NotMaximal, UnknownVertex
@@ -137,11 +138,17 @@ class PreferenceOrder:
 
     ranks: tuple[frozenset[Play], ...]
 
-    def rank_of(self, play: Play) -> int:
+    @cached_property
+    def _rank(self) -> dict:
+        """play -> index of the first class holding it."""
+        rank = {}
         for i, cls in enumerate(self.ranks):
-            if play in cls:
-                return i
-        return len(self.ranks)
+            for play in cls:
+                rank.setdefault(play, i)
+        return rank
+
+    def rank_of(self, play: Play) -> int:
+        return self._rank.get(play, len(self.ranks))
 
     def compare(self, p1: Play, p2: Play) -> Comparison:
         """LESS iff p1 is strictly worse than p2."""
@@ -174,21 +181,25 @@ class Game:
     vertex_set: frozenset[str] = field(init=False, compare=False, repr=False)
     terminals: frozenset[str] = field(init=False, compare=False, repr=False)
     _succ: dict = field(init=False, compare=False, repr=False)
+    _pred: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         succ: dict[str, list[str]] = {}
+        pred: dict[str, list[str]] = {}
         for u, w in self.edges:
             succ.setdefault(u, []).append(w)
+            pred.setdefault(w, []).append(u)
         object.__setattr__(self, "vertex_set", frozenset(self.vertices))
         object.__setattr__(self, "terminals",
                            frozenset(v for v in self.vertices if v not in succ))
         object.__setattr__(self, "_succ", {u: tuple(sorted(ws)) for u, ws in succ.items()})
+        object.__setattr__(self, "_pred", {w: tuple(sorted(us)) for w, us in pred.items()})
 
     def successors(self, v: str) -> tuple[str, ...]:
         return self._succ.get(v, ())
 
     def predecessors(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted(u for u, w in self.edges if w == v))
+        return self._pred.get(v, ())
 
     def non_terminals(self) -> tuple[str, ...]:
         terms = self.terminals

@@ -7,11 +7,16 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class Digraph:
+    """Nodes and edges; each node's successors in repr order, or in the order
+    of the node -> successor-list map given as the third argument."""
+
     nodes: tuple
     edges: frozenset  # of (u, v) pairs
     _succ: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self._succ is not None:
+            return
         succ = {u: [] for u in self.nodes}
         for u, v in sorted(self.edges, key=repr):
             succ[u].append(v)
@@ -30,6 +35,23 @@ class Digraph:
                     seen.add(w)
                     todo.append(w)
         return frozenset(seen)
+
+
+class IndexGraph(tuple):
+    """A graph on the nodes 0..n-1: item i is node i's successors, in order.
+
+    It answers `nodes` and `successors` as a Digraph does, so every walk in
+    this module runs on it unchanged.
+    """
+
+    __slots__ = ()
+
+    @property
+    def nodes(self) -> range:
+        return range(len(self))
+
+    def successors(self, u):
+        return self[u]
 
 
 def strongly_connected_components(g: Digraph) -> list[frozenset]:

@@ -4,7 +4,6 @@ pattern as a minor."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -21,7 +20,6 @@ from .game import (
     Comparison,
     FinitePlay,
     Game,
-    LassoPlay,
     Play,
     PreferenceOrder,
     canonicalize,
@@ -135,7 +133,8 @@ def _drop_vertex_from_play(play: Play, v: str, succ: str) -> Play:
                 out.append(x)
                 continue
             nxt = seq[i + 1] if i + 1 < n else cyclic_next
-            assert nxt == succ, f"play mentions {v} not followed by {succ}"
+            if nxt != succ:  # only a play that is not a walk of the arena
+                raise NotDeletable(v, NotDeletable.INVALID_PLAY)
         return out
 
     if isinstance(play, FinitePlay):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .graphs import Digraph, transitive_closure  # re-exported: transitive_closure
 

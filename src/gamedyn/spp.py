@@ -432,9 +432,9 @@ def _sdw_bpc_oscillation(otg: OneTargetGame, sdw: DisputeWheel):
             continue
         i = game.owner[u]
         switching.add(i)
-        if not any(v == u and w == direct[u] for v, w, _ in dev1[i]):
+        if (u, direct[u]) not in dev1[i]:
             return None
-        if not any(v == u and w == ring[u] for v, w, _ in dev2[i]):
+        if (u, ring[u]) not in dev2[i]:
             return None
     for j in range(1, game.n_players + 1):
         if j not in switching and dev1[j] and dev2[j]:

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CyclicArena, StateSpaceTooLarge, UnknownVertex
-from .game import Comparison, FinitePlay, Game, Play, PreferenceOrder, canonicalize
+from .game import FinitePlay, Game, Play, PreferenceOrder, canonicalize
 from .graphs import Digraph, is_nontrivial, strongly_connected_components
 
 PROFILE_GUARD = 10**7
@@ -47,7 +47,9 @@ def profile_count(game: Game) -> int:
 
 
 def enumerate_profiles(game: Game, guard: int = PROFILE_GUARD, force: bool = False):
-    """All positional profiles, in lexicographic (vertex id, successor id) order."""
+    """All positional profiles, in lexicographic (vertex id, successor id) order.
+
+    The i-th profile is profile index i of a dynamics graph."""
     count = profile_count(game)
     if count > guard and not force:
         raise StateSpaceTooLarge(count, guard)
@@ -61,35 +63,17 @@ def outcome(game: Game, profile: StrategyProfile, v: str) -> Play:
     if v not in game.vertex_set:
         raise UnknownVertex(v)
     terms = game.terminals
+    choice = profile.as_dict()
     path = [v]
     seen = {v: 0}
     while path[-1] not in terms:
-        w = profile[path[-1]]
+        w = choice[path[-1]]
         if w in seen:
             i = seen[w]
             return canonicalize(path[:i], path[i:])
         seen[w] = len(path)
         path.append(w)
     return FinitePlay(tuple(path))
-
-
-def best_replies(game: Game, profile: StrategyProfile, v: str) -> frozenset[str]:
-    """Successors of v whose one-state deviation outcome is preference-maximal."""
-    player = game.owner[v]
-    pref = game.preference(player)
-    best: list[str] = []
-    best_play: Play | None = None
-    for w in game.successors(v):
-        play = outcome(game, profile.updated(v, w), v)
-        if best_play is None:
-            best, best_play = [w], play
-            continue
-        cmp = pref.compare(play, best_play)
-        if cmp is Comparison.GREATER:
-            best, best_play = [w], play
-        elif cmp is Comparison.EQUAL:
-            best.append(w)
-    return frozenset(best)
 
 
 # ---------------------------------------------------------------------------

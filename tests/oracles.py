@@ -137,3 +137,67 @@ def one_step_by_enumeration(vertices, edges, owners, ranks):
                 if rank.get(follow(other, h), float("inf")) < now:
                     updates.add((label(choice), label(other), (player,)))
     return labels, updates
+
+
+def positional_dynamics_by_enumeration(vertices, edges, owners, ranks, kind):
+    """The p1, bp1, pc or bpc dynamics over positional profiles, by brute force.
+
+    ``edges`` holds [from, to] or [from, to, label] items; ``ranks`` maps
+    each player to {play: rank}, lower is better, where a finite play is its
+    vertex tuple and a lasso is the pair (stem, loop); unranked plays share
+    the bottom class.  A profile picks a successor for every non-terminal;
+    profiles are enumerated with non-terminals and successors sorted, the
+    last non-terminal varying fastest.  A move at v is improving when the
+    owner of v strictly prefers the play from v after it; a best-reply move
+    is an improving move that no other move at v beats.  An update changes
+    the choice at one vertex (p1, bp1), or at vertices of pairwise distinct
+    owners (pc, bpc), each change such a move.  Every pair of profiles is
+    tried.  Returns the profile labels, in enumeration order, and the set of
+    updates as (label, label, sorted players) triples.
+    """
+    succ = {v: sorted(e[1] for e in edges if e[0] == v) for v in vertices}
+    names = {(e[0], e[1]): e[2] for e in edges if len(e) == 3}
+    movers = sorted(v for v in vertices if succ[v])
+
+    def play(choice, v):
+        path = [v]
+        while succ[path[-1]]:
+            nxt = choice[path[-1]]
+            if nxt in path:
+                i = path.index(nxt)
+                return (tuple(path[:i]), tuple(path[i:]))
+            path.append(nxt)
+        return tuple(path)
+
+    def rank(v, choice):
+        return ranks.get(owners[v], {}).get(play(choice, v), float("inf"))
+
+    def label(choice):
+        parts = [names.get((v, choice[v]), f"{v}:{choice[v]}")
+                 for v in movers if len(succ[v]) > 1]
+        return "".join(parts) or "<only>"
+
+    def moves(choice, v):
+        """The improving (best_reply: best improving) successors at v."""
+        now = rank(v, choice)
+        better = {w: rank(v, {**choice, v: w}) for w in succ[v]}
+        better = {w: r for w, r in better.items() if r < now}
+        if kind.startswith("b") and better:
+            top = min(better.values())
+            better = {w: r for w, r in better.items() if r == top}
+        return set(better)
+
+    profiles = [dict(zip(movers, combo)) for combo in product(*(succ[v] for v in movers))]
+    updates = set()
+    for sigma in profiles:
+        ok = {v: moves(sigma, v) for v in movers}
+        for tau in profiles:
+            diff = [v for v in movers if sigma[v] != tau[v]]
+            players = [owners[v] for v in diff]
+            if not diff or len(set(players)) < len(players):
+                continue
+            if len(diff) > 1 and not kind.endswith("pc"):
+                continue
+            if all(tau[v] in ok[v] for v in diff):
+                updates.add((label(sigma), label(tau), tuple(sorted(players))))
+    return [label(p) for p in profiles], updates

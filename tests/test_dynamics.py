@@ -1,20 +1,26 @@
 """Update-dynamics graphs: unilateral, best-reply, concurrent, one-step."""
 
+import json
+
 import pytest
 
 from gamedyn import (
+    StrategyProfile,
     build_belief_graph,
     build_dynamics,
     equilibria,
+    find_cycle,
+    parse_game,
     profile_display,
 )
 from gamedyn.dynamics import KINDS
 from gamedyn.errors import CyclicArena
 from gamedyn.strategy import enumerate_profiles, outcome
-from gamedyn.game import Comparison
+from gamedyn.game import Comparison, FinitePlay
 
+from .conftest import load_game
 from .generators import random_game
-from .oracles import one_step_by_enumeration
+from .oracles import one_step_by_enumeration, positional_dynamics_by_enumeration
 
 
 def edge_set(dg):
@@ -36,6 +42,16 @@ def test_unilateral_dynamics_gdis(gdis):
     }
     # with two successors per vertex, best-reply and improving coincide here
     assert edge_set(build_dynamics(gdis, "bp1")) == edge_set(dg)
+
+
+def test_best_reply_moves_gdis(gdis):
+    dg = build_dynamics(gdis, "bp1")
+    both_stop = StrategyProfile.from_dict({"v1": "vbot", "v2": "vbot"})
+    # with v2 stopping, v1's indirect route is available and preferred
+    assert (both_stop.updated("v1", "v2"), frozenset({1})) in dg.successors(both_stop)
+    both_cont = StrategyProfile.from_dict({"v1": "v2", "v2": "v1"})
+    # continuing would close the ring, the worst play for player 2
+    assert (both_cont.updated("v2", "vbot"), frozenset({2})) in dg.successors(both_cont)
 
 
 def test_concurrent_dynamics_gdis(gdis):
@@ -123,6 +139,59 @@ def test_one_step_matches_enumeration(fig2):
         labels, updates = _one_step_oracle(game)
         assert [dg.label(n) for n in dg.nodes] == labels
         assert {(dg.label(u), dg.label(v), tuple(sorted(c))) for u, v, c in dg.edges} == updates
+
+
+def _positional_oracle(game, kind):
+    def key(play):
+        return play.path if isinstance(play, FinitePlay) else (play.stem, play.loop)
+
+    ranks = {i: {key(play): r for r, cls in enumerate(pref.ranks) for play in cls}
+             for i, pref in enumerate(game.preferences, start=1)}
+    edges = [(u, v, game.edge_labels[u, v]) if (u, v) in game.edge_labels else (u, v)
+             for u, v in game.edges]
+    return positional_dynamics_by_enumeration(game.vertices, edges, game.owner, ranks, kind)
+
+
+FIXTURE_GAMES = ("gdis.json", "fig2.json", "fig3.json", "fig4.json", "fig5.json")
+
+
+@pytest.mark.parametrize("kind", ["p1", "bp1", "pc", "bpc"])
+def test_positional_dynamics_match_enumeration(kind):
+    games = [load_game(name) for name in FIXTURE_GAMES]
+    for game in games + [random_game(seed) for seed in range(200)]:
+        dg = build_dynamics(game, kind, force=True)
+        labels, updates = _positional_oracle(game, kind)
+        assert [dg.label(n) for n in dg.nodes] == labels
+        assert {(dg.label(u), dg.label(v), tuple(sorted(c))) for u, v, c in dg.edges} == updates
+
+
+# `t!` sorts after `t` in enumeration order but before it in repr order, and
+# repr quotes `x'` with double quotes, which sort before single ones.
+ORDER_TRAP = {
+    "players": 2,
+    "vertices": ["p", "q", "t", "t!", "x'"],
+    "edges": [["p", "q"], ["p", "t"], ["p", "t!"], ["q", "p"], ["q", "x'"]],
+    "owner": {"p": 1, "q": 2},
+    "preferences": {
+        "1": [[{"path": ["p", "q", "x'"]}], [{"path": ["p", "t"]}, {"path": ["p", "t!"]}]],
+        "2": [[{"path": ["q", "p", "t"]}, {"path": ["q", "p", "t!"]}], [{"path": ["q", "x'"]}]],
+    },
+}
+
+
+def test_successors_follow_enumeration_order():
+    dg = build_dynamics(parse_game(json.dumps(ORDER_TRAP)), "pc")
+    assert [dg.label(n) for n in dg.nodes] == [
+        "p:qq:p", "p:qq:x'", "p:tq:p", "p:tq:x'", "p:t!q:p", "p:t!q:x'"]
+    pos = {n: i for i, n in enumerate(dg.nodes)}
+    for n in dg.nodes:
+        succ = [pos[m] for m, _ in dg.successors(n)]
+        assert succ == sorted(succ)
+    assert [(dg.label(m), sorted(c)) for m, c in dg.successors(dg.nodes[0])] == [
+        ("p:qq:x'", [2]), ("p:tq:p", [1]), ("p:tq:x'", [1, 2]),
+        ("p:t!q:p", [1]), ("p:t!q:x'", [1, 2])]
+    # the cycle starts at the least index and leaves it by its first successor
+    assert [dg.label(n) for n in find_cycle(dg).cycle] == ["p:qq:p", "p:tq:x'"]
 
 
 def test_kinds_table(gdis):

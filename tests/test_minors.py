@@ -7,6 +7,9 @@ from gamedyn import (
     DeleteEdge,
     DeleteVertex,
     DeletionScript,
+    FinitePlay,
+    Game,
+    PreferenceOrder,
     apply_script,
     build_dynamics,
     delete_edge,
@@ -73,6 +76,14 @@ def test_premature_vertex_deletion_conflicts(fig2):
         delete_vertex(m2, "v2")
     with pytest.raises(NotDeletable, match="MultipleSuccessors"):
         delete_vertex(fig2, "v1")
+
+
+def test_delete_vertex_rejects_play_that_skips_its_successor():
+    # built directly, so no validation: the ranked play a->v stops at v
+    game = Game(1, ("a", "t", "v"), frozenset({("a", "v"), ("v", "t")}), {"a": 1, "v": 1},
+                (PreferenceOrder((frozenset({FinitePlay(("a", "v"))}),)),), {})
+    with pytest.raises(NotDeletable, match="InvalidPlay"):
+        delete_vertex(game, "v")
 
 
 def test_delete_edge_unknown(fig2):

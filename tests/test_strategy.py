@@ -1,11 +1,10 @@
-"""Strategy profiles, outcomes, best replies, the tree unfolding."""
+"""Strategy profiles, outcomes, the tree unfolding."""
 
 import pytest
 
 from gamedyn import FinitePlay, LassoPlay, StrategyProfile, outcome, positional_plays
 from gamedyn.errors import CyclicArena, StateSpaceTooLarge
 from gamedyn.strategy import (
-    best_replies,
     enumerate_histories,
     enumerate_profiles,
     profile_count,
@@ -57,24 +56,6 @@ def test_outcome_random_follows_profile():
             play = outcome(game, sigma, game.vertices[0])
             for u, v in play.steps():
                 assert u in game.terminals or sigma[u] == v
-
-
-def test_best_replies_gdis(gdis):
-    both_stop = StrategyProfile.from_dict({"v1": "vbot", "v2": "vbot"})
-    # with v2 stopping, v1's indirect route is available and preferred
-    assert best_replies(gdis, both_stop, "v1") == frozenset({"v2"})
-    both_cont = StrategyProfile.from_dict({"v1": "v2", "v2": "v1"})
-    # continuing would close the ring, the worst play for player 2
-    assert best_replies(gdis, both_cont, "v2") == frozenset({"vbot"})
-
-
-def test_best_replies_are_successors():
-    for seed in range(40):
-        game = random_game(seed)
-        sigma = next(iter(enumerate_profiles(game, force=True)))
-        for v in game.non_terminals():
-            replies = best_replies(game, sigma, v)
-            assert replies and replies <= set(game.successors(v))
 
 
 # ---------------------------------------------------------------------------
