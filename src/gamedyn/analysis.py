@@ -140,20 +140,36 @@ def _fair_witness(g, scc, edge_targets, node_targets) -> list:
 
 def sinks(lg: BeliefGraph) -> frozenset:
     """Nodes whose every outgoing edge is a self loop."""
-    return frozenset(
-        n for n in lg.nodes if all(lg.successor(n, a) == n for a in lg.label_set)
-    )
+    return frozenset(lg.nodes[v] for v, out in enumerate(lg.succ) if out == (v,))
+
+
+def _bottom_reach(g) -> tuple[list, list]:
+    """Tarjan's components of g, and per node the frozenset of positions of
+    the bottom components it reaches.
+
+    Components complete in reverse topological order, so each one's
+    successors are done before it.  Two nodes reach a common node iff they
+    reach a common bottom component.
+    """
+    sccs = strongly_connected_components(g)
+    comp = [0] * len(g)
+    for c, scc in enumerate(sccs):
+        for v in scc:
+            comp[v] = c
+    reach = []
+    for c, scc in enumerate(sccs):
+        out = {comp[w] for v in scc for w in g[v]} - {c}
+        reach.append(frozenset().union(*(reach[d] for d in out)) if out else frozenset((c,)))
+    return sccs, [reach[c] for c in comp]
 
 
 def reachable_two_sinks(lg: BeliefGraph):
     """Some (node, sink1, sink2) with two distinct sinks reachable, if any."""
-    all_sinks = sinks(lg)
-    g = lg.digraph()
-    for n in lg.nodes:
-        reach = g.reachable_from(n) & all_sinks
-        if len(reach) >= 2:
-            s1, s2 = sorted(reach, key=repr)[:2]
-            return (n, s1, s2)
+    sccs, reach = _bottom_reach(lg.succ)
+    for v, bottoms in enumerate(reach):
+        found = sorted(w for c in bottoms if len(sccs[c]) == 1 for w in sccs[c])
+        if len(found) >= 2:
+            return (lg.nodes[v], lg.nodes[found[0]], lg.nodes[found[1]])
     return None
 
 
@@ -163,15 +179,14 @@ def find_lfair_cycle(lg: BeliefGraph) -> Optional[CycleWitness]:
     Exists iff some SCC with >= 2 nodes contains, for every label, an
     internal edge carrying that label.
     """
-    g = lg.digraph()
-    pos = {n: i for i, n in enumerate(g.nodes)}
+    g, delta = lg.succ, lg.delta
     for scc in strongly_connected_components(g):
         if len(scc) < 2:
             continue
         per_label = {}
-        for n in sorted(scc, key=pos.__getitem__):
+        for n in sorted(scc):
             for a in lg.label_set:
-                m = lg.successor(n, a)
+                m = delta[a][n]
                 if m in scc and a not in per_label:
                     per_label[a] = (n, m)
         if len(per_label) < len(lg.label_set):
@@ -191,20 +206,19 @@ def find_lfair_cycle(lg: BeliefGraph) -> Optional[CycleWitness]:
         walk.pop()
         if len(walk) < 2:
             continue  # constant cycles are excluded
-        return CycleWitness(path_to_cycle=(), cycle=tuple(walk))
+        return CycleWitness(path_to_cycle=(), cycle=tuple(lg.nodes[n] for n in walk))
     return None
 
 
 def check_diamond(lg: BeliefGraph):
     """For all nodes v and labels a, b: some common node is reachable from
     delta(v, a) and from delta(v, ba).  Returns (True, None) or (False, (v, a, b))."""
-    g = lg.digraph()
-    reach = {n: g.reachable_from(n) for n in lg.nodes}
-    for v in lg.nodes:
-        for a in lg.label_set:
-            via_a = lg.successor(v, a)
-            for b in lg.label_set:
-                via_ba = lg.successor(lg.successor(v, b), a)
-                if not (reach[via_a] & reach[via_ba]):
-                    return (False, (v, a, b))
+    _, reach = _bottom_reach(lg.succ)
+    delta, labels = lg.delta, lg.label_set
+    for v in range(len(lg.nodes)):
+        for a in labels:
+            via_a = reach[delta[a][v]]
+            for b in labels:
+                if via_a.isdisjoint(reach[delta[a][delta[b][v]]]):
+                    return (False, (lg.nodes[v], a, b))
     return (True, None)

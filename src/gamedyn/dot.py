@@ -50,15 +50,13 @@ def _dynamics_dot(dg: DynamicsGraph) -> str:
 
 def _belief_dot(bg: BeliefGraph) -> str:
     lines = ["digraph beliefs {"]
-    order = sorted(bg.nodes, key=lambda n: bg.labels_of[n])
-    for n in order:
-        shape = " [shape=box]" if n in bg.v0_nodes else ""
-        lines.append(f"  {_quote(bg.labels_of[n])}{shape};")
-    for n in order:
-        for a in bg.label_set:
-            m = bg.successor(n, a)
-            lines.append(
-                f"  {_quote(bg.labels_of[n])} -> {_quote(bg.labels_of[m])} [label={a}];"
-            )
+    names = [bg.labels_of[n] for n in bg.nodes]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    for i in order:
+        shape = " [shape=box]" if bg.nodes[i] in bg.v0_nodes else ""
+        lines.append(f"  {_quote(names[i])}{shape};")
+    for i in order:
+        for a, targets in enumerate(bg.delta):
+            lines.append(f"  {_quote(names[i])} -> {_quote(names[targets[i]])} [label={a}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,12 @@ from .strategy import PROFILE_GUARD, StrategyProfile, enumerate_profiles, profil
 KINDS = ("1", "p1", "bp1", "pc", "bpc")
 
 
+def _digraph(nodes: tuple, succ: IndexGraph) -> Digraph:
+    """The Digraph of succ with index i named nodes[i], successors in succ's order."""
+    named = {u: [nodes[j] for j in js] for u, js in zip(nodes, succ)}
+    return Digraph(nodes, frozenset((u, v) for u, vs in named.items() for v in vs), named)
+
+
 @dataclass(frozen=True)
 class DynamicsGraph:
     """Update dynamics over positional profiles.
@@ -42,9 +48,7 @@ class DynamicsGraph:
                          for j, c in zip(js, cs))
 
     def digraph(self) -> Digraph:
-        nodes = self.nodes
-        succ = {u: [nodes[j] for j in js] for u, js in zip(nodes, self.succ)}
-        return Digraph(nodes, frozenset((u, v) for u, vs in succ.items() for v in vs), succ)
+        return _digraph(self.nodes, self.succ)
 
     def successors(self, node):
         i = self._index[node]
@@ -220,9 +224,12 @@ class BeliefNode:
 
 @dataclass(frozen=True)
 class BeliefGraph:
+    """Node i is the i-th BeliefNode; delta[a][i] is the index node i steps
+    to under label a."""
+
     nodes: tuple
     n_players: int
-    delta: Mapping  # (node, label) -> node
+    delta: tuple  # per label: a target index per node
     v0_nodes: frozenset
     labels_of: Mapping  # node -> display string
 
@@ -230,14 +237,20 @@ class BeliefGraph:
     def label_set(self):
         return tuple(range(self.n_players + 1))
 
+    @cached_property
+    def _index(self):
+        return {n: i for i, n in enumerate(self.nodes)}
+
+    @cached_property
+    def succ(self) -> IndexGraph:
+        """Per index, the distinct targets of its edges, ascending."""
+        return IndexGraph(tuple(sorted(set(ts))) for ts in zip(*self.delta))
+
     def successor(self, node, label):
-        return self.delta[(node, label)]
+        return self.nodes[self.delta[label][self._index[node]]]
 
     def digraph(self) -> Digraph:
-        return Digraph(
-            self.nodes,
-            frozenset((n, self.delta[(n, a)]) for n in self.nodes for a in self.label_set),
-        )
+        return _digraph(self.nodes, self.succ)
 
 
 def build_belief_graph(game: Game, guard: int = PROFILE_GUARD, force: bool = False) -> BeliefGraph:
@@ -268,7 +281,7 @@ def build_belief_graph(game: Game, guard: int = PROFILE_GUARD, force: bool = Fal
                 player, sorted((profiles[r + d] for d in targets), key=repr))
         return r + targets[0] if targets else r
 
-    delta = {}
+    delta = [[] for _ in range(n + 1)]
     v0 = set()
     labels_of = {}
     for i, rows in enumerate(itertools.product(range(base), repeat=n)):
@@ -277,9 +290,9 @@ def build_belief_graph(game: Game, guard: int = PROFILE_GUARD, force: bool = Fal
                    for k, (player, w) in enumerate(zip(moves.owner, moves.weight)))
         if all(r == true for r in rows):
             v0.add(node)
-        delta[(node, 0)] = nodes[true * sum(place)]
+        delta[0].append(true * sum(place))
         for player, r in enumerate(rows, start=1):
-            delta[(node, player)] = nodes[i + (player_update(r, player) - r) * place[player - 1]]
+            delta[player].append(i + (player_update(r, player) - r) * place[player - 1])
         labels_of[node] = "|".join(names[r] for r in rows)
-    return BeliefGraph(nodes=nodes, n_players=n, delta=delta, v0_nodes=frozenset(v0),
-                       labels_of=labels_of)
+    return BeliefGraph(nodes=nodes, n_players=n, delta=tuple(map(tuple, delta)),
+                       v0_nodes=frozenset(v0), labels_of=labels_of)

@@ -25,17 +25,6 @@ class Digraph:
     def successors(self, u):
         return tuple(self._succ[u])
 
-    def reachable_from(self, u) -> frozenset:
-        """All nodes reachable from u, including u itself."""
-        seen = {u}
-        todo = [u]
-        while todo:
-            for w in self._succ[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return frozenset(seen)
-
 
 class IndexGraph(tuple):
     """A graph on the nodes 0..n-1: item i is node i's successors, in order.

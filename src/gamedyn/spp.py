@@ -372,8 +372,11 @@ def extract_sdw_minor(otg: OneTargetGame, sdw: DisputeWheel):
     sigma1 = StrategyProfile.from_dict(ring)
     sigma2 = StrategyProfile.from_dict({u: target for u in sdw.pivots})
     dg = build_dynamics(g, "pc")
-    arcs = {(a, b) for a, b, _ in dg.edges}
-    if (sigma1, sigma2) not in arcs or (sigma2, sigma1) not in arcs:
+
+    def arc(a, b):
+        return a in dg.labels and any(w == b for w, _ in dg.successors(a))
+
+    if not (arc(sigma1, sigma2) and arc(sigma2, sigma1)):
         raise InvalidSDW("extracted minor lacks the two-profile oscillation")
     return g, DeletionScript(tuple(steps))
 

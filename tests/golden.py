@@ -49,9 +49,7 @@ def invocations():
                     out.append((f"{name}-{check}-{kind}-{fmt}",
                                 ["--output", fmt, "analyze", game, "--kind", kind,
                                  "--check", check]))
-        # fig5's belief graph has 20736 nodes and its report takes about
-        # 25 s; the graph itself is still pinned by the dot output
-        for fmt in ("dot",) if name == "fig5" else ("text", "json", "dot"):
+        for fmt in ("text", "json", "dot"):
             out.append((f"{name}-belief-{fmt}", ["--output", fmt, "belief", game]))
         for fmt in ("text", "json"):
             out.append((f"{name}-dis-minor-{fmt}", ["--output", fmt, "dis-minor", game]))

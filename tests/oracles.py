@@ -201,3 +201,56 @@ def positional_dynamics_by_enumeration(vertices, edges, owners, ranks, kind):
             if all(tau[v] in ok[v] for v in diff):
                 updates.add((label(sigma), label(tau), tuple(sorted(players))))
     return [label(p) for p in profiles], updates
+
+
+def belief_analyses_by_enumeration(n_nodes, n_labels, delta):
+    """Sinks, diamond, two reachable sinks and label-fair cycles of a
+    complete deterministic labelled graph, by brute force.
+
+    Nodes are 0..n_nodes-1 and ``delta[a][v]`` is the target of v's
+    a-labelled edge.  Returns (sinks, diamond, two_sinks, lfair):
+    - the set of nodes whose every edge is a self-loop;
+    - None when for all v, a, b some node is reachable both from
+      delta(v, a) and from delta(delta(v, b), a), else the first failing
+      (v, a, b) in that loop order, from one BFS reach set per node;
+    - the first node that reaches two sinks, with the two least of them,
+      or None;
+    - whether some closed walk through two or more nodes carries every
+      label, searched over (node, labels seen, left the start) states.
+    """
+    labels = range(n_labels)
+    succ = [{delta[a][v] for a in labels} for v in range(n_nodes)]
+
+    def reach(v):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    reach_sets = [reach(v) for v in range(n_nodes)]
+    sink_set = {v for v in range(n_nodes) if succ[v] == {v}}
+    diamond = next(((v, a, b) for v in range(n_nodes) for a in labels for b in labels
+                    if not reach_sets[delta[a][v]] & reach_sets[delta[a][delta[b][v]]]),
+                   None)
+    two_sinks = next(((v, *sorted(reach_sets[v] & sink_set)[:2]) for v in range(n_nodes)
+                      if len(reach_sets[v] & sink_set) >= 2), None)
+
+    every = frozenset(labels)
+    lfair = False
+    for start in range(n_nodes):
+        first = (start, frozenset(), False)
+        seen, todo = {first}, [first]
+        while todo and not lfair:
+            v, got, moved = todo.pop()
+            for a in labels:
+                w = delta[a][v]
+                state = (w, got | {a}, moved or w != start)
+                if w == start and state[1] == every and state[2]:
+                    lfair = True
+                if state not in seen:
+                    seen.add(state)
+                    todo.append(state)
+    return sink_set, diamond, two_sinks, lfair

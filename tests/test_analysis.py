@@ -1,6 +1,9 @@
 """Termination, cycle witnesses, fairness, and belief-graph analyses."""
 
+import random
+
 from gamedyn import (
+    BeliefGraph,
     build_belief_graph,
     build_dynamics,
     check_diamond,
@@ -16,8 +19,9 @@ from gamedyn import (
 from gamedyn.analysis import CANNOT_SWITCH, NON_SWITCHER, SWITCHES
 from gamedyn.errors import NonDeterministicBestReply
 
+from .conftest import load_game
 from .generators import random_game
-from .oracles import fair_cycle_exists
+from .oracles import belief_analyses_by_enumeration, fair_cycle_exists
 
 
 def all_players(game):
@@ -131,3 +135,53 @@ def test_belief_lfair_cycle_random():
         witness = find_lfair_cycle(bg)
         if witness is not None:
             assert witness.validate(bg.digraph())
+
+
+def _belief_games():
+    for name in ("gdis", "fig3", "fig4"):
+        yield name, load_game(f"{name}.json")
+    for seed in range(200):
+        yield f"seed {seed}", random_game(seed, max_vertices=4, max_players=2)
+
+
+def _check_against_enumeration(bg, name):
+    """Compare the four belief analyses with the brute-force oracle; return
+    the diamond verdict."""
+    pos = {n: i for i, n in enumerate(bg.nodes)}
+    delta = [[pos[bg.successor(n, a)] for n in bg.nodes] for a in bg.label_set]
+    want_sinks, want_diamond, want_two, want_lfair = belief_analyses_by_enumeration(
+        len(bg.nodes), len(bg.label_set), delta)
+    assert {pos[n] for n in sinks(bg)} == want_sinks, name
+    ok, cex = check_diamond(bg)
+    assert (ok, cex and (pos[cex[0]], cex[1], cex[2])) == (want_diamond is None,
+                                                           want_diamond), name
+    two = reachable_two_sinks(bg)
+    assert (two and tuple(pos[n] for n in two)) == want_two, name
+    witness = find_lfair_cycle(bg)
+    assert (witness is not None) == want_lfair, name
+    if witness is not None:
+        assert witness.validate(bg.digraph()) and len(set(witness.cycle)) > 1, name
+    return ok
+
+
+def test_belief_analyses_match_enumeration():
+    verdicts = []
+    for name, game in _belief_games():
+        try:
+            bg = build_belief_graph(game, force=True)
+        except NonDeterministicBestReply:
+            continue
+        verdicts.append(_check_against_enumeration(bg, name))
+    assert False in verdicts  # the range holds failing diamond checks
+
+
+def test_labelled_graph_analyses_match_enumeration():
+    # random complete deterministic labelled graphs: unlike the belief graphs
+    # above, these have bottom components of several nodes
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, labels = rng.randint(1, 7), rng.randint(1, 3)
+        delta = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(labels))
+        bg = BeliefGraph(nodes=tuple(f"n{i}" for i in range(n)), n_players=labels - 1,
+                         delta=delta, v0_nodes=frozenset(), labels_of={})
+        _check_against_enumeration(bg, f"seed {seed}")

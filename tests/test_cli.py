@@ -256,6 +256,16 @@ def test_one_step_guard_counts_history_profiles():
                    "(use force to override)\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_belief_guard_counts_belief_nodes(fmt):
+    # fig4 has 8 profiles and 3 players: 8 ** 3 belief nodes
+    code, out, err = run("--guard", "100", "--output", fmt, "belief",
+                         str(FIXTURES / "fig4.json"))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == ("error: state space has 512 elements, guard is 100 "
+                   "(use force to override)\n")
+
+
 GDIS_SPP_DOC = json.loads((FIXTURES / "gdis.spp.json").read_text())
 MALFORMED_SPP = {
     "paths-not-a-list": {**GDIS_SPP_DOC, "nodes": {

@@ -2,8 +2,6 @@
 
 import random
 
-from hypothesis import given, strategies as st
-
 from gamedyn.graphs import (
     Digraph,
     shortest_path,
@@ -114,12 +112,3 @@ def test_simple_cycles_match_brute_force():
         assert len(cycles) == len(set(cycles))
         assert all(c[0] == min(c, key=repr) for c in cycles)
         assert set(cycles) == elementary_cycles_by_enumeration(g.nodes, g.edges)
-
-
-@given(st.integers(0, 10_000))
-def test_reachable_from_closed(seed):
-    g = random_digraph(seed, n=5)
-    reach = g.reachable_from(g.nodes[0])
-    assert g.nodes[0] in reach
-    for u in reach:
-        assert set(g.successors(u)) <= reach
