@@ -21,7 +21,6 @@ from gamedyn import (  # noqa: E402
     is_dominated,
     otg_from_game,
     parse_game,
-    profile_display,
     safety_verdict,
     sinks,
     terminates,
@@ -39,7 +38,7 @@ def dyn_report(game, kinds=("p1", "bp1", "pc", "bpc")):
     for kind in kinds:
         dg = build_dynamics(game, kind, force=True)
         fair = find_fair_cycle(dg, players=players)
-        eq = sorted(profile_display(game, e) for e in equilibria(dg))
+        eq = sorted(dg.label(e) for e in equilibria(dg))
         print(f"  {kind:>4}: {len(dg.nodes)} profiles, "
               f"terminates={terminates(dg)}, fair-cycle={fair.fair}, "
               f"equilibria={eq}")

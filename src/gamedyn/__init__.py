@@ -25,7 +25,6 @@ from .dynamics import (
     KINDS,
     build_belief_graph,
     build_dynamics,
-    profile_display,
 )
 from .dot import export_dot
 from .errors import GameDynError

@@ -11,13 +11,12 @@ from .graphs import Digraph, is_nontrivial, shortest_path, strongly_connected_co
 
 @dataclass(frozen=True)
 class CycleWitness:
-    path_to_cycle: tuple  # node sequence, may be empty; ends just before the cycle
     cycle: tuple  # non-empty closed walk: last -> first is an edge
 
     def validate(self, g: Digraph) -> bool:
-        seq = list(self.path_to_cycle) + list(self.cycle)
+        seq = self.cycle
         ok = all(b in g.successors(a) for a, b in zip(seq, seq[1:]))
-        return ok and self.cycle and self.cycle[0] in g.successors(self.cycle[-1])
+        return ok and seq and seq[0] in g.successors(seq[-1])
 
 
 SWITCHES = "switches-infinitely-often"
@@ -50,7 +49,7 @@ def find_cycle(dg: DynamicsGraph) -> Optional[CycleWitness]:
     for scc in strongly_connected_components(g):
         if is_nontrivial(g, scc):
             cycle = _cycle_through(g, scc, min(scc))
-            return CycleWitness(path_to_cycle=(), cycle=tuple(dg.nodes[n] for n in cycle))
+            return CycleWitness(cycle=tuple(dg.nodes[n] for n in cycle))
     return None
 
 
@@ -104,7 +103,7 @@ def find_fair_cycle(dg: DynamicsGraph, players=None) -> FairnessReport:
             node_targets = [next(n for n in members if i not in can_switch(n))
                             for i in players if clauses[i] == CANNOT_SWITCH]
             walk = _fair_witness(g, scc, edge_targets, node_targets)
-            witness = CycleWitness(path_to_cycle=(), cycle=tuple(dg.nodes[n] for n in walk))
+            witness = CycleWitness(cycle=tuple(dg.nodes[n] for n in walk))
             return FairnessReport(fair=True, witness=witness, per_player=clauses)
         # no fair SCC: report the first nontrivial one
         report_per_player = report_per_player or clauses
@@ -143,15 +142,15 @@ def sinks(lg: BeliefGraph) -> frozenset:
     return frozenset(lg.nodes[v] for v, out in enumerate(lg.succ) if out == (v,))
 
 
-def _bottom_reach(g) -> tuple[list, list]:
-    """Tarjan's components of g, and per node the frozenset of positions of
+def _bottom_reach(lg: BeliefGraph) -> tuple[list, list]:
+    """Tarjan's components of lg, and per node the frozenset of positions of
     the bottom components it reaches.
 
     Components complete in reverse topological order, so each one's
     successors are done before it.  Two nodes reach a common node iff they
     reach a common bottom component.
     """
-    sccs = strongly_connected_components(g)
+    g, sccs = lg.succ, lg.sccs
     comp = [0] * len(g)
     for c, scc in enumerate(sccs):
         for v in scc:
@@ -165,7 +164,7 @@ def _bottom_reach(g) -> tuple[list, list]:
 
 def reachable_two_sinks(lg: BeliefGraph):
     """Some (node, sink1, sink2) with two distinct sinks reachable, if any."""
-    sccs, reach = _bottom_reach(lg.succ)
+    sccs, reach = _bottom_reach(lg)
     for v, bottoms in enumerate(reach):
         found = sorted(w for c in bottoms if len(sccs[c]) == 1 for w in sccs[c])
         if len(found) >= 2:
@@ -180,7 +179,7 @@ def find_lfair_cycle(lg: BeliefGraph) -> Optional[CycleWitness]:
     internal edge carrying that label.
     """
     g, delta = lg.succ, lg.delta
-    for scc in strongly_connected_components(g):
+    for scc in lg.sccs:
         if len(scc) < 2:
             continue
         per_label = {}
@@ -206,14 +205,14 @@ def find_lfair_cycle(lg: BeliefGraph) -> Optional[CycleWitness]:
         walk.pop()
         if len(walk) < 2:
             continue  # constant cycles are excluded
-        return CycleWitness(path_to_cycle=(), cycle=tuple(lg.nodes[n] for n in walk))
+        return CycleWitness(cycle=tuple(lg.nodes[n] for n in walk))
     return None
 
 
 def check_diamond(lg: BeliefGraph):
     """For all nodes v and labels a, b: some common node is reachable from
     delta(v, a) and from delta(v, ba).  Returns (True, None) or (False, (v, a, b))."""
-    _, reach = _bottom_reach(lg.succ)
+    _, reach = _bottom_reach(lg)
     delta, labels = lg.delta, lg.label_set
     for v in range(len(lg.nodes)):
         for a in labels:

@@ -182,7 +182,7 @@ def _cmd_belief(args) -> int:
     if args.output == "dot":
         sys.stdout.write(export_dot(bg))
         return EXIT_OK
-    all_sinks = sorted(bg.labels_of[n] for n in analysis.sinks(bg))
+    all_sinks = sorted(bg.label(n) for n in analysis.sinks(bg))
     diamond, cex = analysis.check_diamond(bg)
     cycle = analysis.find_lfair_cycle(bg)
     record = {
@@ -190,7 +190,7 @@ def _cmd_belief(args) -> int:
         "labels": len(bg.label_set),
         "sinks": all_sinks,
         "diamond": diamond,
-        "label_fair_cycle": [bg.labels_of[n] for n in cycle.cycle] if cycle else None,
+        "label_fair_cycle": [bg.label(n) for n in cycle.cycle] if cycle else None,
     }
     lines = [
         f"belief graph: {len(bg.nodes)} nodes, labels 0..{bg.n_players}",
@@ -200,7 +200,7 @@ def _cmd_belief(args) -> int:
         if cycle else "no label-fair cycle",
     ]
     if not diamond:
-        record["diamond_counterexample"] = [bg.labels_of[cex[0]], cex[1], cex[2]]
+        record["diamond_counterexample"] = [bg.label(cex[0]), cex[1], cex[2]]
     _emit(args, record, lines)
     return EXIT_UNSAFE if cycle else EXIT_OK
 

@@ -38,22 +38,24 @@ def _game_dot(game: Game) -> str:
 
 def _dynamics_dot(dg: DynamicsGraph) -> str:
     lines = [f"digraph dynamics_{dg.kind} {{"]
-    order = sorted(dg.nodes, key=dg.label)
-    for n in order:
-        lines.append(f"  {_quote(dg.label(n))};")
-    for u, v, changed in sorted(dg.edges, key=lambda e: (dg.label(e[0]), dg.label(e[1]))):
+    names = dg.names
+    for name in sorted(names):
+        lines.append(f"  {_quote(name)};")
+    edges = ((names[i], names[j], c) for i, (js, cs) in enumerate(zip(dg.succ, dg.changed))
+             for j, c in zip(js, cs))
+    for u, v, changed in sorted(edges, key=lambda e: e[:2]):
         who = ",".join(str(i) for i in sorted(changed))
-        lines.append(f"  {_quote(dg.label(u))} -> {_quote(dg.label(v))} [label={_quote(who)}];")
+        lines.append(f"  {_quote(u)} -> {_quote(v)} [label={_quote(who)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def _belief_dot(bg: BeliefGraph) -> str:
     lines = ["digraph beliefs {"]
-    names = [bg.labels_of[n] for n in bg.nodes]
+    names = bg.names
     order = sorted(range(len(names)), key=names.__getitem__)
     for i in order:
-        shape = " [shape=box]" if bg.nodes[i] in bg.v0_nodes else ""
+        shape = " [shape=box]" if i in bg.v0 else ""
         lines.append(f"  {_quote(names[i])}{shape};")
     for i in order:
         for a, targets in enumerate(bg.delta):

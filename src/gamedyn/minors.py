@@ -26,7 +26,7 @@ from .game import (
     compare_plays,
     positional_plays,
 )
-from .strategy import PROFILE_GUARD, enumerate_profiles, outcome
+from .strategy import PROFILE_GUARD, Profiles
 
 SEARCH_BUDGET = 10 ** 5
 
@@ -262,16 +262,16 @@ def is_dominated(game: Game, e1: tuple[str, str], e2: tuple[str, str], *,
         raise SourceMismatch(e1, e2)
     if e1 == e2:
         return False
-    v = e1[0]
-    player = game.owner[v]
-    pref = game.preference(player)
-    rep = game.successors(v)[0]
-    for sigma in enumerate_profiles(game, guard=guard, force=force):
-        if sigma[v] != rep:
-            continue  # one representative per choice of the other vertices
-        out1 = outcome(game, sigma.updated(v, e1[1]), v)
-        out2 = outcome(game, sigma.updated(v, e2[1]), v)
-        if pref.compare(out1, out2) is not Comparison.LESS:
+    profiles = Profiles(game)
+    profiles.check(guard, force)
+    k = profiles.movers.index(e1[0])
+    j1, j2 = (profiles.choices[k].index(e[1]) for e in (e1, e2))
+    player = game.owner[e1[0]] - 1
+    # one profile per choice of the other vertices: a play from v that
+    # returns to v closes its loop there, so v's own digit is never read
+    for digits in profiles.digits(hold=k):
+        ranks = profiles.ranks(digits, k)
+        if ranks[j1][player] <= ranks[j2][player]:
             return False
     return True
 

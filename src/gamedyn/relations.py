@@ -20,15 +20,6 @@ class Relation:
     def inverse(self) -> "Relation":
         return Relation(frozenset((b, a) for a, b in self.pairs))
 
-    def compose(self, other: "Relation") -> "Relation":
-        """(a, c) whenever (a, b) here and (b, c) in other."""
-        by_first = {}
-        for b, c in other.pairs:
-            by_first.setdefault(b, []).append(c)
-        return Relation(frozenset(
-            (a, c) for a, b in self.pairs for c in by_first.get(b, ())
-        ))
-
     def __contains__(self, pair) -> bool:
         return pair in self.pairs
 

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from .analysis import equilibria, find_fair_cycle
 from .dynamics import build_dynamics
 from .errors import (
     GameDynError,
@@ -31,7 +32,7 @@ from .game import (
 )
 from .graphs import Digraph, simple_cycles
 from .minors import DeleteEdge, DeletionScript, DeleteVertex, apply_step, delete_edge
-from .strategy import PROFILE_GUARD, StrategyProfile
+from .strategy import PROFILE_GUARD, Profiles, StrategyProfile
 
 
 @dataclass(frozen=True)
@@ -372,11 +373,11 @@ def extract_sdw_minor(otg: OneTargetGame, sdw: DisputeWheel):
     sigma1 = StrategyProfile.from_dict(ring)
     sigma2 = StrategyProfile.from_dict({u: target for u in sdw.pivots})
     dg = build_dynamics(g, "pc")
-
-    def arc(a, b):
-        return a in dg.labels and any(w == b for w, _ in dg.successors(a))
-
-    if not (arc(sigma1, sigma2) and arc(sigma2, sigma1)):
+    try:
+        i, j = dg.profiles.index(sigma1), dg.profiles.index(sigma2)
+    except KeyError:
+        i = j = None
+    if i is None or j not in dg.succ[i] or i not in dg.succ[j]:
         raise InvalidSDW("extracted minor lacks the two-profile oscillation")
     return g, DeletionScript(tuple(steps))
 
@@ -396,8 +397,6 @@ def _sdw_bpc_oscillation(otg: OneTargetGame, sdw: DisputeWheel):
     idle player could switch in both profiles (so the two-profile cycle is
     fair).  Returns (profile_ring, profile_direct) or None.
     """
-    from .dynamics import _improving_deviations
-
     game = otg.game
     hop: dict[str, str] = {}
     pivots = set(sdw.pivots)
@@ -427,20 +426,20 @@ def _sdw_bpc_oscillation(otg: OneTargetGame, sdw: DisputeWheel):
         return None
     s1 = StrategyProfile.from_dict({**base, **ring})
     s2 = StrategyProfile.from_dict({**base, **direct})
-    dev1 = _improving_deviations(game, s1, best_reply=True)
-    dev2 = _improving_deviations(game, s2, best_reply=True)
+    profiles = Profiles(game)
+    i1, i2 = profiles.index(s1), profiles.index(s2)
+    dev1, dev2 = (profiles.moves(profiles.digits_at(i), best_reply=True) for i in (i1, i2))
     switching = set()
     for u in sdw.pivots:
         if ring[u] == direct[u]:
             continue
-        i = game.owner[u]
+        i = game.owner[u] - 1
         switching.add(i)
-        if (u, direct[u]) not in dev1[i]:
+        step = profiles.index(s1.updated(u, direct[u])) - i1
+        if step not in dev1[i] or -step not in dev2[i]:
             return None
-        if (u, ring[u]) not in dev2[i]:
-            return None
-    for j in range(1, game.n_players + 1):
-        if j not in switching and dev1[j] and dev2[j]:
+    for j, (moves1, moves2) in enumerate(zip(dev1, dev2)):
+        if j not in switching and moves1 and moves2:
             return None  # j could always switch but never does: not fair
     return (s1, s2)
 
@@ -457,8 +456,6 @@ def _structural_verdict(otg: OneTargetGame, guard: int, force: bool) -> SafetyVe
                 return SafetyVerdict(
                     SafetyStatus.UNSAFE_SDW, (sdw, osc),
                     "strong dispute wheel whose oscillation survives best replies")
-    from .analysis import equilibria
-
     dg = build_dynamics(otg.game, "bpc", guard=guard, force=force)
     eq = equilibria(dg)
     if len(eq) >= 2:
@@ -471,8 +468,6 @@ def _structural_verdict(otg: OneTargetGame, guard: int, force: bool) -> SafetyVe
 
 
 def _exact_verdict(otg: OneTargetGame, guard: int, force: bool) -> SafetyVerdict:
-    from .analysis import find_fair_cycle
-
     dg = build_dynamics(otg.game, "bpc", guard=guard, force=force)
     report = find_fair_cycle(dg, players=range(1, otg.game.n_players + 1))
     if report.fair:

@@ -1,4 +1,5 @@
-"""Positional strategy profiles, outcomes, deviations and the tree unfolding."""
+"""Positional strategy profiles and their numbering, outcomes, improving moves
+and the tree unfolding."""
 
 from __future__ import annotations
 
@@ -22,12 +23,6 @@ class StrategyProfile:
     def from_dict(cls, choice):
         return cls(tuple(sorted(choice.items())))
 
-    def __getitem__(self, v):
-        for u, w in self.items:
-            if u == v:
-                return w
-        raise KeyError(v)
-
     def as_dict(self):
         return dict(self.items)
 
@@ -39,23 +34,144 @@ class StrategyProfile:
         return tuple(sorted(v for v in mine if mine[v] != theirs.get(v)))
 
 
+class Profiles:
+    """A game's positional profiles, numbered, and the improving moves between them.
+
+    Profile i is a mixed-radix number whose digit k is the choice index at
+    the k-th non-terminal (sorted), among its sorted successors, the last
+    digit varying fastest.  Moving non-terminal k from choice c to c'
+    therefore adds (c' - c) * weight[k].  Plays are walked on vertex ids and
+    ranked once each, through the players' play -> rank dicts.
+    """
+
+    def __init__(self, game: Game):
+        self.game = game
+        self.movers = game.non_terminals()
+        self.choices = [game.successors(v) for v in self.movers]
+        self.owner = [game.owner[v] for v in self.movers]
+        self.weight = [1] * len(self.movers)
+        for k in range(len(self.movers) - 2, -1, -1):
+            self.weight[k] = self.weight[k + 1] * len(self.choices[k + 1])
+        self.count = self.weight[0] * len(self.choices[0]) if self.movers else 1
+        self._pos = [{w: j for j, w in enumerate(s)} for s in self.choices]
+        vid = {v: i for i, v in enumerate(game.vertices)}
+        self._at = [vid[v] for v in self.movers]
+        self._succ = [tuple(vid[w] for w in s) for s in self.choices]
+        self._ranks = {}  # (vertex ids of the play, loop start or -1) -> rank per player
+        self._next = [-1] * len(game.vertices)  # the walked profile; -1 at terminals
+
+    def check(self, guard: int, force: bool, rows: int = 1):
+        """Refuse, unless forced, more than guard states of rows profiles each."""
+        count = self.count ** rows
+        if count > guard and not force:
+            raise StateSpaceTooLarge(count, guard)
+
+    def __iter__(self):
+        """Every profile, in index order."""
+        for combo in itertools.product(*self.choices):
+            yield StrategyProfile(tuple(zip(self.movers, combo)))
+
+    def digits(self, hold=None):
+        """Every profile's choice indices, in index order; with hold=k, only
+        the profiles whose digit k is 0."""
+        return itertools.product(*(range(len(s)) if k != hold else (0,)
+                                   for k, s in enumerate(self.choices)))
+
+    def digits_at(self, i: int) -> list[int]:
+        """Profile i's choice indices."""
+        return [i // w % len(s) for w, s in zip(self.weight, self.choices)]
+
+    def index(self, profile: StrategyProfile) -> int:
+        """The profile's index; KeyError unless it chooses a successor at
+        exactly this game's non-terminals."""
+        choice = profile.as_dict()
+        if len(choice) != len(self.movers):
+            raise KeyError(profile)
+        return sum(pos[choice[v]] * w for v, pos, w in zip(self.movers, self._pos, self.weight))
+
+    def names(self, one_step: bool = False) -> list[str]:
+        """Every profile's display name, in index order: the edge labels of
+        its choices at non-forced vertices; one_step names each history's
+        choice as kind 1 labels do."""
+        if one_step:
+            parts = [[f"{'.'.join(h)}:{c[-1]}" for c in s]
+                     for h, s in zip(self.movers, self.choices)]
+            return [",".join(p[c] for p, c in zip(parts, digits)) for digits in self.digits()]
+        labels = self.game.edge_labels
+        parts = [[labels.get((v, w), f"{v}:{w}") for w in s]
+                 for v, s in zip(self.movers, self.choices)]
+        shown = [k for k, p in enumerate(parts) if len(p) > 1]
+        return ["".join(parts[k][digits[k]] for k in shown) or "<only>"
+                for digits in self.digits()]
+
+    def own_part(self, player: int) -> list[int]:
+        """Per profile index: the part of the index spelled by the digits at
+        player's own non-terminals."""
+        mine = [k for k, o in enumerate(self.owner) if o == player]
+        return [sum(digits[k] * self.weight[k] for k in mine) for digits in self.digits()]
+
+    def _rank(self, v, w):
+        """Ranks of the play from v that steps to w, then follows the walked
+        profile; it never reads v's own choice, since a return to v closes
+        the loop."""
+        nxt = self._next
+        path, seen = [v], {v: 0}
+        while w not in seen:
+            seen[w] = len(path)
+            path.append(w)
+            w = nxt[w]
+            if w < 0:
+                key = (tuple(path), -1)
+                break
+        else:
+            key = (tuple(path), seen[w])
+        ranks = self._ranks.get(key)
+        if ranks is None:
+            names = [self.game.vertices[x] for x in path]
+            i = key[1]
+            play = FinitePlay(tuple(names)) if i < 0 else canonicalize(names[:i], names[i:])
+            ranks = self._ranks[key] = tuple(p.rank_of(play) for p in self.game.preferences)
+        return ranks
+
+    def _walk(self, digits):
+        for x, s, c in zip(self._at, self._succ, digits):
+            self._next[x] = s[c]
+
+    def ranks(self, digits, k: int) -> list[tuple]:
+        """Per successor of non-terminal k: the ranks, per player, of the play
+        that steps there from it and then follows the profile digits spells."""
+        self._walk(digits)
+        return [self._rank(self._at[k], w) for w in self._succ[k]]
+
+    def moves(self, digits, best_reply: bool) -> list[list[int]]:
+        """Per player: the index offsets of its improving one-vertex moves from
+        the profile digits spells.  With best_reply only the best improving
+        moves at a vertex are kept: best replies are judged per state, not
+        per whole strategy."""
+        self._walk(digits)
+        by_player = [[] for _ in range(self.game.n_players)]
+        for v, s, player, c, step in zip(self._at, self._succ, self.owner, digits, self.weight):
+            ranks = [self._rank(v, w)[player - 1] for w in s]
+            now = ranks[c]
+            better = [j for j, r in enumerate(ranks) if r < now]
+            if best_reply and better:
+                top = min(ranks[j] for j in better)
+                better = [j for j in better if ranks[j] == top]
+            by_player[player - 1].extend((j - c) * step for j in better)
+        return by_player
+
+
 def profile_count(game: Game) -> int:
-    count = 1
-    for v in game.non_terminals():
-        count *= len(game.successors(v))
-    return count
+    return Profiles(game).count
 
 
 def enumerate_profiles(game: Game, guard: int = PROFILE_GUARD, force: bool = False):
     """All positional profiles, in lexicographic (vertex id, successor id) order.
 
     The i-th profile is profile index i of a dynamics graph."""
-    count = profile_count(game)
-    if count > guard and not force:
-        raise StateSpaceTooLarge(count, guard)
-    vs = game.non_terminals()
-    for combo in itertools.product(*(game.successors(v) for v in vs)):
-        yield StrategyProfile(tuple(zip(vs, combo)))
+    profiles = Profiles(game)
+    profiles.check(guard, force)
+    yield from profiles
 
 
 def outcome(game: Game, profile: StrategyProfile, v: str) -> Play:

@@ -25,7 +25,6 @@ from gamedyn import (
     is_dominated,
     is_notg,
     otg_from_game,
-    profile_display,
     reachable_two_sinks,
     safety_verdict,
     sinks,
@@ -70,7 +69,7 @@ def test_two_player_ring_termination_and_equilibria(gdis):
     assert terminates(p1)
     assert not terminates(pc)
     for dg in (p1, pc):
-        assert sorted(profile_display(gdis, e) for e in equilibria(dg)) == [
+        assert sorted(dg.label(e) for e in equilibria(dg)) == [
             "c1s2",
             "s1c2",
         ]

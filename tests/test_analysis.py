@@ -11,7 +11,6 @@ from gamedyn import (
     find_cycle,
     find_fair_cycle,
     find_lfair_cycle,
-    profile_display,
     reachable_two_sinks,
     sinks,
     terminates,
@@ -76,7 +75,7 @@ def test_fair_cycle_fig3(fig3):
     # best-reply concurrent updating escapes the oscillation entirely
     bpc = build_dynamics(fig3, "bpc")
     assert terminates(bpc)
-    assert sorted(profile_display(fig3, e) for e in equilibria(bpc)) == ["ds2"]
+    assert sorted(bpc.label(e) for e in equilibria(bpc)) == ["ds2"]
 
 
 def test_fair_cycle_fig4(fig4):
@@ -148,9 +147,8 @@ def _check_against_enumeration(bg, name):
     """Compare the four belief analyses with the brute-force oracle; return
     the diamond verdict."""
     pos = {n: i for i, n in enumerate(bg.nodes)}
-    delta = [[pos[bg.successor(n, a)] for n in bg.nodes] for a in bg.label_set]
     want_sinks, want_diamond, want_two, want_lfair = belief_analyses_by_enumeration(
-        len(bg.nodes), len(bg.label_set), delta)
+        len(bg.nodes), len(bg.label_set), bg.delta)
     assert {pos[n] for n in sinks(bg)} == want_sinks, name
     ok, cex = check_diamond(bg)
     assert (ok, cex and (pos[cex[0]], cex[1], cex[2])) == (want_diamond is None,
@@ -183,5 +181,5 @@ def test_labelled_graph_analyses_match_enumeration():
         n, labels = rng.randint(1, 7), rng.randint(1, 3)
         delta = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(labels))
         bg = BeliefGraph(nodes=tuple(f"n{i}" for i in range(n)), n_players=labels - 1,
-                         delta=delta, v0_nodes=frozenset(), labels_of={})
+                         delta=delta, names=(), v0=frozenset(), profiles=None)
         _check_against_enumeration(bg, f"seed {seed}")

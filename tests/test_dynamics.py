@@ -11,10 +11,9 @@ from gamedyn import (
     equilibria,
     find_cycle,
     parse_game,
-    profile_display,
 )
 from gamedyn.dynamics import KINDS
-from gamedyn.errors import CyclicArena
+from gamedyn.errors import CyclicArena, NonDeterministicBestReply, StateSpaceTooLarge
 from gamedyn.strategy import enumerate_profiles, outcome
 from gamedyn.game import Comparison, FinitePlay
 
@@ -65,8 +64,8 @@ def test_concurrent_dynamics_gdis(gdis):
 
 def test_equilibria_gdis(gdis):
     for kind in ("p1", "bp1", "pc", "bpc"):
-        eq = equilibria(build_dynamics(gdis, kind))
-        assert sorted(profile_display(gdis, e) for e in eq) == ["c1s2", "s1c2"]
+        dg = build_dynamics(gdis, kind)
+        assert sorted(dg.label(e) for e in equilibria(dg)) == ["c1s2", "s1c2"]
 
 
 def test_inclusions_random():
@@ -105,10 +104,10 @@ def test_pc_edges_decompose_into_unilateral_moves():
         for sigma in pc.nodes:
             for tau, changed in pc.successors(sigma):
                 for v in sigma.changed_vertices(tau):
-                    solo = sigma.updated(v, tau[v])
+                    solo = sigma.updated(v, tau.as_dict()[v])
                     assert (
-                        profile_display(game, sigma),
-                        profile_display(game, solo),
+                        pc.label(sigma),
+                        pc.label(solo),
                         (game.owner[v],),
                     ) in p1
 
@@ -208,3 +207,23 @@ def test_belief_graph_shape(gdis):
     for node in bg.nodes:
         for lbl in bg.label_set:
             assert bg.successor(node, lbl) in bg.nodes
+
+
+def test_belief_names_and_v0_follow_the_rows():
+    checked = 0
+    for seed in range(200):
+        game = random_game(seed)
+        try:
+            bg = build_belief_graph(game)
+        except (NonDeterministicBestReply, StateSpaceTooLarge):
+            continue
+        p1 = build_dynamics(game, "p1")
+        v0 = set()
+        for i, node in enumerate(bg.nodes):
+            assert bg.label(node) == "|".join(p1.label(row) for row in node.rows)
+            true = {v: node.row(game.owner[v]).as_dict()[v] for v in game.non_terminals()}
+            if all(row.as_dict() == true for row in node.rows):
+                v0.add(i)
+        assert bg.v0 == v0, seed
+        checked += 1
+    assert checked > 100

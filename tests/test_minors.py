@@ -1,5 +1,7 @@
 """Edge/vertex deletion, deletion scripts, dominance, and the DIS search."""
 
+import itertools
+
 import pytest
 
 from gamedyn import (
@@ -164,18 +166,15 @@ def test_is_dominated_matches_enumeration():
     for seed in range(20):
         game = random_game(seed)
         for v in game.non_terminals():
-            succs = game.successors(v)
-            if len(succs) < 2:
-                continue
-            w1, w2 = succs[0], succs[1]
-            expected = all(
-                game.preference(game.owner[v]).compare(
-                    outcome(game, sigma.updated(v, w1), v),
-                    outcome(game, sigma.updated(v, w2), v),
-                ) is Comparison.LESS
-                for sigma in enumerate_profiles(game, force=True)
-            )
-            assert is_dominated(game, (v, w1), (v, w2), force=True) == expected
+            for w1, w2 in itertools.permutations(game.successors(v), 2):
+                expected = all(
+                    game.preference(game.owner[v]).compare(
+                        outcome(game, sigma.updated(v, w1), v),
+                        outcome(game, sigma.updated(v, w2), v),
+                    ) is Comparison.LESS
+                    for sigma in enumerate_profiles(game, force=True)
+                )
+                assert is_dominated(game, (v, w1), (v, w2), force=True) == expected
 
 
 def test_dominant_script_recognition(fig5):

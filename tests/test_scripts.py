@@ -12,4 +12,4 @@ def test_reproduce_figures_runs():
     done = subprocess.run([sys.executable, "scripts/reproduce_figures.py"], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert "  one-step graph: 768 profiles, terminates=True" in done.stdout.splitlines()
+    assert done.stdout == (ROOT / "tests" / "data" / "reproduce_figures.txt").read_text()

@@ -36,7 +36,7 @@ def test_profile_guard():
 def test_updated_and_changed(gdis):
     sigma = StrategyProfile.from_dict({"v1": "vbot", "v2": "vbot"})
     tau = sigma.updated("v1", "v2")
-    assert tau["v1"] == "v2" and tau["v2"] == "vbot"
+    assert tau.as_dict() == {"v1": "v2", "v2": "vbot"}
     assert sigma.changed_vertices(tau) == ("v1",)
     assert sigma.changed_vertices(sigma) == ()
 
@@ -54,8 +54,9 @@ def test_outcome_random_follows_profile():
         game = random_game(seed)
         for sigma in enumerate_profiles(game, force=True):
             play = outcome(game, sigma, game.vertices[0])
+            choice = sigma.as_dict()
             for u, v in play.steps():
-                assert u in game.terminals or sigma[u] == v
+                assert u in game.terminals or choice[u] == v
 
 
 # ---------------------------------------------------------------------------
