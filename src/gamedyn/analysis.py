@@ -102,7 +102,8 @@ def find_fair_cycle(dg: DynamicsGraph, players=None) -> FairnessReport:
                             for i in players if clauses[i] == SWITCHES]
             node_targets = [next(n for n in members if i not in can_switch(n))
                             for i in players if clauses[i] == CANNOT_SWITCH]
-            walk = _fair_witness(g, scc, edge_targets, node_targets)
+            walk = (_closed_walk(g, scc, edge_targets, node_targets)
+                    or _cycle_through(g, scc, (node_targets or [min(scc)])[0]))
             witness = CycleWitness(cycle=tuple(dg.nodes[n] for n in walk))
             return FairnessReport(fair=True, witness=witness, per_player=clauses)
         # no fair SCC: report the first nontrivial one
@@ -110,27 +111,20 @@ def find_fair_cycle(dg: DynamicsGraph, players=None) -> FairnessReport:
     return FairnessReport(fair=False, witness=None, per_player=report_per_player)
 
 
-def _fair_witness(g, scc, edge_targets, node_targets) -> list:
-    """Closed walk in the SCC through every target edge, then every target
-    node."""
-    start = edge_targets[0][0] if edge_targets else (node_targets[0] if node_targets else
-                                                     min(scc))
-    walk = [start]
-    for u, v in edge_targets:
+def _closed_walk(g, scc, edges, nodes=()) -> list:
+    """A closed walk in the SCC through every edge of edges, then every node
+    of nodes, in order, without its last step back to the start (a
+    CycleWitness leaves it implicit).  A self-loop adds no step, so a walk
+    that never leaves its start comes back empty."""
+    walk = [edges[0][0] if edges else (nodes[0] if nodes else min(scc))]
+    for u, v in edges:
         walk += shortest_path(g, walk[-1], {u}, within=scc)[1:]
-        walk.append(v)
-    for n in node_targets:
+        if v != u:
+            walk.append(v)
+    for n in nodes:
         walk += shortest_path(g, walk[-1], {n}, within=scc)[1:]
-    # close the walk
-    if walk[-1] != start:
-        walk += shortest_path(g, walk[-1], {start}, within=scc)[1:]
-        walk.pop()  # last->first edge is implicit in CycleWitness
-    elif len(walk) > 1:
-        walk.pop()
-    else:
-        # single node: needs a real cycle through it
-        walk = _cycle_through(g, scc, start)
-    return walk
+    walk += shortest_path(g, walk[-1], {walk[0]}, within=scc)[1:]
+    return walk[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +172,7 @@ def find_lfair_cycle(lg: BeliefGraph) -> Optional[CycleWitness]:
     Exists iff some SCC with >= 2 nodes contains, for every label, an
     internal edge carrying that label.
     """
-    g, delta = lg.succ, lg.delta
+    delta = lg.delta
     for scc in lg.sccs:
         if len(scc) < 2:
             continue
@@ -190,19 +184,7 @@ def find_lfair_cycle(lg: BeliefGraph) -> Optional[CycleWitness]:
                     per_label[a] = (n, m)
         if len(per_label) < len(lg.label_set):
             continue
-        walk = None
-        for a in sorted(per_label):
-            u, v = per_label[a]
-            if walk is None:
-                walk = [u, v] if u != v else [u]
-                continue
-            if walk[-1] != u:
-                walk += shortest_path(g, walk[-1], {u}, within=scc)[1:]
-            if u != v:
-                walk.append(v)
-        if walk[0] != walk[-1]:
-            walk += shortest_path(g, walk[-1], {walk[0]}, within=scc)[1:]
-        walk.pop()
+        walk = _closed_walk(lg.succ, scc, [per_label[a] for a in sorted(per_label)])
         if len(walk) < 2:
             continue  # constant cycles are excluded
         return CycleWitness(cycle=tuple(lg.nodes[n] for n in walk))

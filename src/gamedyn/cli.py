@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import analysis, dynamics, minors, relations, spp
 from .dot import export_dot
-from .errors import GameDynError, SuffixClosureRepairNeeded
+from .errors import GameDynError, GameFormatError, SuffixClosureRepairNeeded
 from .game import parse_game
 from .minors import DeletionScript
 from .strategy import PROFILE_GUARD
@@ -99,11 +99,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_minor(args) -> int:
     game = _load_game(args.game)
-    script = DeletionScript.from_json(
-        json.loads(Path(args.script).read_text(encoding="utf-8")))
-    minor = minors.apply_script(game, script)
-    small, big = (dynamics.build_dynamics(g, args.kind, guard=args.guard,
-                                          force=args.force).digraph()
+    try:
+        data = json.loads(Path(args.script).read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise GameFormatError(f"invalid JSON: {exc}") from exc
+    minor = minors.apply_script(game, DeletionScript.from_json(data))
+    small, big = (dynamics.build_dynamics(g, args.kind, guard=args.guard, force=args.force)
                   for g in (minor, game))
     _, full = relations.largest_simulation(small, big)
     record = {

@@ -14,12 +14,6 @@ from .strategy import PROFILE_GUARD, Profiles, StrategyProfile, unfold
 KINDS = ("1", "p1", "bp1", "pc", "bpc")
 
 
-def _digraph(nodes: tuple, succ: IndexGraph) -> Digraph:
-    """The Digraph of succ with index i named nodes[i], successors in succ's order."""
-    named = {u: [nodes[j] for j in js] for u, js in zip(nodes, succ)}
-    return Digraph(nodes, frozenset((u, v) for u, vs in named.items() for v in vs), named)
-
-
 @dataclass(frozen=True)
 class DynamicsGraph:
     """Update dynamics over positional profiles.
@@ -44,7 +38,7 @@ class DynamicsGraph:
                          for j, c in zip(js, cs))
 
     def digraph(self) -> Digraph:
-        return _digraph(self.nodes, self.succ)
+        return Digraph(self.nodes, self.succ)
 
     def successors(self, node):
         i = self.profiles.index(node)
@@ -150,7 +144,7 @@ class BeliefGraph:
         return self.nodes[self.delta[label][self.index(node)]]
 
     def digraph(self) -> Digraph:
-        return _digraph(self.nodes, self.succ)
+        return Digraph(self.nodes, self.succ)
 
 
 def build_belief_graph(game: Game, guard: int = PROFILE_GUARD, force: bool = False) -> BeliefGraph:

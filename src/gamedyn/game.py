@@ -297,7 +297,7 @@ def parse_game(text: str) -> Game:
     """Parse and validate a game document (JSON syntax, see README)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GameFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GameFormatError("top level must be an object")

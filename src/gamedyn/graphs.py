@@ -1,29 +1,9 @@
-"""A minimal immutable directed-graph value used across analyses."""
+"""The graph kernel: a graph is its nodes plus an IndexGraph of successor lists."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """Nodes and edges; each node's successors in repr order, or in the order
-    of the node -> successor-list map given as the third argument."""
-
-    nodes: tuple
-    edges: frozenset  # of (u, v) pairs
-    _succ: dict = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self._succ is not None:
-            return
-        succ = {u: [] for u in self.nodes}
-        for u, v in sorted(self.edges, key=repr):
-            succ[u].append(v)
-        object.__setattr__(self, "_succ", succ)
-
-    def successors(self, u):
-        return tuple(self._succ[u])
+from dataclasses import dataclass
+from functools import cached_property
 
 
 class IndexGraph(tuple):
@@ -41,6 +21,37 @@ class IndexGraph(tuple):
 
     def successors(self, u):
         return self[u]
+
+
+@dataclass(frozen=True)
+class Digraph:
+    """Node i is nodes[i], and its successors are succ[i], in that order."""
+
+    nodes: tuple
+    succ: IndexGraph
+
+    @classmethod
+    def from_edges(cls, nodes, edges) -> Digraph:
+        """The graph of (u, v) pairs; each node's successors follow node order."""
+        nodes = tuple(nodes)
+        pos = {u: i for i, u in enumerate(nodes)}
+        succ = [[] for _ in nodes]
+        for u, v in edges:
+            succ[pos[u]].append(pos[v])
+        return cls(nodes, IndexGraph(tuple(sorted(js)) for js in succ))
+
+    @cached_property
+    def _pos(self) -> dict:
+        return {u: i for i, u in enumerate(self.nodes)}
+
+    @property
+    def edges(self) -> frozenset:
+        nodes = self.nodes
+        return frozenset((u, nodes[j]) for u, js in zip(nodes, self.succ) for j in js)
+
+    def successors(self, u) -> tuple:
+        nodes = self.nodes
+        return tuple(nodes[j] for j in self.succ[self._pos[u]])
 
 
 def strongly_connected_components(g: Digraph) -> list[frozenset]:
@@ -114,17 +125,16 @@ def shortest_path(g: Digraph, source, targets, within=None) -> list | None:
 
 
 def simple_cycles(g: Digraph) -> list[list]:
-    """Every elementary cycle of g once, starting at its repr-least node.
+    """Every elementary cycle of g once, starting at its first node in node order.
 
     Johnson's algorithm (SIAM J. Comput. 4(1), 1975), iterative: roots are
-    taken in repr order, and the search from root s uses only nodes after s.
+    taken in node order, and the search from root s uses only nodes after s.
     A node stays blocked until a cycle through it is found; B[w] lists the
     blocked nodes to release when w is.
     """
-    order = sorted(g.nodes, key=repr)
-    rank = {v: i for i, v in enumerate(order)}
+    rank = {v: i for i, v in enumerate(g.nodes)}
     cycles = []
-    for i, s in enumerate(order):
+    for i, s in enumerate(g.nodes):
         blocked, B = {s}, {}
         path, succ = [s], [iter(g.successors(s))]
         closed = [False]  # per path node: a cycle was found through it
@@ -158,17 +168,18 @@ def simple_cycles(g: Digraph) -> list[list]:
     return cycles
 
 
-def transitive_closure(g: Digraph) -> Digraph:
-    """Edge (a, b) iff a non-empty path a -> ... -> b exists in g."""
-    closure = set()
-    for u in g.nodes:
+def transitive_closure(g) -> Digraph:
+    """Edge (a, b) iff a non-empty path a -> ... -> b exists in g, a graph of
+    nodes and succ."""
+    succ = g.succ
+    closure = []
+    for js in succ:
         seen = set()
-        todo = list(g.successors(u))
+        todo = list(js)
         while todo:
             w = todo.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            todo.extend(g.successors(w))
-        closure.update((u, w) for w in seen)
-    return Digraph(g.nodes, frozenset(closure))
+            if w not in seen:
+                seen.add(w)
+                todo.extend(succ[w])
+        closure.append(tuple(sorted(seen)))
+    return Digraph(g.nodes, IndexGraph(closure))

@@ -380,33 +380,39 @@ def find_dis_minor(game: Game, *, budget: int = SEARCH_BUDGET) -> Optional[Delet
     if status == "absent":
         return None
 
+    # depth first on an explicit stack, which holds per game on the current
+    # path its untried moves; steps[i] leads from stack[i] to stack[i + 1]
     visited = {game.key()}
-    spent = [0]
-
-    def dfs(g: Game, steps: list) -> Optional[DeletionScript]:
-        spent[0] += 1
-        if spent[0] > budget:
+    spent = 0
+    steps: list[DeletionStep] = []
+    stack = []
+    g = game
+    while g is not None:
+        spent += 1
+        if spent > budget:
             raise SearchBudgetExceeded(budget)
         if is_dis_pattern(g):
             return DeletionScript(tuple(steps))
-        if len(g.vertices) < 3:
-            return None
-        moves: list[DeletionStep] = [DeleteEdge(u, v) for u, v in sorted(g.edges)]
-        moves += [DeleteVertex(v) for v in _deletable_vertices(g)]
-        for step in moves:
-            try:
-                g2 = apply_step(g, step)
-            except GameDynError:
-                continue
-            k = g2.key()
-            if k in visited:
-                continue
-            visited.add(k)
-            steps.append(step)
-            found = dfs(g2, steps)
-            if found is not None:
-                return found
-            steps.pop()
-        return None
-
-    return dfs(game, [])
+        moves: list[DeletionStep] = []
+        if len(g.vertices) >= 3:
+            moves = [DeleteEdge(u, v) for u, v in sorted(g.edges)]
+            moves += [DeleteVertex(v) for v in _deletable_vertices(g)]
+        stack.append((g, iter(moves)))
+        g = None
+        while stack and g is None:
+            parent, untried = stack[-1]
+            for step in untried:
+                try:
+                    child = apply_step(parent, step)
+                except GameDynError:
+                    continue
+                k = child.key()
+                if k not in visited:
+                    visited.add(k)
+                    steps.append(step)
+                    g = child
+                    break
+            else:
+                stack.pop()
+                del steps[-1:]
+    return None

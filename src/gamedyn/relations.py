@@ -1,10 +1,14 @@
-"""Simulation relations between graphs and the largest-simulation fixpoint."""
+"""Simulation relations between graphs and the largest-simulation fixpoint.
+
+A graph here is any value with `nodes` and `succ` (a Digraph, DynamicsGraph
+or BeliefGraph); the checks run on indices and name only what they return.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Digraph, transitive_closure  # re-exported: transitive_closure
+from .graphs import transitive_closure  # re-exported
 
 
 @dataclass(frozen=True)
@@ -24,11 +28,7 @@ class Relation:
         return pair in self.pairs
 
 
-def _as_digraph(g) -> Digraph:
-    return g.digraph() if hasattr(g, "digraph") else g
-
-
-def is_partial_simulation(small: Digraph, big: Digraph, rel: Relation):
+def is_partial_simulation(small, big, rel: Relation):
     """Check the step-matching condition on edges inside the domain.
 
     For every edge (u', v') of `small` with both endpoints in dom(rel) and
@@ -36,65 +36,63 @@ def is_partial_simulation(small: Digraph, big: Digraph, rel: Relation):
     (v', v) in rel.  Returns (True, None) or (False, counterexample) where
     the counterexample is the triple (u', v', u) that cannot be matched.
     """
-    small, big = _as_digraph(small), _as_digraph(big)
+    spos = {n: i for i, n in enumerate(small.nodes)}
+    bpos = {n: i for i, n in enumerate(big.nodes)}
+    related = [set() for _ in spos]  # per small index, the big indices paired with it
     for a, b in rel.pairs:
-        if a not in set(small.nodes) or b not in set(big.nodes):
+        if a not in spos or b not in bpos:
             return (False, (a, b, None))
-    dom = rel.domain
-    related = {}
-    for a, b in rel.pairs:
-        related.setdefault(a, set()).add(b)
-    for u1, v1 in small.edges:
-        if u1 not in dom or v1 not in dom:
-            continue
-        for u in related[u1]:
-            if not any((v1, v) in rel for v in big.successors(u)):
-                return (False, (u1, v1, u))
+        related[spos[a]].add(bpos[b])
+    for a, js in enumerate(small.succ):
+        for a2 in js:
+            if not related[a2]:
+                continue
+            for b in related[a]:
+                if related[a2].isdisjoint(big.succ[b]):
+                    return (False, (small.nodes[a], small.nodes[a2], big.nodes[b]))
     return (True, None)
 
 
-def is_simulation(small: Digraph, big: Digraph, rel: Relation):
+def is_simulation(small, big, rel: Relation):
     """A partial simulation whose domain is all of `small`'s nodes."""
-    small, big = _as_digraph(small), _as_digraph(big)
     ok, cex = is_partial_simulation(small, big, rel)
     if not ok:
         return (False, cex)
-    missing = set(small.nodes) - rel.domain
-    if missing:
-        return (False, (min(missing, key=repr), None, None))
+    dom = rel.domain
+    for n in small.nodes:
+        if n not in dom:
+            return (False, (n, None, None))
     return (True, None)
 
 
-def is_bisimulation(small: Digraph, big: Digraph, rel: Relation):
+def is_bisimulation(small, big, rel: Relation):
     ok, cex = is_simulation(small, big, rel)
     if not ok:
         return (False, cex)
     return is_simulation(big, small, rel.inverse())
 
 
-def largest_simulation(small: Digraph, big: Digraph):
-    """Greatest fixpoint: start from all pairs, drop pairs that fail the
-    step-matching condition until stable.
+def largest_simulation(small, big):
+    """Greatest fixpoint on the graphs' indices: start from all pairs, drop
+    pairs that fail the step-matching condition until stable.
 
     Returns (relation, full_domain) where full_domain is True iff every node
     of `small` is simulated by some node of `big` — i.e. `big` simulates
     `small`.
     """
-    small, big = _as_digraph(small), _as_digraph(big)
-    pairs = {(a, b) for a in small.nodes for b in big.nodes}
+    succ_s, succ_b = small.succ, big.succ
+    sim = [set(range(len(succ_b))) for _ in succ_s]
     changed = True
     while changed:
         changed = False
-        for a, b in sorted(pairs, key=repr):
-            ok = all(
-                any((a2, b2) in pairs for b2 in big.successors(b))
-                for a2 in small.successors(a)
-            )
-            if not ok:
-                pairs.discard((a, b))
+        for a, js in enumerate(succ_s):
+            kept = {b for b in sim[a] if all(not sim[a2].isdisjoint(succ_b[b]) for a2 in js)}
+            if len(kept) < len(sim[a]):
+                sim[a] = kept
                 changed = True
-    rel = Relation(frozenset(pairs))
-    return rel, rel.domain == frozenset(small.nodes)
+    nodes_s, nodes_b = small.nodes, big.nodes
+    rel = Relation(frozenset((nodes_s[a], nodes_b[b]) for a, bs in enumerate(sim) for b in bs))
+    return rel, all(sim)
 
 
 __all__ = [

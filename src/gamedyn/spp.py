@@ -229,29 +229,21 @@ def _dispute_digraph(otg: OneTargetGame):
     return nodes, decomps
 
 
-def _wheel_from_cycle(cycle, decomps, choice=None):
-    k = len(cycle)
-    pivots, direct, links = [], [], []
-    for i in range(k):
-        a, b = cycle[i], cycle[(i + 1) % k]
-        hs = sorted(decomps[(a, b)])
-        h = hs[choice[i]] if choice is not None else hs[0]
-        pivots.append(a[0])
-        direct.append(a[1])
-        links.append(tuple(h))
-    return DisputeWheel(tuple(pivots), tuple(direct), tuple(links))
-
-
-def _cycles(nodes, decomps):
-    return sorted(simple_cycles(Digraph(tuple(nodes), frozenset(decomps))), key=repr)
+def _wheels(otg: OneTargetGame):
+    """Every wheel candidate: the dispute digraph's cycles in repr order, each
+    with every choice of its links' prefixes, taken in sorted order."""
+    nodes, decomps = _dispute_digraph(otg)
+    for cycle in sorted(simple_cycles(Digraph.from_edges(sorted(nodes, key=repr), decomps)),
+                        key=repr):
+        arcs = zip(cycle, cycle[1:] + cycle[:1])
+        pivots, direct = zip(*cycle)
+        for links in itertools.product(*(sorted(decomps[arc]) for arc in arcs)):
+            yield DisputeWheel(pivots, direct, links)
 
 
 def find_dispute_wheel(otg: OneTargetGame) -> Optional[DisputeWheel]:
     """Some dispute wheel, if any exists (exhaustive search)."""
-    nodes, decomps = _dispute_digraph(otg)
-    for cycle in _cycles(nodes, decomps):
-        return _wheel_from_cycle(cycle, decomps)
-    return None
+    return next(_wheels(otg), None)
 
 
 def sdw_violations(otg: OneTargetGame, dw: DisputeWheel) -> list[str]:
@@ -309,14 +301,7 @@ def sdw_violations(otg: OneTargetGame, dw: DisputeWheel) -> list[str]:
 
 
 def _iter_sdws(otg: OneTargetGame):
-    nodes, decomps = _dispute_digraph(otg)
-    for cycle in _cycles(nodes, decomps):
-        edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
-        options = [range(len(decomps[e])) for e in edges]
-        for choice in itertools.product(*options):
-            dw = _wheel_from_cycle(cycle, decomps, choice)
-            if not sdw_violations(otg, dw):
-                yield dw
+    return (dw for dw in _wheels(otg) if not sdw_violations(otg, dw))
 
 
 def find_sdw(otg: OneTargetGame) -> Optional[DisputeWheel]:
@@ -511,7 +496,7 @@ def parse_spp(text: str, *, complete_suffixes: bool = False) -> OneTargetGame:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GameFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise GameFormatError("top level must be an object")

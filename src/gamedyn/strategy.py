@@ -198,7 +198,7 @@ def outcome(game: Game, profile: StrategyProfile, v: str) -> Play:
 
 def enumerate_histories(game: Game) -> list[tuple[str, ...]]:
     """All non-maximal paths of an acyclic arena, sorted."""
-    arena = Digraph(game.vertices, game.edges)
+    arena = Digraph.from_edges(game.vertices, game.edges)
     sccs = strongly_connected_components(arena)
     for scc in sccs:
         if is_nontrivial(arena, scc):

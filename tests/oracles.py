@@ -57,26 +57,24 @@ def fair_cycle_exists(nodes, edges, players):
     return False
 
 
-def simulation_exists_by_enumeration(small_nodes, small_edges, big_nodes, big_edges):
-    """Does a full-domain simulation exist?  Checked by enumerating candidate
-    relations as functions dom -> powerset(big) is hopeless; instead enumerate
-    candidate *assignments* small-node -> big-node and close under the
-    step-matching condition.  Only usable for tiny graphs."""
-    small_succ = {n: [v for u, v in small_edges if u == n] for n in small_nodes}
-    big_succ = {n: [v for u, v in big_edges if u == n] for n in big_nodes}
+def largest_simulation_by_enumeration(small_nodes, small_edges, big_nodes, big_edges):
+    """The largest simulation, as the union of every relation R that passes
+    the step-matching condition: for each (a, b) in R and each edge a -> a2
+    there is an edge b -> b2 with (a2, b2) in R.  Tries all 2^(|small|*|big|)
+    relations, so only usable for graphs of a few nodes."""
+    small_edges, big_edges = set(small_edges), set(big_edges)
+    candidates = [(a, b) for a in small_nodes for b in big_nodes]
 
-    def ok(assign):
-        for a, b in assign.items():
-            for a2 in small_succ[a]:
-                if not any(assign.get(a2) == b2 for b2 in big_succ[b]):
-                    return False
-        return True
+    def ok(rel):
+        return all(any((b, b2) in big_edges and (a2, b2) in rel for b2 in big_nodes)
+                   for a, b in rel for a2 in small_nodes if (a, a2) in small_edges)
 
-    small = list(small_nodes)
-    for combo in product(list(big_nodes), repeat=len(small)):
-        if ok(dict(zip(small, combo))):
-            return True
-    return False
+    largest = set()
+    for keep in product((False, True), repeat=len(candidates)):
+        rel = {pair for pair, k in zip(candidates, keep) if k}
+        if ok(rel):
+            largest |= rel
+    return largest
 
 
 def elementary_cycles_by_enumeration(nodes, edges):

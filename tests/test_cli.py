@@ -285,3 +285,33 @@ def test_malformed_spp_exits_5(tmp_path, name):
     code, _, err = run("spp", "validate", str(path))
     assert code == EXIT_ERROR
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_dis_minor_deep_search_stops_at_the_budget(tmp_path):
+    # one player owning a chain of 520 vertices, each with an exit to t: the
+    # search deletes one edge per step, deeper than Python's recursion limit
+    chain = [f"v{i:03d}" for i in range(520)]
+    doc = {"players": 1, "vertices": chain + ["t"],
+           "edges": [[v, "t"] for v in chain] + [list(e) for e in zip(chain, chain[1:])],
+           "owner": {v: 1 for v in chain}, "preferences": {}}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run("dis-minor", str(path), "--budget", "1500")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert "search budget of 1500 expansions exceeded" in err and "Traceback" not in err
+
+
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("argv", [
+    ["dynamics", "{deep}", "--kind", "p1"],
+    ["spp", "validate", "{deep}"],
+    ["minor", GDIS, "--script", "{deep}"],
+], ids=["game", "spp", "script"])
+def test_deeply_nested_json_exits_5(tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code, out, err = run(*(a.format(deep=path) for a in argv))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: invalid JSON:") and "Traceback" not in err

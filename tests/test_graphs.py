@@ -19,7 +19,7 @@ def random_digraph(seed, n=6, p=0.3, loops=False):
     edges = frozenset(
         (u, v) for u in nodes for v in nodes if (loops or u != v) and rng.random() < p
     )
-    return Digraph(nodes, edges)
+    return Digraph.from_edges(nodes, edges)
 
 
 def test_scc_partition_and_membership():
@@ -99,7 +99,7 @@ def test_shortest_path_stays_within():
 
 
 def test_shortest_path_within_refuses_a_path_outside():
-    g = Digraph(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
+    g = Digraph.from_edges(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
     assert shortest_path(g, "a", {"c"}) == ["a", "b", "c"]
     assert shortest_path(g, "a", {"c"}, within={"a", "c"}) is None
 

@@ -14,11 +14,12 @@ from gamedyn import (
 from gamedyn.graphs import Digraph
 
 from .generators import random_game, random_script
+from .oracles import largest_simulation_by_enumeration
 
 # the two-edge textbook pair: one graph with a single edge, the other
 # branching from its root
-G_SMALL = Digraph(("u", "v"), frozenset({("u", "v")}))
-G_BRANCH = Digraph(("u'", "v1'", "v2'"), frozenset({("u'", "v1'"), ("u'", "v2'")}))
+G_SMALL = Digraph.from_edges(("u", "v"), frozenset({("u", "v")}))
+G_BRANCH = Digraph.from_edges(("u'", "v1'", "v2'"), frozenset({("u'", "v1'"), ("u'", "v2'")}))
 
 
 def test_partial_but_not_full_simulation():
@@ -56,7 +57,7 @@ def test_largest_simulation_sound_and_maximal():
     for seed in range(20):
         rng = _random.Random(seed)
         nodes = tuple("abcd")
-        mk = lambda: Digraph(
+        mk = lambda: Digraph.from_edges(
             nodes,
             frozenset((u, v) for u in nodes for v in nodes
                       if u != v and rng.random() < 0.4),
@@ -79,6 +80,32 @@ def test_largest_simulation_sound_and_maximal():
                 assert not ok
 
 
+def test_largest_simulation_matches_enumeration():
+    import random as _random
+
+    for seed in range(40):
+        rng = _random.Random(seed)
+        nodes = ("a", "b", "c")
+        mk = lambda: Digraph.from_edges(
+            nodes, frozenset((u, v) for u in nodes for v in nodes if rng.random() < 0.35))
+        small, big = mk(), mk()
+        rel, full = largest_simulation(small, big)
+        expected = largest_simulation_by_enumeration(nodes, small.edges, nodes, big.edges)
+        assert rel.pairs == expected
+        assert full == ({a for a, _ in expected} == set(nodes))
+
+
+def test_dynamics_graph_and_its_digraph_give_one_relation():
+    for seed in range(60):
+        game = random_game(seed)
+        script = random_script(seed, game)
+        minor = apply_script(game, script) if script is not None else game
+        small = build_dynamics(minor, "p1", force=True)
+        big = build_dynamics(game, "p1", force=True)
+        assert largest_simulation(small, big) == largest_simulation(
+            small.digraph(), big.digraph())
+
+
 def test_identity_relation_is_its_own_inverse():
     for seed in range(15):
         game = random_game(seed)
@@ -88,9 +115,9 @@ def test_identity_relation_is_its_own_inverse():
 
 
 def test_transitive_closure_examples():
-    chain = Digraph(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
+    chain = Digraph.from_edges(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
     assert ("a", "c") in transitive_closure(chain).edges
-    two_cycle = Digraph(("a", "b"), frozenset({("a", "b"), ("b", "a")}))
+    two_cycle = Digraph.from_edges(("a", "b"), frozenset({("a", "b"), ("b", "a")}))
     closed = transitive_closure(two_cycle).edges
     assert {("a", "a"), ("b", "b")} <= set(closed)
 
