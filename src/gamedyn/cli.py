@@ -225,9 +225,10 @@ def _parser() -> argparse.ArgumentParser:
         description="Strategy-update dynamics on games played over graphs.")
     ap.add_argument("--output", choices=("text", "json", "dot"), default="text")
     ap.add_argument("--guard", type=int, default=PROFILE_GUARD,
-                    help="maximum number of strategy profiles to enumerate")
+                    help="maximum number of strategy profiles, belief nodes or "
+                         "dynamics updates to build")
     ap.add_argument("--force", action="store_true",
-                    help="override the profile guard")
+                    help="override the guard")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dynamics", help="build a dynamics graph")
@@ -283,7 +284,7 @@ def run_cli(argv=None) -> int:
     except GameDynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

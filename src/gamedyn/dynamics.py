@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import NonDeterministicBestReply
+from .errors import NonDeterministicBestReply, StateSpaceTooLarge
 from .game import Game
 from .graphs import Digraph, IndexGraph, strongly_connected_components
 from .strategy import PROFILE_GUARD, Profiles, StrategyProfile, unfold
@@ -48,6 +48,14 @@ class DynamicsGraph:
         return self.names[self.profiles.index(node)]
 
 
+class _Players(dict):
+    """Bit mask of player indices -> frozenset of those players, made once."""
+
+    def __missing__(self, mask):
+        who = self[mask] = frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+        return who
+
+
 def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
                    force: bool = False) -> DynamicsGraph:
     """Dynamics graph over positional profiles for kind in KINDS.
@@ -65,24 +73,26 @@ def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
     profiles = Profiles(game)
     profiles.check(guard, force)
     best_reply = kind.startswith("b")
-    groups = {}  # tuple of player indices -> frozenset of players
-    succ, changed = [], []
+    groups = _Players()
+    succ, changed, updates = [], [], 0
     for p, digits in enumerate(profiles.digits()):
         by_player = profiles.moves(digits, best_reply)
-        movers = [i for i, offsets in enumerate(by_player) if offsets]
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(movers, r) for r in range(1, len(movers) + 1)
-        ) if concurrent else ((i,) for i in movers)
-        out = []
-        for subset in subsets:
-            who = groups.get(subset)
-            if who is None:
-                who = groups[subset] = frozenset(i + 1 for i in subset)
-            out.extend((p + sum(combo), who)
-                       for combo in itertools.product(*(by_player[i] for i in subset)))
-        out.sort(key=lambda t: t[0])
-        succ.append(tuple(t for t, _ in out))
-        changed.append(tuple(c for _, c in out))
+        # each update is (target, bit mask of the players it changes)
+        if concurrent:
+            out = [(p, 0)]
+            for i, offsets in enumerate(by_player):
+                if offsets:
+                    bit = 1 << i
+                    out += [(t + d, m | bit) for t, m in out for d in offsets]
+            del out[0]
+        else:
+            out = [(p + d, 1 << i) for i, offsets in enumerate(by_player) for d in offsets]
+        updates += len(out)
+        if updates > guard and not force:
+            raise StateSpaceTooLarge(updates, guard, f"{kind} dynamics has over {guard} updates")
+        out.sort()  # targets are unique, so masks are never compared
+        succ.append(tuple([t for t, _ in out]))
+        changed.append(tuple([groups[m] for _, m in out]))
     return DynamicsGraph(kind=kind, profiles=profiles, nodes=tuple(profiles),
                          succ=IndexGraph(succ), changed=tuple(changed),
                          names=tuple(profiles.names(one_step=kind == "1")))

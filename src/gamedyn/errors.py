@@ -34,8 +34,9 @@ class NotMaximal(GameDynError):
 
 
 class StateSpaceTooLarge(GameDynError):
-    def __init__(self, count, guard):
-        super().__init__(f"state space has {count} elements, guard is {guard} (use force to override)")
+    def __init__(self, count, guard, size=None):
+        size = size or f"state space has {count} elements"
+        super().__init__(f"{size}, guard is {guard} (use force to override)")
         self.count = count
         self.guard = guard
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CyclicArena, StateSpaceTooLarge, UnknownVertex
 from .game import FinitePlay, Game, Play, PreferenceOrder, canonicalize
@@ -34,6 +35,14 @@ class StrategyProfile:
         return tuple(sorted(v for v in mine if mine[v] != theirs.get(v)))
 
 
+class _Interned(dict):
+    """Gives each new key the next int id."""
+
+    def __missing__(self, key):
+        i = self[key] = len(self)
+        return i
+
+
 class Profiles:
     """A game's positional profiles, numbered, and the improving moves between them.
 
@@ -42,6 +51,12 @@ class Profiles:
     digit varying fastest.  Moving non-terminal k from choice c to c'
     therefore adds (c' - c) * weight[k].  Plays are walked on vertex ids and
     ranked once each, through the players' play -> rank dicts.
+
+    Equal plays share one int id (hash-consing): a terminal's id is fixed, a
+    non-terminal's is the id of (vertex, id of the rest of the play), and a
+    vertex on a loop gets the id of (its rotation of the loop,).  The ids of
+    the plays from k's successors fix every play a move at k leads to, so
+    k's improving and best-reply moves are memoised under them.
     """
 
     def __init__(self, game: Game):
@@ -59,6 +74,15 @@ class Profiles:
         self._succ = [tuple(vid[w] for w in s) for s in self.choices]
         self._ranks = {}  # (vertex ids of the play, loop start or -1) -> rank per player
         self._next = [-1] * len(game.vertices)  # the walked profile; -1 at terminals
+        self._ids = _Interned()  # play key -> play id
+        # per vertex id: its play's id if it is a terminal, else -1
+        self._fixed = [self._ids[x] if v in game.terminals else -1
+                       for x, v in enumerate(game.vertices)]
+        # (k, play ids from k's successors) -> per choice of k: (improving, best) offsets
+        self._memo = {}
+        # per non-terminal k: k, the getter of its successors' play ids, its owner's index
+        self._keyed = [(k, itemgetter(*s), o - 1)
+                       for k, (s, o) in enumerate(zip(self._succ, self.owner))]
 
     def check(self, guard: int, force: bool, rows: int = 1):
         """Refuse, unless forced, more than guard states of rows profiles each."""
@@ -67,9 +91,10 @@ class Profiles:
             raise StateSpaceTooLarge(count, guard)
 
     def __iter__(self):
-        """Every profile, in index order."""
-        for combo in itertools.product(*self.choices):
-            yield StrategyProfile(tuple(zip(self.movers, combo)))
+        """Every profile, in index order; profiles share their (vertex,
+        successor) pairs."""
+        pairs = [[(v, w) for w in s] for v, s in zip(self.movers, self.choices)]
+        return map(StrategyProfile, itertools.product(*pairs))
 
     def digits(self, hold=None):
         """Every profile's choice indices, in index order; with hold=k, only
@@ -143,21 +168,56 @@ class Profiles:
         self._walk(digits)
         return [self._rank(self._at[k], w) for w in self._succ[k]]
 
+    def _play_ids(self):
+        """Per vertex id, the id of the play from it under the walked profile.
+        Walks each vertex once; -2 marks the vertices of the open path."""
+        nxt, ids = self._next, self._ids
+        pid = self._fixed[:]
+        for x in self._at:
+            if pid[x] != -1:
+                continue
+            path = []
+            while pid[x] == -1:
+                pid[x] = -2
+                path.append(x)
+                x = nxt[x]
+            if pid[x] == -2:  # back on the path: the play closes a loop at x
+                loop = path[path.index(x):]
+                del path[-len(loop):]
+                for j, y in enumerate(loop):
+                    pid[y] = ids[tuple(loop[j:] + loop[:j]),]
+            rest = pid[x]
+            for y in reversed(path):
+                rest = pid[y] = ids[y, rest]
+        return pid
+
+    def _moves_at(self, k: int) -> list[tuple]:
+        """Per current choice of non-terminal k under the walked profile: the
+        offsets of its owner's improving moves at k, and of the best of them."""
+        v, step, player = self._at[k], self.weight[k], self.owner[k] - 1
+        ranks = [self._rank(v, w)[player] for w in self._succ[k]]
+        top = min(ranks)  # the best improving moves, wherever some move improves
+        best = [j for j, r in enumerate(ranks) if r == top]
+        return [((), ()) if now == top else
+                (tuple([(j - c) * step for j, r in enumerate(ranks) if r < now]),
+                 tuple([(j - c) * step for j in best]))
+                for c, now in enumerate(ranks)]
+
     def moves(self, digits, best_reply: bool) -> list[list[int]]:
         """Per player: the index offsets of its improving one-vertex moves from
         the profile digits spells.  With best_reply only the best improving
         moves at a vertex are kept: best replies are judged per state, not
         per whole strategy."""
         self._walk(digits)
+        pid, memo = self._play_ids(), self._memo
+        which = 1 if best_reply else 0
         by_player = [[] for _ in range(self.game.n_players)]
-        for v, s, player, c, step in zip(self._at, self._succ, self.owner, digits, self.weight):
-            ranks = [self._rank(v, w)[player - 1] for w in s]
-            now = ranks[c]
-            better = [j for j, r in enumerate(ranks) if r < now]
-            if best_reply and better:
-                top = min(ranks[j] for j in better)
-                better = [j for j in better if ranks[j] == top]
-            by_player[player - 1].extend((j - c) * step for j in better)
+        for (k, ids_at, player), c in zip(self._keyed, digits):
+            key = (k, ids_at(pid))
+            at = memo.get(key)
+            if at is None:
+                at = memo[key] = self._moves_at(k)
+            by_player[player].extend(at[c][which])
         return by_player
 
 

@@ -137,6 +137,19 @@ def one_step_by_enumeration(vertices, edges, owners, ranks):
     return labels, updates
 
 
+def _play(succ, choice, v):
+    """The play from v under choice: a finite play is its vertex tuple, a
+    lasso the pair (stem, loop)."""
+    path = [v]
+    while succ[path[-1]]:
+        nxt = choice[path[-1]]
+        if nxt in path:
+            i = path.index(nxt)
+            return (tuple(path[:i]), tuple(path[i:]))
+        path.append(nxt)
+    return tuple(path)
+
+
 def positional_dynamics_by_enumeration(vertices, edges, owners, ranks, kind):
     """The p1, bp1, pc or bpc dynamics over positional profiles, by brute force.
 
@@ -157,18 +170,8 @@ def positional_dynamics_by_enumeration(vertices, edges, owners, ranks, kind):
     names = {(e[0], e[1]): e[2] for e in edges if len(e) == 3}
     movers = sorted(v for v in vertices if succ[v])
 
-    def play(choice, v):
-        path = [v]
-        while succ[path[-1]]:
-            nxt = choice[path[-1]]
-            if nxt in path:
-                i = path.index(nxt)
-                return (tuple(path[:i]), tuple(path[i:]))
-            path.append(nxt)
-        return tuple(path)
-
     def rank(v, choice):
-        return ranks.get(owners[v], {}).get(play(choice, v), float("inf"))
+        return ranks.get(owners[v], {}).get(_play(succ, choice, v), float("inf"))
 
     def label(choice):
         parts = [names.get((v, choice[v]), f"{v}:{choice[v]}")
@@ -199,6 +202,63 @@ def positional_dynamics_by_enumeration(vertices, edges, owners, ranks, kind):
             if all(tau[v] in ok[v] for v in diff):
                 updates.add((label(sigma), label(tau), tuple(sorted(players))))
     return [label(p) for p in profiles], updates
+
+
+def belief_delta_by_enumeration(vertices, edges, owners, ranks):
+    """The transitions of the belief graph, by brute force.
+
+    ``vertices``, ``edges`` and ``owners`` are as for
+    positional_dynamics_by_enumeration; ``ranks`` maps every player 1..n to
+    {play: rank}, and its keys are the players.  Profiles are enumerated as
+    there.  A node holds one profile (a row) per player and is numbered in
+    the order of the tuples of their profile numbers, the first player's
+    varying slowest.  Label 0 sets every row to the true profile, which
+    takes each vertex's choice from its owner's row.  Label i changes row i
+    only: to the profile that player i's one best-reply move under row i
+    leads to (a single vertex of i's, moved to a successor that strictly
+    improves i's play from there and that no other successor there beats),
+    or not at all when i has none.  Returns (delta, None), delta[a][node]
+    the target of node's a-labelled edge, or, when some row has two or more
+    best replies, (None, (player, targets)) for the first such node and
+    player in that order, targets the profiles (dicts) the replies lead to.
+    """
+    succ = {v: sorted(e[1] for e in edges if e[0] == v) for v in vertices}
+    movers = sorted(v for v in vertices if succ[v])
+    players = sorted(ranks)
+    profiles = [dict(zip(movers, combo)) for combo in product(*(succ[v] for v in movers))]
+
+    def rank(player, choice, v):
+        return ranks[player].get(_play(succ, choice, v), float("inf"))
+
+    def best_replies(choice, player):
+        out = []
+        for v in movers:
+            if owners[v] != player:
+                continue
+            now = rank(player, choice, v)
+            better = {w: rank(player, {**choice, v: w}, v) for w in succ[v]}
+            better = {w: r for w, r in better.items() if r < now}
+            top = min(better.values(), default=None)
+            out += [{**choice, v: w} for w, r in better.items() if r == top]
+        return out
+
+    replies = {(r, player): best_replies(profiles[r], player)
+               for r in range(len(profiles)) for player in players}
+    nodes = list(product(range(len(profiles)), repeat=len(players)))
+    where = {rows: i for i, rows in enumerate(nodes)}
+    delta = [[] for _ in range(len(players) + 1)]
+    for rows in nodes:
+        true = {v: profiles[rows[owners[v] - 1]][v] for v in movers}
+        delta[0].append(where[(profiles.index(true),) * len(players)])
+        for player in players:
+            targets = replies[rows[player - 1], player]
+            if len(targets) > 1:
+                return None, (player, targets)
+            new = list(rows)
+            if targets:
+                new[player - 1] = profiles.index(targets[0])
+            delta[player].append(where[tuple(new)])
+    return delta, None
 
 
 def belief_analyses_by_enumeration(n_nodes, n_labels, delta):

@@ -302,16 +302,38 @@ def test_dis_minor_deep_search_stops_at_the_budget(tmp_path):
 
 
 DEEP_JSON = "[" * 100000 + "]" * 100000
-
-
-@pytest.mark.parametrize("argv", [
-    ["dynamics", "{deep}", "--kind", "p1"],
-    ["spp", "validate", "{deep}"],
-    ["minor", GDIS, "--script", "{deep}"],
+# the three places a document is read: a game, a routing instance, a script
+READ_SITES = pytest.mark.parametrize("argv", [
+    ["dynamics", "{doc}", "--kind", "p1"],
+    ["spp", "validate", "{doc}"],
+    ["minor", GDIS, "--script", "{doc}"],
 ], ids=["game", "spp", "script"])
+
+
+@READ_SITES
 def test_deeply_nested_json_exits_5(tmp_path, argv):
     path = tmp_path / "deep.json"
     path.write_text(DEEP_JSON)
-    code, out, err = run(*(a.format(deep=path) for a in argv))
+    code, out, err = run(*(a.format(doc=path) for a in argv))
     assert (code, out) == (EXIT_ERROR, "")
     assert err.startswith("error: invalid JSON:") and "Traceback" not in err
+
+
+@READ_SITES
+def test_non_utf8_input_exits_5(tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(*(a.format(doc=path) for a in argv))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error:") and "can't decode" in err and "Traceback" not in err
+
+
+def test_update_guard_counts_concurrent_updates():
+    # fig5 has 12 profiles and 44 pc updates
+    argv = ["analyze", str(FIXTURES / "fig5.json"), "--kind", "pc", "--check", "termination"]
+    code, out, err = run("--guard", "12", *argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == ("error: pc dynamics has over 12 updates, guard is 12 "
+                   "(use force to override)\n")
+    code, out, err = run("--guard", "12", "--force", *argv)
+    assert code in (EXIT_OK, EXIT_UNSAFE) and out.startswith("terminates: ") and err == ""

@@ -14,12 +14,16 @@ from gamedyn import (
 )
 from gamedyn.dynamics import KINDS
 from gamedyn.errors import CyclicArena, NonDeterministicBestReply, StateSpaceTooLarge
-from gamedyn.strategy import enumerate_profiles, outcome
+from gamedyn.strategy import PROFILE_GUARD, Profiles, enumerate_profiles, outcome
 from gamedyn.game import Comparison, FinitePlay
 
 from .conftest import load_game
 from .generators import random_game
-from .oracles import one_step_by_enumeration, positional_dynamics_by_enumeration
+from .oracles import (
+    belief_delta_by_enumeration,
+    one_step_by_enumeration,
+    positional_dynamics_by_enumeration,
+)
 
 
 def edge_set(dg):
@@ -140,15 +144,20 @@ def test_one_step_matches_enumeration(fig2):
         assert {(dg.label(u), dg.label(v), tuple(sorted(c))) for u, v, c in dg.edges} == updates
 
 
-def _positional_oracle(game, kind):
+def _play_ranks(game):
+    """Per player, {play: rank} in the oracles' play keys."""
     def key(play):
         return play.path if isinstance(play, FinitePlay) else (play.stem, play.loop)
 
-    ranks = {i: {key(play): r for r, cls in enumerate(pref.ranks) for play in cls}
-             for i, pref in enumerate(game.preferences, start=1)}
+    return {i: {key(play): r for r, cls in enumerate(pref.ranks) for play in cls}
+            for i, pref in enumerate(game.preferences, start=1)}
+
+
+def _positional_oracle(game, kind):
     edges = [(u, v, game.edge_labels[u, v]) if (u, v) in game.edge_labels else (u, v)
              for u, v in game.edges]
-    return positional_dynamics_by_enumeration(game.vertices, edges, game.owner, ranks, kind)
+    return positional_dynamics_by_enumeration(game.vertices, edges, game.owner,
+                                              _play_ranks(game), kind)
 
 
 FIXTURE_GAMES = ("gdis.json", "fig2.json", "fig3.json", "fig4.json", "fig5.json")
@@ -227,3 +236,25 @@ def test_belief_names_and_v0_follow_the_rows():
         assert bg.v0 == v0, seed
         checked += 1
     assert checked > 100
+
+
+def test_belief_delta_matches_enumeration():
+    games = [load_game(name) for name in ("gdis.json", "fig3.json", "fig4.json")]
+    checked = nondeterministic = 0
+    for game in games + [random_game(seed) for seed in range(200)]:
+        if Profiles(game).count ** game.n_players > PROFILE_GUARD:
+            continue
+        want, clash = belief_delta_by_enumeration(game.vertices, game.edges, game.owner,
+                                                  _play_ranks(game))
+        try:
+            bg = build_belief_graph(game)
+        except NonDeterministicBestReply as exc:
+            assert clash is not None
+            assert (exc.player, sorted(t.items for t in exc.targets)) == (
+                clash[0], sorted(tuple(sorted(t.items())) for t in clash[1]))
+            nondeterministic += 1
+            continue
+        assert clash is None
+        assert [list(ts) for ts in bg.delta] == want
+        checked += 1
+    assert checked > 150 and nondeterministic > 20

@@ -1,16 +1,28 @@
 """Strategy profiles, outcomes, the tree unfolding."""
 
+import json
+import random
+
 import pytest
 
-from gamedyn import FinitePlay, LassoPlay, StrategyProfile, outcome, positional_plays
+from gamedyn import (
+    FinitePlay,
+    LassoPlay,
+    StrategyProfile,
+    outcome,
+    parse_game,
+    positional_plays,
+)
 from gamedyn.errors import CyclicArena, StateSpaceTooLarge
 from gamedyn.strategy import (
+    Profiles,
     enumerate_histories,
     enumerate_profiles,
     profile_count,
     unfold,
 )
 
+from .conftest import load_game
 from .generators import random_game
 
 
@@ -57,6 +69,53 @@ def test_outcome_random_follows_profile():
             choice = sigma.as_dict()
             for u, v in play.steps():
                 assert u in game.terminals or choice[u] == v
+
+
+# Three vertices on a cycle, each with an exit to t.  With c choosing a, a
+# move at a to b runs b -> c -> a back into a and closes the loop a b c.
+LOOP_BACK = {
+    "players": 2,
+    "vertices": ["a", "b", "c", "t"],
+    "edges": [["a", "b"], ["a", "t"], ["b", "c"], ["b", "t"], ["c", "a"], ["c", "t"]],
+    "owner": {"a": 1, "b": 2, "c": 1},
+    "preferences": {
+        "1": [[{"lasso": {"stem": [], "loop": ["a", "b", "c"]}}],
+              [{"path": ["a", "b", "t"]}, {"path": ["c", "t"]}],
+              [{"path": ["a", "t"]}, {"lasso": {"stem": [], "loop": ["c", "a", "b"]}}]],
+        "2": [[{"path": ["b", "c", "t"]}],
+              [{"lasso": {"stem": [], "loop": ["b", "c", "a"]}}],
+              [{"path": ["b", "t"]}]],
+    },
+}
+
+
+def _moves_from_ranks(profiles, digits, best_reply):
+    """Profiles.moves without its memo: every move ranked afresh."""
+    by_player = [[] for _ in range(profiles.game.n_players)]
+    for k, (player, c, step) in enumerate(zip(profiles.owner, digits, profiles.weight)):
+        ranks = [r[player - 1] for r in profiles.ranks(digits, k)]
+        better = [j for j, r in enumerate(ranks) if r < ranks[c]]
+        if best_reply and better:
+            top = min(ranks[j] for j in better)
+            better = [j for j in better if ranks[j] == top]
+        by_player[player - 1] += [(j - c) * step for j in better]
+    return by_player
+
+
+def test_moves_do_not_depend_on_visiting_order():
+    games = [load_game(f"{name}.json") for name in ("gdis", "fig2", "fig3", "fig4", "fig5")]
+    games += [parse_game(json.dumps(LOOP_BACK))] + [random_game(seed) for seed in range(200)]
+    rng = random.Random(0)
+    for game in games:
+        reference = Profiles(game)
+        digits = list(reference.digits())
+        want = [[_moves_from_ranks(reference, d, b) for b in (False, True)] for d in digits]
+        shuffled = list(range(len(digits)))
+        rng.shuffle(shuffled)
+        for order in (range(len(digits)), range(len(digits) - 1, -1, -1), shuffled):
+            profiles = Profiles(game)
+            for i in order:
+                assert [profiles.moves(digits[i], b) for b in (False, True)] == want[i]
 
 
 # ---------------------------------------------------------------------------
