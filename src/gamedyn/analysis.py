@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .dynamics import BeliefGraph, DynamicsGraph
-from .graphs import Digraph, is_nontrivial, shortest_path, strongly_connected_components
+from .graphs import Digraph, is_nontrivial, scc_stream, shortest_path
 
 
 @dataclass(frozen=True)
@@ -15,8 +15,7 @@ class CycleWitness:
 
     def validate(self, g: Digraph) -> bool:
         seq = self.cycle
-        ok = all(b in g.successors(a) for a, b in zip(seq, seq[1:]))
-        return ok and seq and seq[0] in g.successors(seq[-1])
+        return bool(seq) and all(b in g.successors(a) for a, b in zip(seq, seq[1:] + seq[:1]))
 
 
 SWITCHES = "switches-infinitely-often"
@@ -46,7 +45,7 @@ def terminates(dg: DynamicsGraph) -> bool:
 
 def find_cycle(dg: DynamicsGraph) -> Optional[CycleWitness]:
     g = dg.succ
-    for scc in strongly_connected_components(g):
+    for scc in scc_stream(g):
         if is_nontrivial(g, scc):
             cycle = _cycle_through(g, scc, min(scc))
             return CycleWitness(cycle=tuple(dg.nodes[n] for n in cycle))
@@ -54,8 +53,12 @@ def find_cycle(dg: DynamicsGraph) -> Optional[CycleWitness]:
 
 
 def equilibria(dg: DynamicsGraph) -> frozenset:
-    """Nodes with no outgoing edge."""
-    return frozenset(n for n, out in zip(dg.nodes, dg.succ) if not out)
+    """Nodes with no outgoing edge.  A profile whose row is not built yet is
+    only asked whether some player has a move, and its row stays unbuilt."""
+    rows, has_move = dg.succ, dg.profiles.has_move
+    return frozenset(n for n, row, digits in zip(dg.nodes, map(rows.get, rows.nodes),
+                                                 dg.profiles.digits())
+                     if not (has_move(digits) if row is None else row))
 
 
 def _cycle_through(g, scc: frozenset, start) -> list:
@@ -84,7 +87,7 @@ def find_fair_cycle(dg: DynamicsGraph, players=None) -> FairnessReport:
         return frozenset().union(*changed[n])
 
     report_per_player = {}
-    for scc in strongly_connected_components(g):
+    for scc in scc_stream(g):
         if not is_nontrivial(g, scc):
             continue
         members = sorted(scc)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -14,21 +15,61 @@ from .strategy import PROFILE_GUARD, Profiles, StrategyProfile, unfold
 KINDS = ("1", "p1", "bp1", "pc", "bpc")
 
 
-@dataclass(frozen=True)
+class Rows(dict):
+    """n rows, row i made by fill(i) the first time it is read.
+
+    It reads as IndexGraph does (`[i]`, `len`, iteration in index order,
+    `nodes`, `successors`), so every walk runs on it unchanged; `get(i)` is
+    row i if it is built and None if not, and builds nothing.  A dict, so
+    that a built row is read at dict speed.
+    """
+
+    __slots__ = ("n", "fill")
+
+    def __init__(self, n: int, fill):
+        super().__init__()
+        self.n, self.fill = n, fill
+
+    def __missing__(self, i):
+        if not 0 <= i < self.n:
+            raise IndexError(f"row {i} of {self.n}")
+        row = self[i] = self.fill(i)
+        return row
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.n))
+
+    @property
+    def nodes(self) -> range:
+        return range(self.n)
+
+    successors = dict.__getitem__
+
+
+@dataclass(frozen=True, eq=False)
 class DynamicsGraph:
     """Update dynamics over positional profiles.
 
     Node i is profile i of the numbering `profiles`.  succ[i] lists the
     indices node i updates to, ascending, and changed[i] the players each of
-    those updates changes, so index order is the one successor order.
+    those updates changes, so index order is the one successor order.  Both
+    are Rows: a profile's updates are worked out when either row is first
+    read.
     """
 
     kind: str
-    profiles: Profiles = field(compare=False, repr=False)
+    profiles: Profiles = field(repr=False)
     nodes: tuple  # StrategyProfile per index
-    succ: IndexGraph
-    changed: tuple  # per index: a frozenset of players per successor
-    names: tuple  # compact display name per index
+    succ: Rows
+    changed: Rows  # per index: a frozenset of players per successor
+
+    @cached_property
+    def names(self) -> tuple:
+        """Compact display name per index."""
+        return tuple(self.profiles.names(one_step=self.kind == "1"))
 
     @property
     def edges(self) -> frozenset:
@@ -56,6 +97,15 @@ class _Players(dict):
         return who
 
 
+def _most_updates(profiles: Profiles, concurrent: bool) -> int:
+    """The most updates one profile can have: every other choice at a
+    vertex, and for concurrent kinds every product over the players."""
+    spare = [0] * profiles.game.n_players
+    for owner, s in zip(profiles.owner, profiles.choices):
+        spare[owner - 1] += len(s) - 1
+    return math.prod(1 + m for m in spare) - 1 if concurrent else sum(spare)
+
+
 def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
                    force: bool = False) -> DynamicsGraph:
     """Dynamics graph over positional profiles for kind in KINDS.
@@ -63,6 +113,10 @@ def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
     Kind 1, the one-step dynamics of an acyclic arena, is p1 on its tree
     unfolding, with profiles labelled by history; its equilibria are the
     subgame perfect equilibria.
+
+    Rows are built when first read.  Only where the profiles could have
+    more than guard updates in all, and force is off, is every row built
+    here, in index order, counting the updates against the guard.
     """
     kind = kind.lower()
     if kind not in KINDS:
@@ -74,9 +128,11 @@ def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
     profiles.check(guard, force)
     best_reply = kind.startswith("b")
     groups = _Players()
-    succ, changed, updates = [], [], 0
-    for p, digits in enumerate(profiles.digits()):
-        by_player = profiles.moves(digits, best_reply)
+    pending = {}  # row p of changed, from when row p of succ is built to its first read
+
+    def updates(p: int) -> tuple:
+        """Row p of succ; row p of changed goes to pending."""
+        by_player = profiles.moves(profiles.digits_at(p), best_reply)
         # each update is (target, bit mask of the players it changes)
         if concurrent:
             out = [(p, 0)]
@@ -87,15 +143,25 @@ def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
             del out[0]
         else:
             out = [(p + d, 1 << i) for i, offsets in enumerate(by_player) for d in offsets]
-        updates += len(out)
-        if updates > guard and not force:
-            raise StateSpaceTooLarge(updates, guard, f"{kind} dynamics has over {guard} updates")
         out.sort()  # targets are unique, so masks are never compared
-        succ.append(tuple([t for t, _ in out]))
-        changed.append(tuple([groups[m] for _, m in out]))
+        pending[p] = tuple([groups[m] for _, m in out])
+        return tuple([t for t, _ in out])
+
+    def players(p: int) -> tuple:
+        succ[p]  # builds row p of succ, and so pending[p], unless it is built
+        return pending.pop(p)
+
+    # changed refers to succ, never the other way round, so a graph is
+    # freed as soon as it is dropped
+    succ, changed = Rows(profiles.count, updates), Rows(profiles.count, players)
+    if not force and profiles.count * _most_updates(profiles, concurrent) > guard:
+        count = 0
+        for row in succ:
+            count += len(row)
+            if count > guard:
+                raise StateSpaceTooLarge(count, guard, f"{kind} dynamics has over {guard} updates")
     return DynamicsGraph(kind=kind, profiles=profiles, nodes=tuple(profiles),
-                         succ=IndexGraph(succ), changed=tuple(changed),
-                         names=tuple(profiles.names(one_step=kind == "1")))
+                         succ=succ, changed=changed)
 
 
 # ---------------------------------------------------------------------------

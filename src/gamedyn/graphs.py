@@ -54,41 +54,62 @@ class Digraph:
         return tuple(nodes[j] for j in self.succ[self._pos[u]])
 
 
-def strongly_connected_components(g: Digraph) -> list[frozenset]:
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
-    index, low, on_stack, stack, sccs = {}, {}, set(), [], []
+def scc_stream(g):
+    """Tarjan's algorithm, iterative, over an int graph (g[i] lists node i's
+    successors): yields each component as a frozenset as soon as it
+    completes, in reverse topological order.
+
+    Roots and successors are taken in index order, and g[i] is read only
+    when node i is first reached, so a caller that stops early reads only
+    the rows its answer needed.
+    """
+    n = len(g)
+    index, low, on_stack, stack = [-1] * n, [0] * n, bytearray(n), []
     work = []  # (node, iterator over its remaining successors)
-
-    def visit(v):
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        on_stack.add(v)
-        work.append((v, iter(g.successors(v))))
-
-    for root in g.nodes:
-        if root in index:
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        visit(root)
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = 1
+        work.append((root, iter(g[root])))
         while work:
             v, succ = work[-1]
             for w in succ:
-                if w not in index:
-                    visit(w)
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = 1
+                    work.append((w, iter(g[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
                 if work:
                     u = work[-1][0]
-                    low[u] = min(low[u], low[v])
+                    if low[v] < low[u]:
+                        low[u] = low[v]
                 if low[v] == index[v]:
-                    comp = set()
-                    while v not in comp:
-                        comp.add(stack.pop())
-                    on_stack -= comp
-                    sccs.append(frozenset(comp))
-    return sccs
+                    comp = []
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp.append(w)
+                    yield frozenset(comp)
+
+
+def strongly_connected_components(g) -> list[frozenset]:
+    """Every component of scc_stream, in its order; for a Digraph, of node
+    names rather than indices."""
+    if isinstance(g, Digraph):
+        nodes = g.nodes
+        return [frozenset(nodes[i] for i in c) for c in scc_stream(g.succ)]
+    return list(scc_stream(g))
 
 
 def is_nontrivial(g: Digraph, scc: frozenset) -> bool:

@@ -68,6 +68,7 @@ class Profiles:
         for k in range(len(self.movers) - 2, -1, -1):
             self.weight[k] = self.weight[k + 1] * len(self.choices[k + 1])
         self.count = self.weight[0] * len(self.choices[0]) if self.movers else 1
+        self._places = [(w, len(s)) for w, s in zip(self.weight, self.choices)]
         self._pos = [{w: j for j, w in enumerate(s)} for s in self.choices]
         vid = {v: i for i, v in enumerate(game.vertices)}
         self._at = [vid[v] for v in self.movers]
@@ -104,7 +105,7 @@ class Profiles:
 
     def digits_at(self, i: int) -> list[int]:
         """Profile i's choice indices."""
-        return [i // w % len(s) for w, s in zip(self.weight, self.choices)]
+        return [i // w % r for w, r in self._places]
 
     def index(self, profile: StrategyProfile) -> int:
         """The profile's index; KeyError unless it chooses a successor at
@@ -219,6 +220,21 @@ class Profiles:
                 at = memo[key] = self._moves_at(k)
             by_player[player].extend(at[c][which])
         return by_player
+
+    def has_move(self, digits) -> bool:
+        """True iff some player has an improving move from the profile digits
+        spells, which is when some player has a best reply.  It reads the
+        memo as moves does, but stops at the first vertex with a move."""
+        self._walk(digits)
+        pid, memo = self._play_ids(), self._memo
+        for (k, ids_at, _), c in zip(self._keyed, digits):
+            key = (k, ids_at(pid))
+            at = memo.get(key)
+            if at is None:
+                at = memo[key] = self._moves_at(k)
+            if at[c][0]:
+                return True
+        return False
 
 
 def profile_count(game: Game) -> int:

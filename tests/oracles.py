@@ -312,3 +312,32 @@ def belief_analyses_by_enumeration(n_nodes, n_labels, delta):
                     seen.add(state)
                     todo.append(state)
     return sink_set, diamond, two_sinks, lfair
+
+
+def components_by_tarjan(nodes, edges):
+    """Tarjan's strongly connected components, recursive and dict-based, as
+    first published: roots in node order, each node's successors in node
+    order, every component a frozenset in the order it completes."""
+    order = {n: i for i, n in enumerate(nodes)}
+    out = {n: sorted((v for u, v in edges if u == n), key=order.__getitem__) for n in nodes}
+    index, low, stack, comps = {}, {}, [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for w in out[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = set()
+            while v not in comp:
+                comp.add(stack.pop())
+            comps.append(frozenset(comp))
+
+    for v in nodes:
+        if v not in index:
+            visit(v)
+    return comps

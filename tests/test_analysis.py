@@ -15,7 +15,7 @@ from gamedyn import (
     sinks,
     terminates,
 )
-from gamedyn.analysis import CANNOT_SWITCH, NON_SWITCHER, SWITCHES
+from gamedyn.analysis import CANNOT_SWITCH, NON_SWITCHER, SWITCHES, CycleWitness
 from gamedyn.errors import NonDeterministicBestReply
 
 from .conftest import load_game
@@ -39,6 +39,10 @@ def test_terminates_iff_no_cycle():
         assert terminates(dg) == (witness is None)
         if witness is not None:
             assert witness.validate(dg.digraph())
+
+
+def test_empty_cycle_witness_is_false(gdis):
+    assert CycleWitness(()).validate(build_dynamics(gdis, "pc").digraph()) is False
 
 
 def test_equilibria_are_exactly_sinks():

@@ -1,6 +1,9 @@
 """Update-dynamics graphs: unilateral, best-reply, concurrent, one-step."""
 
+import gc
 import json
+import random
+import weakref
 
 import pytest
 
@@ -10,6 +13,7 @@ from gamedyn import (
     build_dynamics,
     equilibria,
     find_cycle,
+    find_fair_cycle,
     parse_game,
 )
 from gamedyn.dynamics import KINDS
@@ -24,6 +28,7 @@ from .oracles import (
     one_step_by_enumeration,
     positional_dynamics_by_enumeration,
 )
+from .test_strategy import LOOP_BACK
 
 
 def edge_set(dg):
@@ -258,3 +263,130 @@ def test_belief_delta_matches_enumeration():
         assert [list(ts) for ts in bg.delta] == want
         checked += 1
     assert checked > 150 and nondeterministic > 20
+
+
+# ---------------------------------------------------------------------------
+# Rows built on first read
+
+
+def _verdicts(dg):
+    """Equilibria first, so that on a fresh graph they read no row."""
+    players = range(1, dg.profiles.game.n_players + 1)
+    return equilibria(dg), find_cycle(dg), find_fair_cycle(dg, players=players)
+
+
+def test_lazy_rows_equal_eager_rows():
+    games = [load_game(name) for name in FIXTURE_GAMES]
+    games += [parse_game(json.dumps(LOOP_BACK))] + [random_game(seed) for seed in range(200)]
+    rng = random.Random(0)
+    for game in games:
+        for kind in KINDS:
+            try:
+                eager = build_dynamics(game, kind)
+            except CyclicArena:
+                continue
+            succ, changed = list(eager.succ), list(eager.changed)
+            n = len(succ)
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            for order in (range(n), range(n - 1, -1, -1), shuffled):
+                dg = build_dynamics(game, kind)
+                # changed first on odd rows, so either row can build both
+                for i in order:
+                    if i % 2:
+                        assert (dg.changed[i], dg.succ[i]) == (changed[i], succ[i])
+                    else:
+                        assert (dg.succ[i], dg.changed[i]) == (succ[i], changed[i])
+            assert _verdicts(build_dynamics(game, kind)) == _verdicts(eager)
+
+
+def ring_game(n, family, players=3):
+    """An n-vertex ring as the `ring` benchmark builds one: each ring vertex
+    has an edge to the next and one to the terminal t.  Oscillating owners
+    prefer one hop round, then the direct edge; converging owners the
+    direct edge."""
+    order = [f"v{i}" for i in range(n)]
+    owner = {v: i % players + 1 for i, v in enumerate(order)}
+    nxt = {v: order[(i + 1) % n] for i, v in enumerate(order)}
+    prefs = {}
+    for p in range(1, players + 1):
+        mine = [v for v in order if owner[v] == p]
+        hop = [{"path": [v, nxt[v], "t"]} for v in mine]
+        direct = [{"path": [v, "t"]} for v in mine]
+        prefs[str(p)] = [hop, direct] if family == "oscillating" else [direct, hop]
+    return parse_game(json.dumps({
+        "players": players, "vertices": order + ["t"],
+        "edges": [[v, nxt[v]] for v in order] + [[v, "t"] for v in order],
+        "owner": owner, "preferences": prefs}))
+
+
+@pytest.fixture
+def moves_calls(monkeypatch):
+    """The profiles each Profiles.moves call is made for, in call order."""
+    calls, moves = [], Profiles.moves
+
+    def counted(self, digits, best_reply):
+        calls.append(tuple(digits))
+        return moves(self, digits, best_reply)
+
+    monkeypatch.setattr(Profiles, "moves", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["p1", "bp1", "pc", "bpc"])
+def test_searches_build_only_the_rows_they_read(kind, moves_calls):
+    oscillating = ring_game(10, "oscillating")
+    dg = build_dynamics(oscillating, kind)
+    assert moves_calls == []
+    assert find_cycle(dg) is not None
+    assert 0 < len(moves_calls) < 1024 / 5
+    assert find_fair_cycle(dg, players=(1, 2, 3)).fair
+    fresh = build_dynamics(oscillating, kind)
+    del moves_calls[:]
+    assert len(equilibria(fresh)) == 2 and moves_calls == []
+
+    converging = build_dynamics(ring_game(10, "converging"), kind)
+    assert _verdicts(converging)[1] is None
+    assert len(list(converging.succ)) == len(list(converging.changed)) == 1024
+    assert len(moves_calls) == len(set(moves_calls)) == 1024
+
+
+def _most_updates(game, kind):
+    """The most updates a profile of game can have under kind."""
+    spare = {p: 0 for p in range(1, game.n_players + 1)}
+    for v in game.non_terminals():
+        spare[game.owner[v]] += len(game.successors(v)) - 1
+    if kind in ("p1", "bp1"):
+        return sum(spare.values())
+    most = 1
+    for m in spare.values():
+        most *= 1 + m
+    return most - 1
+
+
+@pytest.mark.parametrize("kind", ["p1", "bp1", "pc", "bpc"])
+def test_update_guard_at_its_edge(fig5, kind, moves_calls):
+    count = Profiles(fig5).count
+    limit = count * _most_updates(fig5, kind)
+    lazy = build_dynamics(fig5, kind, guard=limit)
+    assert moves_calls == []
+    updates = sum(map(len, lazy.succ))
+    assert updates < limit
+    del moves_calls[:]
+    eager = build_dynamics(fig5, kind, guard=limit - 1)
+    assert len(moves_calls) == count
+    assert list(eager.succ) == list(lazy.succ) and len(moves_calls) == count
+
+
+def test_a_dropped_graph_is_freed_at_once(fig5):
+    """No reference cycle holds a graph's rows until the next collection."""
+    gc.disable()
+    try:
+        dg = build_dynamics(fig5, "pc")
+        find_cycle(dg)
+        dg.changed[3]
+        profiles = weakref.ref(dg.profiles)
+        del dg
+        assert profiles() is None
+    finally:
+        gc.enable()

@@ -1,16 +1,22 @@
 """Digraph utilities: SCCs, shortest paths, elementary cycles, transitive closure."""
 
 import random
+from itertools import islice
 
 from gamedyn.graphs import (
     Digraph,
+    scc_stream,
     shortest_path,
     simple_cycles,
     strongly_connected_components,
     transitive_closure,
 )
 
-from .oracles import closure_by_matrix_powers, elementary_cycles_by_enumeration
+from .oracles import (
+    closure_by_matrix_powers,
+    components_by_tarjan,
+    elementary_cycles_by_enumeration,
+)
 
 
 def random_digraph(seed, n=6, p=0.3, loops=False):
@@ -49,6 +55,20 @@ def test_scc_reverse_topological_order():
         for u, v in g.edges:
             # edges may only point to components emitted earlier
             assert pos[u] >= pos[v]
+
+
+def test_scc_stream_matches_reference_tarjan():
+    # the sparser graphs have branching trees, where successor order shows
+    graphs = [random_digraph(seed, loops=True) for seed in range(60)]
+    graphs += [random_digraph(seed, n=10, p=0.15, loops=True) for seed in range(60)]
+    for g in graphs:
+        want = components_by_tarjan(g.nodes, g.edges)
+        assert strongly_connected_components(g) == want
+        assert strongly_connected_components(g.succ) == [
+            frozenset(g.nodes.index(v) for v in c) for c in want]
+        for k in range(len(want) + 1):
+            stopped = islice(scc_stream(g.succ), k)
+            assert [frozenset(g.nodes[i] for i in c) for c in stopped] == want[:k]
 
 
 def test_transitive_closure_matches_oracle():
