@@ -80,8 +80,8 @@ class SourceMismatch(GameDynError):
 
 
 class SearchBudgetExceeded(GameDynError):
-    def __init__(self, budget):
-        super().__init__(f"search budget of {budget} expansions exceeded (result inconclusive)")
+    def __init__(self, budget, unit):
+        super().__init__(f"search budget of {budget} {unit} exceeded (result inconclusive)")
         self.budget = budget
 
 

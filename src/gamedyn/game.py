@@ -112,14 +112,13 @@ def canonicalize(path: Iterable[str], loop: Iterable[str] | None = None,
     return LassoPlay(tuple(stem), tuple(loop))
 
 
-def play_is_valid(game: "Game", play: Play) -> bool:
-    """True iff every step of the play is an arena edge and it is maximal."""
-    for u, v in play.steps():
-        if (u, v) not in game.edges:
-            return False
-    if isinstance(play, FinitePlay):
-        return play.path[-1] in game.terminals and all(v in game.vertex_set for v in play.path)
-    return all(v in game.vertex_set for v in play.vertices())
+def play_is_valid(play: Play, vertices: frozenset[str], edges: frozenset[tuple[str, str]],
+                  terminals: frozenset[str]) -> bool:
+    """True iff the play is a maximal walk of the arena: its vertices are
+    vertices, its steps edges, and a finite play ends in a terminal."""
+    return (play.vertices() <= vertices
+            and all(step in edges for step in play.steps())
+            and (not isinstance(play, FinitePlay) or play.path[-1] in terminals))
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +209,6 @@ class Game:
 
     def owned_by(self, player: int) -> tuple[str, ...]:
         return tuple(v for v in sorted(self.owner) if self.owner[v] == player)
-
-    def key(self):
-        """Canonical hashable identity, used for memoisation."""
-        prefs = tuple(
-            tuple(tuple(sorted(cls, key=str)) for cls in p.ranks) for p in self.preferences
-        )
-        return (
-            self.n_players,
-            tuple(sorted(self.vertices)),
-            tuple(sorted(self.edges)),
-            tuple(sorted(self.owner.items())),
-            prefs,
-        )
 
 
 def compare_plays(game: Game, player: int, p1: Play, p2: Play) -> Comparison:
@@ -399,7 +385,7 @@ def validate_game(game: Game) -> list[str]:
                 if play in seen:
                     out.append(f"DuplicatePlay(player {i}, {play})")
                 seen.add(play)
-                if not play_is_valid(game, play):
+                if not play_is_valid(play, game.vertex_set, game.edges, terms):
                     out.append(f"InvalidPlay(player {i}, {play})")
                 elif canonicalize_play(play) != play:
                     out.append(f"NonCanonicalPlay(player {i}, {play})")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 
 class IndexGraph(tuple):
@@ -145,8 +146,9 @@ def shortest_path(g: Digraph, source, targets, within=None) -> list | None:
     return None
 
 
-def simple_cycles(g: Digraph) -> list[list]:
-    """Every elementary cycle of g once, starting at its first node in node order.
+def simple_cycles(g: Digraph) -> Iterator[list]:
+    """Yields every elementary cycle of g once, starting at its first node in
+    node order.
 
     Johnson's algorithm (SIAM J. Comput. 4(1), 1975), iterative: roots are
     taken in node order, and the search from root s uses only nodes after s.
@@ -154,7 +156,6 @@ def simple_cycles(g: Digraph) -> list[list]:
     blocked nodes to release when w is.
     """
     rank = {v: i for i, v in enumerate(g.nodes)}
-    cycles = []
     for i, s in enumerate(g.nodes):
         blocked, B = {s}, {}
         path, succ = [s], [iter(g.successors(s))]
@@ -162,7 +163,7 @@ def simple_cycles(g: Digraph) -> list[list]:
         while path:
             for w in succ[-1]:
                 if w == s:
-                    cycles.append(list(path))
+                    yield list(path)
                     closed[-1] = True
                 elif rank[w] > i and w not in blocked:
                     blocked.add(w)
@@ -186,7 +187,6 @@ def simple_cycles(g: Digraph) -> list[list]:
                     for w in g.successors(v):
                         if rank[w] > i:
                             B.setdefault(w, set()).add(v)
-    return cycles
 
 
 def transitive_closure(g) -> Digraph:

@@ -4,6 +4,7 @@ pattern as a minor."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -24,6 +25,7 @@ from .game import (
     PreferenceOrder,
     canonicalize,
     compare_plays,
+    play_is_valid,
     positional_plays,
 )
 from .strategy import PROFILE_GUARD, Profiles
@@ -84,28 +86,34 @@ class DeletionScript:
         return DeletionScript(tuple(steps))
 
 
-def _restrict_preferences(game: Game, edges, vertices) -> tuple[PreferenceOrder, ...]:
-    """Keep only mentioned plays that are valid in the reduced arena."""
-    vset = frozenset(vertices)
-    with_out = {u for u, _ in edges}
-    terms = vset - with_out
-
-    def ok(play: Play) -> bool:
-        if not play.vertices() <= vset:
-            return False
-        if any(step not in edges for step in play.steps()):
-            return False
-        return not isinstance(play, FinitePlay) or play.path[-1] in terms
-
-    out = []
+def _reduced(game: Game, vertices, edges, labels, squeeze=None) -> Game:
+    """The game on a new arena, keeping the owners of the vertices that keep
+    a successor and, in each rank class, the plays that are maximal walks of
+    the arena; empty classes go.  With squeeze=(v, v2) every play first
+    drops v, which v2 follows, and two classes of one player that come to
+    share a play refuse the deletion of v."""
+    vset, edges = frozenset(vertices), frozenset(edges)
+    sources = {u for u, _ in edges}
+    terms = vset - sources
+    prefs = []
     for pref in game.preferences:
         ranks = []
-        for cls in pref.ranks:
-            kept = frozenset(p for p in cls if ok(p))
+        seen: dict[Play, int] = {}
+        for idx, cls in enumerate(pref.ranks):
+            kept = set()
+            for p in cls:
+                if squeeze is not None:
+                    if squeeze[0] in p.vertices():
+                        p = _drop_vertex_from_play(p, *squeeze)
+                    if seen.setdefault(p, idx) != idx:
+                        raise NotDeletable(squeeze[0], NotDeletable.PREDECESSOR_CONFLICT)
+                if play_is_valid(p, vset, edges, terms):
+                    kept.add(p)
             if kept:
-                ranks.append(kept)
-        out.append(PreferenceOrder(tuple(ranks)))
-    return tuple(out)
+                ranks.append(frozenset(kept))
+        prefs.append(PreferenceOrder(tuple(ranks)))
+    owner = {x: p for x, p in game.owner.items() if x in sources}
+    return Game(game.n_players, tuple(vertices), edges, owner, tuple(prefs), labels)
 
 
 def delete_edge(game: Game, edge: tuple[str, str]) -> Game:
@@ -114,12 +122,8 @@ def delete_edge(game: Game, edge: tuple[str, str]) -> Game:
     edge = tuple(edge)
     if edge not in game.edges:
         raise UnknownEdge(edge)
-    edges = frozenset(game.edges - {edge})
-    with_out = {u for u, _ in edges}
-    owner = {v: p for v, p in game.owner.items() if v in with_out}
-    prefs = _restrict_preferences(game, edges, game.vertices)
     labels = {e: l for e, l in game.edge_labels.items() if e != edge}
-    return Game(game.n_players, game.vertices, edges, owner, prefs, labels)
+    return _reduced(game, game.vertices, game.edges - {edge}, labels)
 
 
 def _drop_vertex_from_play(play: Play, v: str, succ: str) -> Play:
@@ -157,15 +161,7 @@ def delete_vertex(game: Game, v: str) -> Game:
     preds = game.predecessors(v)
     vertices = tuple(x for x in game.vertices if x != v)
     if not succs and not preds:
-        prefs = tuple(
-            PreferenceOrder(tuple(
-                kept for kept in (frozenset(p for p in cls if v not in p.vertices())
-                                  for cls in pref.ranks) if kept))
-            for pref in game.preferences
-        )
-        owner = {x: p for x, p in game.owner.items() if x != v}
-        return Game(game.n_players, vertices, game.edges, owner, prefs,
-                    dict(game.edge_labels))
+        return _reduced(game, vertices, game.edges, dict(game.edge_labels))
     if len(succs) != 1:
         raise NotDeletable(v, NotDeletable.MULTIPLE_SUCCESSORS)
     (v2,) = succs
@@ -209,25 +205,7 @@ def delete_vertex(game: Game, v: str) -> Game:
         edges.add((u, v2))
         if (u, v) in labels:
             labels[(u, v2)] = labels.pop((u, v))
-    owner = {x: p for x, p in game.owner.items() if x != v}
-
-    prefs = []
-    for pref in game.preferences:
-        ranks = []
-        seen: dict[Play, int] = {}
-        for idx, cls in enumerate(pref.ranks):
-            kept = set()
-            for p in cls:
-                q = _drop_vertex_from_play(p, v, v2) if v in p.vertices() else p
-                if q in seen and seen[q] != idx:
-                    raise NotDeletable(v, NotDeletable.PREDECESSOR_CONFLICT)
-                seen[q] = idx
-                kept.add(q)
-            if kept:
-                ranks.append(frozenset(kept))
-        prefs.append(PreferenceOrder(tuple(ranks)))
-    return Game(game.n_players, vertices, frozenset(edges), owner,
-                tuple(prefs), labels)
+    return _reduced(game, vertices, edges, labels, squeeze=(v, v2))
 
 
 def apply_step(game: Game, step: DeletionStep) -> Game:
@@ -319,17 +297,6 @@ def is_dis_pattern(game: Game) -> bool:
     )
 
 
-def _deletable_vertices(game: Game):
-    for v in game.non_terminals():
-        succs = game.successors(v)
-        if len(succs) != 1:
-            continue
-        (v2,) = succs
-        if any(v2 in game.successors(u) for u in game.predecessors(v)):
-            continue
-        yield v
-
-
 def _notg_dis_script(game: Game):
     """Constructive search when the game is a valid next-hop-only routing
     game: find a strong dispute wheel, extract its ring minor, then squeeze
@@ -349,8 +316,7 @@ def _notg_dis_script(game: Game):
     sdw = spp.find_sdw(otg)
     if sdw is None:
         return ("absent", None)  # the wheel search is exhaustive
-    _, ring_script = spp.extract_sdw_minor(otg, sdw)
-    ring = apply_script(game, ring_script)
+    ring, ring_script = spp.extract_sdw_minor(otg, sdw)
     steps = list(ring_script.steps)
     k = len(sdw.pivots)
     pivots = list(sdw.pivots)
@@ -380,9 +346,14 @@ def find_dis_minor(game: Game, *, budget: int = SEARCH_BUDGET) -> Optional[Delet
     if status == "absent":
         return None
 
+    def key(g):
+        # every game here lists its vertices and owners in the root's order,
+        # so equal keys are exactly equal vertex sets, edges, owners and ranks
+        return g.vertices, g.edges, tuple(g.owner.items()), tuple(p.ranks for p in g.preferences)
+
     # depth first on an explicit stack, which holds per game on the current
     # path its untried moves; steps[i] leads from stack[i] to stack[i + 1]
-    visited = {game.key()}
+    visited = {key(game)}
     spent = 0
     steps: list[DeletionStep] = []
     stack = []
@@ -390,13 +361,13 @@ def find_dis_minor(game: Game, *, budget: int = SEARCH_BUDGET) -> Optional[Delet
     while g is not None:
         spent += 1
         if spent > budget:
-            raise SearchBudgetExceeded(budget)
+            raise SearchBudgetExceeded(budget, "expansions")
         if is_dis_pattern(g):
             return DeletionScript(tuple(steps))
-        moves: list[DeletionStep] = []
-        if len(g.vertices) >= 3:
-            moves = [DeleteEdge(u, v) for u, v in sorted(g.edges)]
-            moves += [DeleteVertex(v) for v in _deletable_vertices(g)]
+        moves = ()
+        if len(g.vertices) >= 3:  # apply_step refuses the moves that do not apply
+            moves = itertools.chain((DeleteEdge(u, v) for u, v in sorted(g.edges)),
+                                    (DeleteVertex(v) for v in g.non_terminals()))
         stack.append((g, iter(moves)))
         g = None
         while stack and g is None:
@@ -406,7 +377,7 @@ def find_dis_minor(game: Game, *, budget: int = SEARCH_BUDGET) -> Optional[Delet
                     child = apply_step(parent, step)
                 except GameDynError:
                     continue
-                k = child.key()
+                k = key(child)
                 if k not in visited:
                     visited.add(k)
                     steps.append(step)

@@ -20,6 +20,7 @@ from .errors import (
     GameDynError,
     GameFormatError,
     InvalidSDW,
+    SearchBudgetExceeded,
     SuffixClosureRepairNeeded,
 )
 from .game import (
@@ -31,7 +32,8 @@ from .game import (
     positional_plays,
 )
 from .graphs import Digraph, simple_cycles
-from .minors import DeleteEdge, DeletionScript, DeleteVertex, apply_step, delete_edge
+from .minors import (SEARCH_BUDGET, DeleteEdge, DeletionScript, DeleteVertex, apply_step,
+                     delete_edge)
 from .strategy import PROFILE_GUARD, Profiles, StrategyProfile
 
 
@@ -231,10 +233,14 @@ def _dispute_digraph(otg: OneTargetGame):
 
 def _wheels(otg: OneTargetGame):
     """Every wheel candidate: the dispute digraph's cycles in repr order, each
-    with every choice of its links' prefixes, taken in sorted order."""
+    with every choice of its links' prefixes, taken in sorted order.  A
+    digraph with more than SEARCH_BUDGET cycles raises SearchBudgetExceeded."""
     nodes, decomps = _dispute_digraph(otg)
-    for cycle in sorted(simple_cycles(Digraph.from_edges(sorted(nodes, key=repr), decomps)),
-                        key=repr):
+    digraph = Digraph.from_edges(sorted(nodes, key=repr), decomps)
+    cycles = list(itertools.islice(simple_cycles(digraph), SEARCH_BUDGET + 1))
+    if len(cycles) > SEARCH_BUDGET:
+        raise SearchBudgetExceeded(SEARCH_BUDGET, "dispute-wheel cycles")
+    for cycle in sorted(cycles, key=repr):
         arcs = zip(cycle, cycle[1:] + cycle[:1])
         pivots, direct = zip(*cycle)
         for links in itertools.product(*(sorted(decomps[arc]) for arc in arcs)):
@@ -542,17 +548,13 @@ def parse_spp(text: str, *, complete_suffixes: bool = False) -> OneTargetGame:
                 suffix = p[m:]
                 if suffix not in ranked[w] and suffix not in missing:
                     missing.append(suffix)
-    while missing:
+    # every suffix of a missing suffix is a suffix of the same listed path,
+    # so adding the missing ones once closes the set
+    if missing:
         if not complete_suffixes:
             raise SuffixClosureRepairNeeded([list(s) for s in missing])
         for s in missing:
             ranked[s[0]].append(s)
-        missing = [
-            p[m:]
-            for node, paths in sorted(ranked.items()) for p in paths
-            for m in range(1, len(p) - 1)
-            if p[m:] not in ranked[p[m]]
-        ]
 
     players = sorted(ranked)
     vertices = sorted({origin} | {v for ps in ranked.values() for p in ps for v in p})

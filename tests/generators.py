@@ -13,6 +13,7 @@ from gamedyn import (
     DeletionScript,
     FinitePlay,
     Game,
+    LassoPlay,
     PreferenceOrder,
     OneTargetGame,
     delete_edge,
@@ -166,3 +167,21 @@ def random_notg(seed, max_nodes=5):
     return OneTargetGame(game, {
         i: frozenset(FinitePlay(r) for r in rs) for i, rs in permitted.items()
     })
+
+
+def game_doc(game):
+    """The game as a document of the input format."""
+    def play(p):
+        if isinstance(p, LassoPlay):
+            return {"lasso": {"stem": list(p.stem), "loop": list(p.loop)}}
+        return {"path": list(p.path)}
+
+    return {
+        "players": game.n_players,
+        "vertices": list(game.vertices),
+        "edges": [[u, v, game.edge_labels[(u, v)]] if (u, v) in game.edge_labels else [u, v]
+                  for u, v in sorted(game.edges)],
+        "owner": dict(game.owner),
+        "preferences": {str(i): [[play(p) for p in sorted(cls, key=str)] for cls in pref.ranks]
+                        for i, pref in enumerate(game.preferences, start=1)},
+    }

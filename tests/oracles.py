@@ -341,3 +341,237 @@ def components_by_tarjan(nodes, edges):
         if v not in index:
             visit(v)
     return comps
+
+
+# ---------------------------------------------------------------------------
+# Game minors on the raw game document
+#
+# A game document is the JSON object of the input format.  Inside these
+# oracles a finite play is its vertex tuple and a lasso the pair (stem, loop)
+# of vertex tuples; a deletion step is a script record, {"edge": [u, v]} or
+# {"vertex": v}.
+
+
+class Refused(Exception):
+    """A deletion the minor rules forbid: args are (reason,) for one step,
+    (reason, index) for a script, the reason named as the library names it."""
+
+
+def _is_lasso(play):
+    return isinstance(play[0], tuple)
+
+
+def _lasso(stem, loop):
+    """The lasso stem loop loop ... with the shortest stem, then the shortest
+    loop, found by trying every split against enough of the infinite word
+    (two ultimately periodic words that agree on their longer preperiod plus
+    both periods agree everywhere)."""
+    stem, loop = tuple(stem), tuple(loop)
+    n = len(stem) + 2 * len(loop)
+    word = (stem + loop * n)[:n]
+    for a in range(len(stem) + 1):
+        for b in range(1, len(loop) + 1):
+            if all(word[i] == word[a + (i - a) % b] for i in range(a, n)):
+                return word[:a], word[a:a + b]
+
+
+def _read_play(obj):
+    if "path" in obj:
+        return tuple(obj["path"])
+    return _lasso(obj["lasso"]["stem"], obj["lasso"]["loop"])
+
+
+def _write_play(play):
+    if _is_lasso(play):
+        return {"lasso": {"stem": list(play[0]), "loop": list(play[1])}}
+    return {"path": list(play)}
+
+
+def _ranks(doc):
+    """player (int) -> list of rank classes, each a list of plays."""
+    prefs = doc["preferences"]
+    return {i: [[_read_play(p) for p in cls] for cls in prefs.get(str(i), [])]
+            for i in range(1, doc["players"] + 1)}
+
+
+def _rank(classes, play):
+    return next((r for r, cls in enumerate(classes) if play in cls), len(classes))
+
+
+def minor_key(doc):
+    """A hashable value that two documents share iff they are the same game."""
+    ranks = _ranks(doc)
+    return (doc["players"], frozenset(doc["vertices"]),
+            frozenset(tuple(e) for e in doc["edges"]),
+            frozenset((v, p) for v, p in doc["owner"].items()),
+            tuple(tuple(frozenset(cls) for cls in ranks[i]) for i in sorted(ranks)))
+
+
+def _walks(play, vertices, edges):
+    """True iff the play is a maximal walk: known vertices, edge steps, and a
+    finite play stops only where no edge leaves."""
+    if _is_lasso(play):
+        stem, loop = play
+        seq = stem + loop + loop[:1]
+    else:
+        seq = play
+        if any(e[0] == seq[-1] for e in edges):
+            return False
+    return (all(v in vertices for v in seq)
+            and all(any((e[0], e[1]) == step for e in edges) for step in zip(seq, seq[1:])))
+
+
+def _rebuild(doc, vertices, edges, ranks):
+    """The document on the new arena: owners only where an edge leaves, each
+    player's plays that still walk it, and no empty rank class."""
+    prefs = {}
+    for i, classes in ranks.items():
+        kept = [[p for p in cls if _walks(p, vertices, edges)] for cls in classes]
+        prefs[str(i)] = [[_write_play(p) for p in cls] for cls in kept if cls]
+    sources = {e[0] for e in edges}
+    return {"players": doc["players"], "vertices": list(vertices), "edges": list(edges),
+            "owner": {v: p for v, p in doc["owner"].items() if v in sources},
+            "preferences": prefs}
+
+
+def _outcomes(doc):
+    """Every play that some positional profile produces from some vertex."""
+    vertices, edges = doc["vertices"], doc["edges"]
+    succ = {v: sorted(e[1] for e in edges if e[0] == v) for v in vertices}
+    movers = [v for v in vertices if succ[v]]
+    out = set()
+    for combo in product(*(succ[v] for v in movers)):
+        choice = dict(zip(movers, combo))
+        out |= {_play(succ, choice, v) for v in vertices}
+    return out
+
+
+def _seq(play):
+    """The vertices of the play in order, a lasso's stem then its loop."""
+    return play[0] + play[1] if _is_lasso(play) else play
+
+
+def _squeezed(play, x, y):
+    """The play with every x dropped; each x must be followed by y."""
+    seq = _seq(play)
+    nxt = seq[1:] + (play[1][:1] if _is_lasso(play) else (None,))
+    if any(v == x and w != y for v, w in zip(seq, nxt)):
+        raise Refused("InvalidPlay")
+    if _is_lasso(play):
+        return _lasso([v for v in play[0] if v != x], [v for v in play[1] if v != x])
+    return tuple(v for v in play if v != x)
+
+
+def delete_edge(doc, edge):
+    """The minor without the edge: plays through it and rank classes left
+    empty are dropped, and so is the owner of a vertex left without edges."""
+    edges = [e for e in doc["edges"] if (e[0], e[1]) != tuple(edge)]
+    if len(edges) == len(doc["edges"]):
+        raise Refused("UnknownEdge")
+    return _rebuild(doc, doc["vertices"], edges, _ranks(doc))
+
+
+def delete_vertex(doc, x):
+    """The minor without vertex x.
+
+    An isolated x just goes.  Otherwise x must have exactly one successor y
+    (else MultipleSuccessors) that none of x's predecessors has (else
+    PredecessorConflict); then x is squeezed out: each edge u->x becomes
+    u->y and every play drops its x's (InvalidPlay if an x is not followed
+    by y).  The squeeze is refused with PreferenceCollapse when a ranked
+    play containing x becomes the same play as another play, ranked apart
+    from it by the same player, and starts at a vertex that player owns;
+    the plays looked at are every profile outcome and every ranked play.
+    It is refused with PredecessorConflict when two rank classes of one
+    player come to share a play.
+    """
+    if x not in doc["vertices"]:
+        raise Refused("UnknownVertex")
+    succ = [e[1] for e in doc["edges"] if e[0] == x]
+    pred = [e[0] for e in doc["edges"] if e[1] == x]
+    vertices = [v for v in doc["vertices"] if v != x]
+    ranks = _ranks(doc)
+    if not succ and not pred:
+        return _rebuild(doc, vertices, doc["edges"], ranks)
+    if len(succ) != 1:
+        raise Refused("MultipleSuccessors")
+    (y,) = succ
+    if any([u, y] == e[:2] for u in pred for e in doc["edges"]):
+        raise Refused("PredecessorConflict")
+    universe = _outcomes(doc) | {p for classes in ranks.values() for cls in classes for p in cls}
+    image = {p: _squeezed(p, x, y) for p in universe}
+    sources = {e[0] for e in doc["edges"]} - {x}
+    for i, classes in ranks.items():
+        for p in (p for cls in classes for p in cls if x in _seq(p)):
+            start = _seq(image[p])[0]
+            if (start in sources and doc["owner"].get(start) == i
+                    and len({_rank(classes, r) for r in universe if image[r] == image[p]}) > 1):
+                raise Refused("PreferenceCollapse")
+    for classes in ranks.values():
+        seen = {}
+        for r, cls in enumerate(classes):
+            for p in cls:
+                if seen.setdefault(image[p], r) != r:
+                    raise Refused("PredecessorConflict")
+    edges = [e for e in doc["edges"] if e[:2] != [x, y]]
+    edges = [[e[0], y, *e[2:]] if e[1] == x else e for e in edges]
+    return _rebuild(doc, vertices, edges,
+                    {i: [[image[p] for p in cls] for cls in classes]
+                     for i, classes in ranks.items()})
+
+
+def apply_script(doc, steps):
+    """The minor after every step in order; Refused(reason, index) at the
+    first step refused."""
+    for index, step in enumerate(steps):
+        try:
+            if "edge" in step:
+                doc = delete_edge(doc, step["edge"])
+            else:
+                doc = delete_vertex(doc, step["vertex"])
+        except Refused as exc:
+            raise Refused(exc.args[0], index) from exc
+    return doc
+
+
+def is_dis_pattern(doc):
+    """A terminal t and two vertices a, b of different owners with just the
+    edges a->t, a->b, b->t, b->a, where a's owner ranks a->b->t strictly
+    above a->t and b's owner ranks b->a->t strictly above b->t."""
+    ranks = _ranks(doc)
+    edges = {(e[0], e[1]) for e in doc["edges"]}
+    if len(doc["vertices"]) != 3:
+        return False
+    for t in doc["vertices"]:
+        a, b = (v for v in doc["vertices"] if v != t)
+        if edges == {(a, t), (a, b), (b, t), (b, a)}:
+            i, j = doc["owner"].get(a), doc["owner"].get(b)
+            return (i is not None and j is not None and i != j
+                    and _rank(ranks[i], (a, b, t)) < _rank(ranks[i], (a, t))
+                    and _rank(ranks[j], (b, a, t)) < _rank(ranks[j], (b, t)))
+    return False
+
+
+def dis_minor_exists(doc):
+    """Whether some sequence of deletions turns the game into the
+    disagreement pattern: every game reachable by deleting edges and
+    vertices is tried.  No deletion adds a vertex or an edge, so a game with
+    fewer vertices or edges than the pattern is not expanded."""
+    seen, todo = {minor_key(doc)}, [doc]
+    while todo:
+        doc = todo.pop()
+        if is_dis_pattern(doc):
+            return True
+        if len(doc["vertices"]) < 3 or len(doc["edges"]) < 4:
+            continue
+        steps = [{"edge": e[:2]} for e in doc["edges"]] + [{"vertex": v} for v in doc["vertices"]]
+        for step in steps:
+            try:
+                child = apply_script(doc, [step])
+            except Refused:
+                continue
+            key = minor_key(child)
+            if key not in seen:
+                seen.add(key)
+                todo.append(child)
+    return False

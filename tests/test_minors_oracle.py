@@ -1,0 +1,116 @@
+"""Edge and vertex deletion, deletion scripts and the disagreement-pattern
+search, checked against the gamedyn-free oracles on the raw game document."""
+
+import json
+
+import pytest
+
+from gamedyn import (
+    DeletionScript,
+    apply_script,
+    delete_edge,
+    delete_vertex,
+    find_dis_minor,
+)
+from gamedyn.errors import GameDynError, NotDeletable, ScriptStepError
+
+from . import oracles
+from .conftest import FIXTURES, load_game
+from .generators import game_doc, random_game, random_notg, random_script
+
+
+def by_library(run):
+    """('minor', key) or ('refused', reason[, step index]) for a library call."""
+    try:
+        return ("minor", oracles.minor_key(game_doc(run())))
+    except ScriptStepError as exc:
+        cause = exc.cause
+        return ("refused", getattr(cause, "reason", type(cause).__name__), exc.index)
+    except NotDeletable as exc:
+        return ("refused", exc.reason)
+    except GameDynError as exc:
+        return ("refused", type(exc).__name__)
+
+
+def by_oracle(run):
+    try:
+        return ("minor", oracles.minor_key(run()))
+    except oracles.Refused as exc:
+        return ("refused", *exc.args)
+
+
+def assert_every_deletion_agrees(game, doc):
+    """Each edge and each vertex deleted alone, and one step too many."""
+    for u, v in sorted(game.edges):
+        assert by_library(lambda: delete_edge(game, (u, v))) == by_oracle(
+            lambda: oracles.delete_edge(doc, [u, v])), (u, v)
+    for v in game.vertices:
+        assert by_library(lambda: delete_vertex(game, v)) == by_oracle(
+            lambda: oracles.delete_vertex(doc, v)), v
+    assert by_library(lambda: delete_edge(game, ("nowhere", "else"))) == ("refused", "UnknownEdge")
+    assert by_oracle(lambda: oracles.delete_edge(doc, ["nowhere", "else"])) == (
+        "refused", "UnknownEdge")
+    assert by_library(lambda: delete_vertex(game, "nowhere")) == by_oracle(
+        lambda: oracles.delete_vertex(doc, "nowhere")) == ("refused", "UnknownVertex")
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "gdis"])
+def test_deletions_match_the_oracle_on_the_fixtures(name):
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    game = load_game(f"{name}.json")
+    assert by_oracle(lambda: doc) == by_library(lambda: game)
+    assert_every_deletion_agrees(game, doc)
+
+
+def test_deletions_match_the_oracle_on_random_games():
+    reasons = set()
+    for seed in range(300):
+        game = random_game(seed)
+        doc = game_doc(game)
+        assert by_oracle(lambda: doc) == by_library(lambda: game)
+        assert_every_deletion_agrees(game, doc)
+        reasons |= {by_oracle(lambda: oracles.delete_vertex(doc, v))[-1] for v in game.vertices}
+    # every refusal the rules know shows up, so each was compared at least once
+    assert {"MultipleSuccessors", "PredecessorConflict", "PreferenceCollapse"} <= reasons
+
+
+def test_deletions_match_the_oracle_on_routing_games():
+    for seed in range(150):
+        game = random_notg(seed).game
+        assert_every_deletion_agrees(game, game_doc(game))
+
+
+def test_scripts_match_the_oracle():
+    lengths = set()
+    for seed in range(200):
+        game = random_game(seed)
+        script = random_script(seed, game, max_steps=3)
+        doc = game_doc(game)
+        assert by_library(lambda: apply_script(game, script)) == by_oracle(
+            lambda: oracles.apply_script(doc, script.to_json())), seed
+        lengths.add(len(script.steps))
+        # one more step: a vertex of the minor, which the rules may refuse
+        steps = script.to_json() + [{"vertex": game.vertices[seed % len(game.vertices)]}]
+        longer = DeletionScript.from_json(steps)
+        assert by_library(lambda: apply_script(game, longer)) == by_oracle(
+            lambda: oracles.apply_script(doc, steps)), seed
+    assert lengths == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("family", ["random_game", "random_notg"])
+def test_find_dis_minor_agrees_with_a_brute_force_search(family):
+    """A script comes back iff some deletion sequence reaches the pattern,
+    and the script replays through the oracle to the pattern."""
+    found = 0
+    for seed in range(300):
+        if family == "random_game":
+            game = random_game(seed, max_vertices=4)
+        else:
+            game = random_notg(seed, max_nodes=4).game
+        doc = game_doc(game)
+        script = find_dis_minor(game)
+        assert (script is not None) == oracles.dis_minor_exists(doc), seed
+        if script is not None:
+            found += 1
+            assert oracles.is_dis_pattern(oracles.apply_script(doc, script.to_json())), seed
+    assert found > 0

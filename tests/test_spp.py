@@ -1,5 +1,7 @@
 """Single-destination routing games: validation, dispute wheels, safety."""
 
+import json
+
 import pytest
 
 from gamedyn import (
@@ -19,11 +21,14 @@ from gamedyn import (
     terminates,
     validate_otg,
 )
-from gamedyn.errors import InvalidSDW, SuffixClosureRepairNeeded
-from gamedyn.spp import DisputeWheel, sdw_violations
+from gamedyn.cli import EXIT_ERROR, run_cli
+from gamedyn.errors import InvalidSDW, SearchBudgetExceeded, SuffixClosureRepairNeeded
+from gamedyn.graphs import Digraph, simple_cycles
+from gamedyn.minors import SEARCH_BUDGET
+from gamedyn.spp import DisputeWheel, _dispute_digraph, sdw_violations
 
 from .conftest import load_spp
-from .generators import random_notg
+from .generators import game_doc, random_notg
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +109,26 @@ def test_wheel_conditions_hold_on_random_finds():
             assert dw.direct[i] in otg.permitted_at(u)
             assert dw.indirect(i) in otg.permitted_at(u)
             assert pref.rank_of(dw.indirect(i)) < pref.rank_of(dw.direct[i])
+
+
+def test_wheel_search_stops_at_the_cycle_budget(tmp_path, capsys):
+    """This instance's dispute digraph (48 nodes, 254 arcs) has more than
+    SEARCH_BUDGET elementary cycles, counted here from the generator.  The
+    wheel search takes one cycle past the budget and refuses; the command
+    line exits 5 on it."""
+    otg = random_notg(88, max_nodes=6)
+    nodes, decomps = _dispute_digraph(otg)
+    digraph = Digraph.from_edges(sorted(nodes, key=repr), decomps)
+    assert (len(digraph.nodes), sum(map(len, digraph.succ))) == (48, 254)
+    cycles = simple_cycles(digraph)
+    assert all(next(cycles, None) is not None for _ in range(SEARCH_BUDGET + 1))
+    with pytest.raises(SearchBudgetExceeded, match="100000 dispute-wheel cycles"):
+        find_dispute_wheel(otg)
+    path = tmp_path / "wheels.json"
+    path.write_text(json.dumps(game_doc(otg.game)))
+    assert run_cli(["dis-minor", str(path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "100000 dispute-wheel cycles exceeded" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
