@@ -4,77 +4,46 @@ Build arenas with per-player preferences, derive one-step / concurrent /
 best-reply update dynamics, decide (fair) termination, relate games through
 simulations and minors, and check the safety of stable-paths routing
 instances.
+
+Each exported name is imported from its module when it is first used
+(PEP 562), so a program loads only the modules it reads.
 """
 
-from .analysis import (
-    CycleWitness,
-    FairnessReport,
-    check_diamond,
-    equilibria,
-    find_cycle,
-    find_fair_cycle,
-    find_lfair_cycle,
-    reachable_two_sinks,
-    sinks,
-    terminates,
-)
-from .dynamics import (
-    BeliefGraph,
-    BeliefNode,
-    DynamicsGraph,
-    KINDS,
-    build_belief_graph,
-    build_dynamics,
-)
-from .dot import export_dot
-from .errors import GameDynError
-from .game import (
-    Comparison,
-    FinitePlay,
-    Game,
-    LassoPlay,
-    Play,
-    PreferenceOrder,
-    canonicalize,
-    compare_plays,
-    parse_game,
-    positional_plays,
-    validate_game,
-)
-from .minors import (
-    DeleteEdge,
-    DeleteVertex,
-    DeletionScript,
-    apply_script,
-    delete_edge,
-    delete_vertex,
-    find_dis_minor,
-    is_dis_pattern,
-    is_dominated,
-    script_is_dominant,
-)
-from .relations import (
-    Relation,
-    is_bisimulation,
-    is_partial_simulation,
-    is_simulation,
-    largest_simulation,
-    transitive_closure,
-)
-from .spp import (
-    DisputeWheel,
-    OneTargetGame,
-    SafetyStatus,
-    SafetyVerdict,
-    extract_sdw_minor,
-    find_dispute_wheel,
-    find_sdw,
-    is_notg,
-    otg_from_game,
-    parse_spp,
-    safety_verdict,
-    validate_otg,
-)
-from .strategy import StrategyProfile, enumerate_profiles, outcome
+from importlib import import_module as _import_module
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "analysis": ("CycleWitness", "FairnessReport", "check_diamond", "equilibria", "find_cycle",
+                 "find_fair_cycle", "find_lfair_cycle", "reachable_two_sinks", "sinks",
+                 "terminates"),
+    "dynamics": ("BeliefGraph", "BeliefNode", "DynamicsGraph", "KINDS", "build_belief_graph",
+                 "build_dynamics"),
+    "dot": ("export_dot",),
+    "errors": ("GameDynError",),
+    "game": ("Comparison", "FinitePlay", "Game", "LassoPlay", "Play", "PreferenceOrder",
+             "canonicalize", "compare_plays", "parse_game", "positional_plays",
+             "validate_game"),
+    "minors": ("DeleteEdge", "DeleteVertex", "DeletionScript", "apply_script", "delete_edge",
+               "delete_vertex", "find_dis_minor", "is_dis_pattern", "is_dominated",
+               "script_is_dominant"),
+    "relations": ("Relation", "is_bisimulation", "is_partial_simulation", "is_simulation",
+                  "largest_simulation", "transitive_closure"),
+    "spp": ("DisputeWheel", "OneTargetGame", "SafetyStatus", "SafetyVerdict",
+            "extract_sdw_minor", "find_dispute_wheel", "find_sdw", "is_notg", "otg_from_game",
+            "parse_spp", "safety_verdict", "validate_otg"),
+    "strategy": ("StrategyProfile", "enumerate_profiles", "outcome"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .dynamics import BeliefGraph, DynamicsGraph
+from .errors import Frozen
 from .graphs import Digraph, is_nontrivial, scc_stream, shortest_path
 
 
-@dataclass(frozen=True)
-class CycleWitness:
-    cycle: tuple  # non-empty closed walk: last -> first is an edge
+class CycleWitness(Frozen):
+    __slots__ = _fields = ("cycle",)  # a non-empty closed walk: last -> first is an edge
+
+    def __init__(self, cycle: tuple):
+        self._set(cycle=cycle)
 
     def validate(self, g: Digraph) -> bool:
         seq = self.cycle
@@ -23,11 +25,13 @@ CANNOT_SWITCH = "recurrently-cannot-switch"
 NON_SWITCHER = "enabled-non-switcher"
 
 
-@dataclass(frozen=True)
-class FairnessReport:
-    fair: bool  # True iff an infinite fair path exists
-    witness: Optional[CycleWitness]
-    per_player: Mapping[int, str]
+class FairnessReport(Frozen):
+    __slots__ = _fields = ("fair", "witness", "per_player")
+
+    def __init__(self, fair: bool, witness: Optional[CycleWitness],
+                 per_player: Mapping[int, str]):
+        """fair: True iff an infinite fair path exists."""
+        self._set(fair=fair, witness=witness, per_player=per_player)
 
     def describe(self, dg: DynamicsGraph) -> str:
         lines = ["fair cycle found" if self.fair else "no fair cycle"]

@@ -10,12 +10,17 @@ import os
 import sys
 from pathlib import Path
 
-from . import analysis, dynamics, minors, relations, spp
-from .dot import export_dot
-from .errors import GameDynError, GameFormatError, SuffixClosureRepairNeeded
+from .errors import (
+    KINDS,
+    PROFILE_GUARD,
+    SEARCH_BUDGET,
+    GameDynError,
+    GameFormatError,
+    SuffixClosureRepairNeeded,
+)
 from .game import parse_game
-from .minors import DeletionScript
-from .strategy import PROFILE_GUARD
+
+# each command imports the modules it runs, so a process loads no others
 
 log = logging.getLogger("gamedyn")
 
@@ -47,9 +52,13 @@ def _load_game(path: str):
 
 
 def _cmd_dynamics(args) -> int:
+    from . import analysis, dynamics
+
     game = _load_game(args.game)
     dg = dynamics.build_dynamics(game, args.kind, guard=args.guard, force=args.force)
     if args.output == "dot":
+        from .dot import export_dot
+
         sys.stdout.write(export_dot(dg))
         return EXIT_OK
     eq = sorted(dg.label(n) for n in analysis.equilibria(dg))
@@ -68,6 +77,8 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis, dynamics
+
     game = _load_game(args.game)
     dg = dynamics.build_dynamics(game, args.kind, guard=args.guard, force=args.force)
     if args.check == "termination":
@@ -98,12 +109,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_minor(args) -> int:
+    from . import dynamics, minors, relations
+
     game = _load_game(args.game)
     try:
         data = json.loads(Path(args.script).read_text(encoding="utf-8"))
     except RecursionError as exc:
         raise GameFormatError(f"invalid JSON: {exc}") from exc
-    minor = minors.apply_script(game, DeletionScript.from_json(data))
+    minor = minors.apply_script(game, minors.DeletionScript.from_json(data))
     small, big = (dynamics.build_dynamics(g, args.kind, guard=args.guard, force=args.force)
                   for g in (minor, game))
     _, full = relations.largest_simulation(small, big)
@@ -129,6 +142,8 @@ def _parse_edge(text: str):
 
 
 def _cmd_dominated(args) -> int:
+    from . import minors
+
     game = _load_game(args.game)
     e1, e2 = (_parse_edge(t) for t in args.edges)
     result = minors.is_dominated(game, e1, e2, guard=args.guard, force=args.force)
@@ -138,6 +153,8 @@ def _cmd_dominated(args) -> int:
 
 
 def _cmd_spp(args) -> int:
+    from . import spp
+
     otg = spp.parse_spp(Path(args.instance).read_text(encoding="utf-8"),
                         complete_suffixes=args.complete_suffixes)
     if args.action == "validate":
@@ -178,9 +195,13 @@ def _cmd_spp(args) -> int:
 
 
 def _cmd_belief(args) -> int:
+    from . import analysis, dynamics
+
     game = _load_game(args.game)
     bg = dynamics.build_belief_graph(game, guard=args.guard, force=args.force)
     if args.output == "dot":
+        from .dot import export_dot
+
         sys.stdout.write(export_dot(bg))
         return EXIT_OK
     all_sinks = sorted(bg.label(n) for n in analysis.sinks(bg))
@@ -207,6 +228,8 @@ def _cmd_belief(args) -> int:
 
 
 def _cmd_dis_minor(args) -> int:
+    from . import minors
+
     game = _load_game(args.game)
     script = minors.find_dis_minor(game, budget=args.budget)
     if script is None:
@@ -233,12 +256,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dynamics", help="build a dynamics graph")
     p.add_argument("game")
-    p.add_argument("--kind", choices=dynamics.KINDS, required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.set_defaults(func=_cmd_dynamics)
 
     p = sub.add_parser("analyze", help="termination / fairness / equilibria")
     p.add_argument("game")
-    p.add_argument("--kind", choices=dynamics.KINDS, required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--check", choices=("termination", "fair-termination", "equilibria"),
                    required=True)
     p.set_defaults(func=_cmd_analyze)
@@ -246,7 +269,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minor", help="apply a deletion script and verify simulation")
     p.add_argument("game")
     p.add_argument("--script", required=True)
-    p.add_argument("--kind", choices=dynamics.KINDS, default="p1")
+    p.add_argument("--kind", choices=KINDS, default="p1")
     p.set_defaults(func=_cmd_minor)
 
     p = sub.add_parser("dominated", help="check edge domination")
@@ -268,7 +291,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dis-minor", help="search for the disagreement pattern")
     p.add_argument("game")
-    p.add_argument("--budget", type=int, default=minors.SEARCH_BUDGET)
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
     p.set_defaults(func=_cmd_dis_minor)
     return ap
 

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import NonDeterministicBestReply, StateSpaceTooLarge
+from .errors import (KINDS, PROFILE_GUARD, Frozen, NonDeterministicBestReply,
+                     StateSpaceTooLarge)
 from .game import Game
 from .graphs import Digraph, IndexGraph, strongly_connected_components
-from .strategy import PROFILE_GUARD, Profiles, StrategyProfile, unfold
-
-KINDS = ("1", "p1", "bp1", "pc", "bpc")
+from .strategy import Profiles, StrategyProfile, unfold
 
 
 class Rows(dict):
@@ -49,22 +47,24 @@ class Rows(dict):
     successors = dict.__getitem__
 
 
-@dataclass(frozen=True, eq=False)
-class DynamicsGraph:
+class DynamicsGraph(Frozen):
     """Update dynamics over positional profiles.
 
     Node i is profile i of the numbering `profiles`.  succ[i] lists the
     indices node i updates to, ascending, and changed[i] the players each of
     those updates changes, so index order is the one successor order.  Both
     are Rows: a profile's updates are worked out when either row is first
-    read.
+    read.  Graphs are equal only to themselves.
     """
 
-    kind: str
-    profiles: Profiles = field(repr=False)
-    nodes: tuple  # StrategyProfile per index
-    succ: Rows
-    changed: Rows  # per index: a frozenset of players per successor
+    _fields = ("kind", "nodes", "succ", "changed")
+    __slots__ = _fields + ("profiles", "__dict__")  # the __dict__ holds names
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, kind: str, profiles: Profiles, nodes: tuple, succ: Rows, changed: Rows):
+        # nodes: a StrategyProfile per index; changed: per index, a frozenset
+        # of players per successor
+        self._set(kind=kind, profiles=profiles, nodes=nodes, succ=succ, changed=changed)
 
     @cached_property
     def names(self) -> tuple:
@@ -168,29 +168,34 @@ def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
 # Belief dynamics graph
 
 
-@dataclass(frozen=True)
-class BeliefNode:
+class BeliefNode(Frozen):
     """Row j is player j's belief: a full positional profile with row j's own
     component being player j's actual strategy."""
 
-    rows: tuple  # one StrategyProfile per player, index j-1
+    __slots__ = _fields = ("rows",)  # one StrategyProfile per player, index j-1
+
+    def __init__(self, rows: tuple):
+        object.__setattr__(self, "rows", rows)
 
     def row(self, player: int) -> StrategyProfile:
         return self.rows[player - 1]
 
 
-@dataclass(frozen=True)
-class BeliefGraph:
+class BeliefGraph(Frozen):
     """Node i is the i-th BeliefNode, whose rows' profile indices, read as
     digits of base profiles.count, spell i; delta[a][i] is the index node i
     steps to under label a."""
 
-    nodes: tuple
-    n_players: int
-    delta: tuple  # per label: a target index per node
-    names: tuple  # display name per index
-    v0: frozenset  # indices of the nodes whose rows all equal the true profile
-    profiles: Profiles = field(compare=False, repr=False)
+    _fields = ("nodes", "n_players", "delta", "names", "v0")
+    __slots__ = _fields + ("profiles", "__dict__")  # the __dict__ holds succ and sccs
+
+    def __init__(self, nodes: tuple, n_players: int, delta: tuple, names: tuple,
+                 v0: frozenset, profiles: Profiles):
+        # delta: per label, a target index per node; names: a display name
+        # per index; v0: the indices of the nodes whose rows all equal the
+        # true profile
+        self._set(nodes=nodes, n_players=n_players, delta=delta, names=names, v0=v0,
+                  profiles=profiles)
 
     @property
     def label_set(self):

@@ -1,4 +1,46 @@
-"""Exception types shared across the library."""
+"""Exception types, limits and the read-only value base shared across the
+library."""
+
+# dynamics kinds, and the default limits of the state space and of searches;
+# here so that the command line can offer them without importing the layers
+KINDS = ("1", "p1", "bp1", "pc", "bpc")
+PROFILE_GUARD = 10**7
+SEARCH_BUDGET = 10 ** 5
+
+
+class Frozen:
+    """A read-only value.  A subclass names in _fields the fields that its
+    repr shows, that its equality compares and that it hashes as a tuple,
+    as a frozen dataclass does; its __init__ sets them, and any other
+    slots, through _set."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _key(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class GameDynError(Exception):

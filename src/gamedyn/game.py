@@ -9,22 +9,31 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import GameFormatError, NotMaximal, UnknownVertex
+from .errors import Frozen, GameFormatError, NotMaximal, UnknownVertex
 
 
 # ---------------------------------------------------------------------------
 # Plays
 
 
-@dataclass(frozen=True)
-class FinitePlay:
+class FinitePlay(Frozen):
     """A maximal finite path; the last vertex is terminal."""
 
-    path: tuple[str, ...]
+    __slots__ = _fields = ("path",)
+
+    def __init__(self, path: tuple[str, ...]):
+        object.__setattr__(self, "path", path)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.path == other.path
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.path,))
 
     @property
     def start(self):
@@ -40,8 +49,7 @@ class FinitePlay:
         return "->".join(self.path)
 
 
-@dataclass(frozen=True)
-class LassoPlay:
+class LassoPlay(Frozen):
     """An ultimately-periodic infinite path: stem followed by a repeated loop.
 
     Canonical form: the loop is the primitive period and the stem is the
@@ -49,8 +57,19 @@ class LassoPlay:
     forced by the word itself).
     """
 
-    stem: tuple[str, ...]
-    loop: tuple[str, ...]
+    __slots__ = _fields = ("stem", "loop")
+
+    def __init__(self, stem: tuple[str, ...], loop: tuple[str, ...]):
+        object.__setattr__(self, "stem", stem)
+        object.__setattr__(self, "loop", loop)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.stem == other.stem and self.loop == other.loop
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.stem, self.loop))
 
     @property
     def start(self):
@@ -131,11 +150,14 @@ class Comparison(enum.Enum):
     GREATER = 1
 
 
-@dataclass(frozen=True)
-class PreferenceOrder:
+class PreferenceOrder(Frozen):
     """Ordinal ranks, best class first; unmentioned plays share a bottom class."""
 
-    ranks: tuple[frozenset[Play], ...]
+    _fields = ("ranks",)
+    __slots__ = _fields + ("__dict__",)  # the __dict__ holds _rank
+
+    def __init__(self, ranks: tuple[frozenset[Play], ...]):
+        self._set(ranks=ranks)
 
     @cached_property
     def _rank(self) -> dict:
@@ -169,30 +191,25 @@ class PreferenceOrder:
 # Games
 
 
-@dataclass(frozen=True)
-class Game:
-    n_players: int
-    vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
-    owner: Mapping[str, int]
-    preferences: tuple[PreferenceOrder, ...]
-    edge_labels: Mapping[tuple[str, str], str]
-    vertex_set: frozenset[str] = field(init=False, compare=False, repr=False)
-    terminals: frozenset[str] = field(init=False, compare=False, repr=False)
-    _succ: dict = field(init=False, compare=False, repr=False)
-    _pred: dict = field(init=False, compare=False, repr=False)
+class Game(Frozen):
+    _fields = ("n_players", "vertices", "edges", "owner", "preferences", "edge_labels")
+    __slots__ = _fields + ("vertex_set", "terminals", "_succ", "_pred")
 
-    def __post_init__(self):
+    def __init__(self, n_players: int, vertices: tuple[str, ...],
+                 edges: frozenset[tuple[str, str]], owner: Mapping[str, int],
+                 preferences: tuple[PreferenceOrder, ...],
+                 edge_labels: Mapping[tuple[str, str], str]):
         succ: dict[str, list[str]] = {}
         pred: dict[str, list[str]] = {}
-        for u, w in self.edges:
+        for u, w in edges:
             succ.setdefault(u, []).append(w)
             pred.setdefault(w, []).append(u)
-        object.__setattr__(self, "vertex_set", frozenset(self.vertices))
-        object.__setattr__(self, "terminals",
-                           frozenset(v for v in self.vertices if v not in succ))
-        object.__setattr__(self, "_succ", {u: tuple(sorted(ws)) for u, ws in succ.items()})
-        object.__setattr__(self, "_pred", {w: tuple(sorted(us)) for w, us in pred.items()})
+        self._set(n_players=n_players, vertices=vertices, edges=edges, owner=owner,
+                  preferences=preferences, edge_labels=edge_labels,
+                  vertex_set=frozenset(vertices),
+                  terminals=frozenset(v for v in vertices if v not in succ),
+                  _succ={u: tuple(sorted(ws)) for u, ws in succ.items()},
+                  _pred={w: tuple(sorted(us)) for w, us in pred.items()})
 
     def successors(self, v: str) -> tuple[str, ...]:
         return self._succ.get(v, ())

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
+
+from .errors import Frozen
 
 
 class IndexGraph(tuple):
@@ -24,12 +25,14 @@ class IndexGraph(tuple):
         return self[u]
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Frozen):
     """Node i is nodes[i], and its successors are succ[i], in that order."""
 
-    nodes: tuple
-    succ: IndexGraph
+    _fields = ("nodes", "succ")
+    __slots__ = _fields + ("__dict__",)  # the __dict__ holds _pos
+
+    def __init__(self, nodes: tuple, succ: IndexGraph):
+        self._set(nodes=nodes, succ=succ)
 
     @classmethod
     def from_edges(cls, nodes, edges) -> Digraph:

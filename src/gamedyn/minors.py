@@ -5,10 +5,12 @@ pattern as a minor."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import (
+    PROFILE_GUARD,
+    SEARCH_BUDGET,
+    Frozen,
     GameDynError,
     NotDeletable,
     ScriptStepError,
@@ -21,30 +23,31 @@ from .game import (
     Comparison,
     FinitePlay,
     Game,
+    LassoPlay,
     Play,
     PreferenceOrder,
-    canonicalize,
     compare_plays,
     play_is_valid,
     positional_plays,
 )
-from .strategy import PROFILE_GUARD, Profiles
-
-SEARCH_BUDGET = 10 ** 5
+from .strategy import Profiles
 
 
-@dataclass(frozen=True)
-class DeleteEdge:
-    source: str
-    target: str
+class DeleteEdge(Frozen):
+    __slots__ = _fields = ("source", "target")
+
+    def __init__(self, source: str, target: str):
+        self._set(source=source, target=target)
 
     def __str__(self):
         return f"edge ({self.source},{self.target})"
 
 
-@dataclass(frozen=True)
-class DeleteVertex:
-    vertex: str
+class DeleteVertex(Frozen):
+    __slots__ = _fields = ("vertex",)
+
+    def __init__(self, vertex: str):
+        self._set(vertex=vertex)
 
     def __str__(self):
         return f"vertex {self.vertex}"
@@ -53,9 +56,11 @@ class DeleteVertex:
 DeletionStep = Union[DeleteEdge, DeleteVertex]
 
 
-@dataclass(frozen=True)
-class DeletionScript:
-    steps: tuple[DeletionStep, ...]
+class DeletionScript(Frozen):
+    __slots__ = _fields = ("steps",)
+
+    def __init__(self, steps: tuple[DeletionStep, ...]):
+        self._set(steps=steps)
 
     def to_json(self):
         out = []
@@ -145,7 +150,7 @@ def _drop_vertex_from_play(play: Play, v: str, succ: str) -> Play:
         return FinitePlay(tuple(strip(play.path)))
     stem = strip(play.stem, cyclic_next=(play.loop[0] if play.loop else None))
     loop = strip(play.loop, cyclic_next=play.loop[0])
-    return canonicalize(stem, loop)
+    return LassoPlay(tuple(stem), tuple(loop))
 
 
 def delete_vertex(game: Game, v: str) -> Game:

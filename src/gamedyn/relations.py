@@ -6,16 +6,17 @@ or BeliefGraph); the checks run on indices and name only what they return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import Frozen
 from .graphs import transitive_closure  # re-exported
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Frozen):
     """Binary relation between nodes of a "small" graph and a "big" graph."""
 
-    pairs: frozenset  # of (node of small, node of big)
+    __slots__ = _fields = ("pairs",)  # a frozenset of (node of small, node of big)
+
+    def __init__(self, pairs: frozenset):
+        self._set(pairs=pairs)
 
     @property
     def domain(self) -> frozenset:

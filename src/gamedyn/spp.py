@@ -11,12 +11,12 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .analysis import equilibria, find_fair_cycle
-from .dynamics import build_dynamics
 from .errors import (
+    PROFILE_GUARD,
+    SEARCH_BUDGET,
+    Frozen,
     GameDynError,
     GameFormatError,
     InvalidSDW,
@@ -32,15 +32,18 @@ from .game import (
     positional_plays,
 )
 from .graphs import Digraph, simple_cycles
-from .minors import (SEARCH_BUDGET, DeleteEdge, DeletionScript, DeleteVertex, apply_step,
-                     delete_edge)
-from .strategy import PROFILE_GUARD, Profiles, StrategyProfile
+from .minors import DeleteEdge, DeletionScript, DeleteVertex, apply_step, delete_edge
+from .strategy import Profiles, StrategyProfile
+
+# the functions that build dynamics import dynamics and analysis themselves,
+# so that validating an instance and the wheel searches load neither
 
 
-@dataclass(frozen=True)
-class OneTargetGame:
-    game: Game
-    permitted: Mapping[int, frozenset]  # player -> set of FinitePlay
+class OneTargetGame(Frozen):
+    __slots__ = _fields = ("game", "permitted")
+
+    def __init__(self, game: Game, permitted: Mapping[int, frozenset[FinitePlay]]):
+        self._set(game=game, permitted=permitted)
 
     def player_vertex(self, player: int) -> str:
         (v,) = self.game.owned_by(player)
@@ -55,8 +58,7 @@ class OneTargetGame:
         return self.permitted[self.game.owner[vertex]]
 
 
-@dataclass(frozen=True)
-class DisputeWheel:
+class DisputeWheel(Frozen):
     """Pivots u_1..u_k, their direct paths, and the connecting prefixes.
 
     links[i] is the vertex sequence from pivots[i] up to (but excluding)
@@ -64,9 +66,11 @@ class DisputeWheel:
     permitted path of pivots[i].
     """
 
-    pivots: tuple[str, ...]
-    direct: tuple[FinitePlay, ...]
-    links: tuple[tuple[str, ...], ...]
+    __slots__ = _fields = ("pivots", "direct", "links")
+
+    def __init__(self, pivots: tuple[str, ...], direct: tuple[FinitePlay, ...],
+                 links: tuple[tuple[str, ...], ...]):
+        self._set(pivots=pivots, direct=direct, links=links)
 
     @property
     def k(self) -> int:
@@ -103,11 +107,11 @@ class SafetyStatus(enum.Enum):
         return False
 
 
-@dataclass(frozen=True)
-class SafetyVerdict:
-    status: SafetyStatus
-    evidence: object
-    method: str
+class SafetyVerdict(Frozen):
+    __slots__ = _fields = ("status", "evidence", "method")
+
+    def __init__(self, status: SafetyStatus, evidence: object, method: str):
+        self._set(status=status, evidence=evidence, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +332,8 @@ def extract_sdw_minor(otg: OneTargetGame, sdw: DisputeWheel):
     pivots routing around the ring vs. all routing direct) as a sanity
     certificate.  Returns (minor, script).
     """
+    from .dynamics import build_dynamics
+
     problems = sdw_violations(otg, sdw)
     if problems:
         raise InvalidSDW("; ".join(problems))
@@ -436,6 +442,9 @@ def _sdw_bpc_oscillation(otg: OneTargetGame, sdw: DisputeWheel):
 
 
 def _structural_verdict(otg: OneTargetGame, guard: int, force: bool) -> SafetyVerdict:
+    from .analysis import equilibria
+    from .dynamics import build_dynamics
+
     dw = find_dispute_wheel(otg)
     if dw is None:
         return SafetyVerdict(SafetyStatus.SAFE_NO_DW, None,
@@ -459,6 +468,9 @@ def _structural_verdict(otg: OneTargetGame, guard: int, force: bool) -> SafetyVe
 
 
 def _exact_verdict(otg: OneTargetGame, guard: int, force: bool) -> SafetyVerdict:
+    from .analysis import find_fair_cycle
+    from .dynamics import build_dynamics
+
     dg = build_dynamics(otg.game, "bpc", guard=guard, force=force)
     report = find_fair_cycle(dg, players=range(1, otg.game.n_players + 1))
     if report.fair:

@@ -4,21 +4,28 @@ and the tree unfolding."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import CyclicArena, StateSpaceTooLarge, UnknownVertex
+from .errors import PROFILE_GUARD, CyclicArena, Frozen, StateSpaceTooLarge, UnknownVertex
 from .game import FinitePlay, Game, Play, PreferenceOrder, canonicalize
 from .graphs import Digraph, is_nontrivial, strongly_connected_components
 
-PROFILE_GUARD = 10**7
 
-
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(Frozen):
     """One successor choice per non-terminal vertex."""
 
-    items: tuple[tuple[str, str], ...]  # sorted (vertex, successor) pairs
+    __slots__ = _fields = ("items",)  # sorted (vertex, successor) pairs
+
+    def __init__(self, items: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "items", items)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.items == other.items
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.items,))
 
     @classmethod
     def from_dict(cls, choice):

@@ -202,15 +202,59 @@ def test_witnesses_do_not_depend_on_hash_seed(argv):
     assert len(outs) == 1 and "cycle" in outs.pop()
 
 
+def _modules_added(statements):
+    """The modules that running statements adds to a fresh interpreter's."""
+    probe = ("import sys; before = set(sys.modules); " + statements
+             + "; print(); print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=_subprocess_env(),
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+EXPORTED = [
+    "BeliefGraph", "BeliefNode", "Comparison", "CycleWitness", "DeleteEdge", "DeleteVertex",
+    "DeletionScript", "DisputeWheel", "DynamicsGraph", "FairnessReport", "FinitePlay", "Game",
+    "GameDynError", "KINDS", "LassoPlay", "OneTargetGame", "Play", "PreferenceOrder",
+    "Relation", "SafetyStatus", "SafetyVerdict", "StrategyProfile", "apply_script",
+    "build_belief_graph", "build_dynamics", "canonicalize", "check_diamond", "compare_plays",
+    "delete_edge", "delete_vertex", "enumerate_profiles", "equilibria", "export_dot",
+    "extract_sdw_minor", "find_cycle", "find_dis_minor", "find_dispute_wheel",
+    "find_fair_cycle", "find_lfair_cycle", "find_sdw", "is_bisimulation", "is_dis_pattern",
+    "is_dominated", "is_notg", "is_partial_simulation", "is_simulation", "largest_simulation",
+    "otg_from_game", "outcome", "parse_game", "parse_spp", "positional_plays",
+    "reachable_two_sinks", "safety_verdict", "script_is_dominant", "sinks", "terminates",
+    "transitive_closure", "validate_game", "validate_otg",
+]
+
+
+def test_package_lists_its_exports():
+    import gamedyn
+
+    assert len(EXPORTED) == 60
+    assert gamedyn.__all__ == EXPORTED
+    assert set(EXPORTED) <= set(dir(gamedyn))
+
+
 def test_cli_imports_only_the_standard_library():
-    probe = ("import sys; before = set(sys.modules); import gamedyn.cli; "
-             "print(*sorted(set(sys.modules) - before))")
-    loaded = subprocess.run([sys.executable, "-c", probe], cwd=ROOT,
-                            env=_subprocess_env(), capture_output=True, text=True,
-                            timeout=120, check=True).stdout.split()
-    assert "gamedyn.cli" in loaded
+    # every exported name is resolved too, which loads each module of the package
+    loaded = _modules_added("import gamedyn, gamedyn.cli; "
+                            "[getattr(gamedyn, name) for name in gamedyn.__all__]")
+    assert {"gamedyn.cli", "gamedyn.spp", "gamedyn.minors", "gamedyn.relations",
+            "gamedyn.dot"} <= loaded
     tops = {name.partition(".")[0] for name in loaded}
     assert {t for t in tops if t != "gamedyn" and t not in sys.stdlib_module_names} == set()
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["analyze", "fixtures/gdis.json", "--kind", "p1", "--check", "termination"],
+     {"gamedyn.spp", "gamedyn.minors", "gamedyn.relations", "gamedyn.dot"}),
+    (["spp", "sdw", "fixtures/safe.spp.json"], {"gamedyn.dynamics", "gamedyn.analysis"}),
+], ids=["analyze", "spp-sdw"])
+def test_a_command_loads_only_the_modules_it_runs(argv, unused):
+    loaded = _modules_added(f"from gamedyn.cli import run_cli; run_cli({argv!r})")
+    assert "gamedyn.cli" in loaded
+    assert not loaded & ({"dataclasses", "inspect"} | unused)
 
 
 GDIS_DOC = json.loads((FIXTURES / "gdis.json").read_text())

@@ -13,6 +13,8 @@ from gamedyn import (
     find_dis_minor,
 )
 from gamedyn.errors import GameDynError, NotDeletable, ScriptStepError
+from gamedyn.game import LassoPlay, canonicalize, parse_game, positional_plays
+from gamedyn.minors import _drop_vertex_from_play
 
 from . import oracles
 from .conftest import FIXTURES, load_game
@@ -78,6 +80,49 @@ def test_deletions_match_the_oracle_on_routing_games():
     for seed in range(150):
         game = random_notg(seed).game
         assert_every_deletion_agrees(game, game_doc(game))
+
+
+def is_canonical(play):
+    return canonicalize(play.stem, play.loop) == play
+
+
+def test_squeezed_lassos_are_already_canonical():
+    """Dropping v, which v2 follows, shortens a lasso's stem or loop period
+    only where a predecessor of v already steps to v2 (stem ..x v, loop v2..x;
+    or loop a v a with a -> a), and delete_vertex refuses that first as
+    PredecessorConflict, so the squeeze needs no canonicalize."""
+    games = [load_game(f"{name}.json") for name in ("fig2", "fig3", "fig4", "fig5", "gdis")]
+    games += [random_game(seed) for seed in range(300)]
+    games += [random_notg(seed).game for seed in range(150)]
+    squeezed = 0
+    for game in games:
+        plays = set().union(*(positional_plays(game, x) for x in game.vertices),
+                            *(pref.mentioned() for pref in game.preferences))
+        for v in game.vertices:
+            (v2, *more) = game.successors(v) or (None,)
+            if v2 is None or more or any(v2 in game.successors(u)
+                                         for u in game.predecessors(v)):
+                continue
+            for play in plays:
+                if isinstance(play, LassoPlay) and v in play.vertices():
+                    assert is_canonical(_drop_vertex_from_play(play, v, v2)), (play, v)
+                    squeezed += 1
+    assert squeezed > 1000
+
+    # both shortening shapes, ranked: each is refused before any play is rewritten
+    for stem, loop in ((("x", "v"), ("w", "x")), ((), ("a", "v", "a"))):
+        seq = stem + loop
+        edges = set(zip(seq, seq[1:] + loop[:1]))
+        v2 = loop[0]
+        vertices = sorted({x for e in edges for x in e})
+        game = parse_game(json.dumps({
+            "players": 1, "vertices": vertices, "edges": sorted(map(list, edges)),
+            "owner": {x: 1 for x in vertices},
+            "preferences": {"1": [[{"lasso": {"stem": list(stem), "loop": list(loop)}}]]}}))
+        assert game.successors("v") == (v2,)
+        assert not is_canonical(_drop_vertex_from_play(LassoPlay(stem, loop), "v", v2))
+        with pytest.raises(NotDeletable, match="PredecessorConflict"):
+            delete_vertex(game, "v")
 
 
 def test_scripts_match_the_oracle():

@@ -53,15 +53,12 @@ def test_validate_detects_broken_suffix_closure(gdis, gdis_otg):
 
 
 def test_validate_detects_tied_next_hops(gdis, gdis_otg):
-    import dataclasses
-
-    from gamedyn.game import PreferenceOrder
+    from gamedyn.game import Game, PreferenceOrder
 
     pref1 = gdis.preference(1)
     tied = PreferenceOrder((pref1.ranks[0] | pref1.ranks[1],) + pref1.ranks[2:])
-    game = dataclasses.replace(
-        gdis, preferences=(tied,) + gdis.preferences[1:]
-    )
+    game = Game(gdis.n_players, gdis.vertices, gdis.edges, gdis.owner,
+                (tied,) + gdis.preferences[1:], gdis.edge_labels)
     problems = validate_otg(game, otg_from_game(game).permitted)
     assert any(p.startswith("SameNextHopTies") for p in problems)
 
