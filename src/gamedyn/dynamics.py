@@ -175,7 +175,7 @@ class BeliefNode(Frozen):
     __slots__ = _fields = ("rows",)  # one StrategyProfile per player, index j-1
 
     def __init__(self, rows: tuple):
-        object.__setattr__(self, "rows", rows)
+        self._set(rows=rows)
 
     def row(self, player: int) -> StrategyProfile:
         return self.rows[player - 1]

@@ -25,15 +25,9 @@ class FinitePlay(Frozen):
     __slots__ = _fields = ("path",)
 
     def __init__(self, path: tuple[str, ...]):
+        # set directly, not through _set: plays are built in every search,
+        # and the keyword call doubles the cost of building one
         object.__setattr__(self, "path", path)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.path == other.path
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.path,))
 
     @property
     def start(self):
@@ -60,16 +54,8 @@ class LassoPlay(Frozen):
     __slots__ = _fields = ("stem", "loop")
 
     def __init__(self, stem: tuple[str, ...], loop: tuple[str, ...]):
-        object.__setattr__(self, "stem", stem)
+        object.__setattr__(self, "stem", stem)  # directly, as in FinitePlay
         object.__setattr__(self, "loop", loop)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.stem == other.stem and self.loop == other.loop
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.stem, self.loop))
 
     @property
     def start(self):

@@ -17,15 +17,7 @@ class StrategyProfile(Frozen):
     __slots__ = _fields = ("items",)  # sorted (vertex, successor) pairs
 
     def __init__(self, items: tuple[tuple[str, str], ...]):
-        object.__setattr__(self, "items", items)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.items == other.items
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.items,))
+        object.__setattr__(self, "items", items)  # directly, as in FinitePlay
 
     @classmethod
     def from_dict(cls, choice):

@@ -235,6 +235,13 @@ def test_package_lists_its_exports():
     assert set(EXPORTED) <= set(dir(gamedyn))
 
 
+def test_package_imports_a_name_or_submodule_on_first_use():
+    loaded = _modules_added("import gamedyn; assert gamedyn.KINDS[0] == '1'; "
+                            "assert gamedyn.graphs.__name__ == 'gamedyn.graphs'")
+    assert {"gamedyn.errors", "gamedyn.graphs"} <= loaded
+    assert not loaded & {"gamedyn.game", "gamedyn.dynamics", "gamedyn.cli"}
+
+
 def test_cli_imports_only_the_standard_library():
     # every exported name is resolved too, which loads each module of the package
     loaded = _modules_added("import gamedyn, gamedyn.cli; "
