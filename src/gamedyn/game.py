@@ -179,7 +179,7 @@ class PreferenceOrder(Frozen):
 
 class Game(Frozen):
     _fields = ("n_players", "vertices", "edges", "owner", "preferences", "edge_labels")
-    __slots__ = _fields + ("vertex_set", "terminals", "_succ", "_pred")
+    __slots__ = _fields + ("vertex_set", "terminals", "_succ", "_pred", "_ranked")
 
     def __init__(self, n_players: int, vertices: tuple[str, ...],
                  edges: frozenset[tuple[str, str]], owner: Mapping[str, int],
@@ -212,6 +212,31 @@ class Game(Frozen):
 
     def owned_by(self, player: int) -> tuple[str, ...]:
         return tuple(v for v in sorted(self.owner) if self.owner[v] == player)
+
+    def rank_table(self) -> tuple[dict, tuple[int, ...]]:
+        """Every ranked play's ranks, one per player, keyed by the indices in
+        vertices of its path (or stem + loop) and -1 (or len(stem)), a play
+        in two classes of one player taking the first, as in rank_of; and
+        the ranks of an unranked play.  A walk that visits each vertex once
+        takes FinitePlay(path) or LassoPlay(path[:i], path[i:]), so its key
+        finds its ranks.  Built on first use and kept outside the fields."""
+        try:
+            return self._ranked
+        except AttributeError:
+            pass
+        vid = {v: i for i, v in enumerate(self.vertices)}
+        bottom = tuple(len(pref.ranks) for pref in self.preferences)
+        table: dict[tuple, list[int]] = {}
+        for player, pref in enumerate(self.preferences):
+            for r, cls in reversed(list(enumerate(pref.ranks))):  # the first is written last
+                for play in cls:
+                    seq, i = ((play.path, -1) if isinstance(play, FinitePlay)
+                              else (play.stem + play.loop, len(play.stem)))
+                    if all(x in vid for x in seq):  # else it is never a walk
+                        key = (tuple([vid[x] for x in seq]), i)
+                        table.setdefault(key, list(bottom))[player] = r
+        object.__setattr__(self, "_ranked", ({k: tuple(r) for k, r in table.items()}, bottom))
+        return self._ranked
 
 
 def compare_plays(game: Game, player: int, p1: Play, p2: Play) -> Comparison:

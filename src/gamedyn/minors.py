@@ -94,9 +94,9 @@ class DeletionScript(Frozen):
 def _reduced(game: Game, vertices, edges, labels, squeeze=None) -> Game:
     """The game on a new arena, keeping the owners of the vertices that keep
     a successor and, in each rank class, the plays that are maximal walks of
-    the arena; empty classes go.  With squeeze=(v, v2) every play first
-    drops v, which v2 follows, and two classes of one player that come to
-    share a play refuse the deletion of v."""
+    the arena; empty classes go.  With squeeze=(v, images) every play
+    through v is first replaced by its image, and two classes of one player
+    that come to share a play refuse the deletion of v."""
     vset, edges = frozenset(vertices), frozenset(edges)
     sources = {u for u, _ in edges}
     terms = vset - sources
@@ -108,8 +108,7 @@ def _reduced(game: Game, vertices, edges, labels, squeeze=None) -> Game:
             kept = set()
             for p in cls:
                 if squeeze is not None:
-                    if squeeze[0] in p.vertices():
-                        p = _drop_vertex_from_play(p, *squeeze)
+                    p = squeeze[1].get(p, p)
                     if seen.setdefault(p, idx) != idx:
                         raise NotDeletable(squeeze[0], NotDeletable.PREDECESSOR_CONFLICT)
                 if play_is_valid(p, vset, edges, terms):
@@ -164,8 +163,8 @@ def delete_vertex(game: Game, v: str) -> Game:
         raise UnknownVertex(v)
     succs = game.successors(v)
     preds = game.predecessors(v)
-    vertices = tuple(x for x in game.vertices if x != v)
     if not succs and not preds:
+        vertices = tuple(x for x in game.vertices if x != v)
         return _reduced(game, vertices, game.edges, dict(game.edge_labels))
     if len(succs) != 1:
         raise NotDeletable(v, NotDeletable.MULTIPLE_SUCCESSORS)
@@ -174,31 +173,32 @@ def delete_vertex(game: Game, v: str) -> Game:
         if v2 in game.successors(u):
             raise NotDeletable(v, NotDeletable.PREDECESSOR_CONFLICT)
 
+    # every ranked play through v, rewritten; a play that is no walk at v
+    # refuses the deletion here, before any other check
+    images = {p: _drop_vertex_from_play(p, v, v2)
+              for pref in game.preferences for cls in pref.ranks for p in cls
+              if v in p.vertices()}
     # Squeezing must not merge differently-ranked plays into one play of the
     # minor (e.g. dropping a cycle vertex can identify two rotations of the
     # cycle, one ranked and one implicitly worst).  A merge only matters
     # where a rewritten ranked play lands on a play whose start vertex the
     # same player still owns afterwards: those are the plays that enter the
-    # player's outcome comparisons in the minor.
-    non_terminal_after = {u for u, _ in game.edges} - {v}
-    universe: set[Play] = set()
-    for x in game.vertices:
-        universe |= positional_plays(game, x)
-    for pref in game.preferences:
-        universe |= pref.mentioned()
-    for i, pref in enumerate(game.preferences, start=1):
-        mentioned = pref.mentioned()
-        ranks_by_image: dict[Play, set] = {}
-        rewritten: set[Play] = set()
+    # player's outcome comparisons in the minor.  Only then are all the
+    # plays that can land there, positional or ranked, scanned.
+    owner_after = {u: game.owner.get(u) for u, _ in game.edges if u != v}
+    stakes = [(pref, {images[p] for cls in pref.ranks for p in cls
+                      if p in images and owner_after.get(images[p].start) == i})
+              for i, pref in enumerate(game.preferences, start=1)]
+    if any(qs for _, qs in stakes):
+        universe = set().union(*(positional_plays(game, x) for x in game.vertices),
+                               *(pref.mentioned() for pref in game.preferences))
+        landing: dict[Play, list[Play]] = {}
         for p in universe:
-            q = _drop_vertex_from_play(p, v, v2) if v in p.vertices() else p
-            ranks_by_image.setdefault(q, set()).add(pref.rank_of(p))
-            if p in mentioned and v in p.vertices():
-                rewritten.add(q)
-        for q in rewritten:
-            if (q.start in non_terminal_after
-                    and game.owner.get(q.start) == i
-                    and len(ranks_by_image[q]) > 1):
+            q = images[p] if p in images else (
+                _drop_vertex_from_play(p, v, v2) if v in p.vertices() else p)
+            landing.setdefault(q, []).append(p)
+        for pref, qs in stakes:
+            if any(len({pref.rank_of(p) for p in landing[q]}) > 1 for q in qs):
                 raise NotDeletable(v, NotDeletable.PREFERENCE_COLLAPSE)
 
     edges = set(game.edges)
@@ -210,7 +210,8 @@ def delete_vertex(game: Game, v: str) -> Game:
         edges.add((u, v2))
         if (u, v) in labels:
             labels[(u, v2)] = labels.pop((u, v))
-    return _reduced(game, vertices, edges, labels, squeeze=(v, v2))
+    vertices = tuple(x for x in game.vertices if x != v)
+    return _reduced(game, vertices, edges, labels, squeeze=(v, images))
 
 
 def apply_step(game: Game, step: DeletionStep) -> Game:

@@ -32,11 +32,10 @@ from .game import (
     positional_plays,
 )
 from .graphs import Digraph, simple_cycles
-from .minors import DeleteEdge, DeletionScript, DeleteVertex, apply_step, delete_edge
-from .strategy import Profiles, StrategyProfile
 
-# the functions that build dynamics import dynamics and analysis themselves,
-# so that validating an instance and the wheel searches load neither
+# the functions that build minors or dynamics import minors, strategy,
+# dynamics and analysis themselves, so that validating an instance and the
+# wheel searches load none of them
 
 
 class OneTargetGame(Frozen):
@@ -333,6 +332,8 @@ def extract_sdw_minor(otg: OneTargetGame, sdw: DisputeWheel):
     certificate.  Returns (minor, script).
     """
     from .dynamics import build_dynamics
+    from .minors import DeleteEdge, DeletionScript, DeleteVertex, apply_step, delete_edge
+    from .strategy import StrategyProfile
 
     problems = sdw_violations(otg, sdw)
     if problems:
@@ -394,6 +395,8 @@ def _sdw_bpc_oscillation(otg: OneTargetGame, sdw: DisputeWheel):
     idle player could switch in both profiles (so the two-profile cycle is
     fair).  Returns (profile_ring, profile_direct) or None.
     """
+    from .strategy import Profiles, StrategyProfile
+
     game = otg.game
     hop: dict[str, str] = {}
     pivots = set(sdw.pivots)

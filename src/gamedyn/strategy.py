@@ -49,7 +49,7 @@ class Profiles:
     the k-th non-terminal (sorted), among its sorted successors, the last
     digit varying fastest.  Moving non-terminal k from choice c to c'
     therefore adds (c' - c) * weight[k].  Plays are walked on vertex ids and
-    ranked once each, through the players' play -> rank dicts.
+    ranked by their key in the game's rank table, without building a play.
 
     Equal plays share one int id (hash-consing): a terminal's id is fixed, a
     non-terminal's is the id of (vertex, id of the rest of the play), and a
@@ -72,7 +72,7 @@ class Profiles:
         vid = {v: i for i, v in enumerate(game.vertices)}
         self._at = [vid[v] for v in self.movers]
         self._succ = [tuple(vid[w] for w in s) for s in self.choices]
-        self._ranks = {}  # (vertex ids of the play, loop start or -1) -> rank per player
+        self._table, self._bottom = game.rank_table()
         self._next = [-1] * len(game.vertices)  # the walked profile; -1 at terminals
         self._ids = _Interned()  # play key -> play id
         # per vertex id: its play's id if it is a terminal, else -1
@@ -146,17 +146,8 @@ class Profiles:
             path.append(w)
             w = nxt[w]
             if w < 0:
-                key = (tuple(path), -1)
-                break
-        else:
-            key = (tuple(path), seen[w])
-        ranks = self._ranks.get(key)
-        if ranks is None:
-            names = [self.game.vertices[x] for x in path]
-            i = key[1]
-            play = FinitePlay(tuple(names)) if i < 0 else canonicalize(names[:i], names[i:])
-            ranks = self._ranks[key] = tuple(p.rank_of(play) for p in self.game.preferences)
-        return ranks
+                return self._table.get((tuple(path), -1), self._bottom)
+        return self._table.get((tuple(path), seen[w]), self._bottom)
 
     def _walk(self, digits):
         for x, s, c in zip(self._at, self._succ, digits):

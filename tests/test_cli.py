@@ -256,7 +256,8 @@ def test_cli_imports_only_the_standard_library():
 @pytest.mark.parametrize("argv, unused", [
     (["analyze", "fixtures/gdis.json", "--kind", "p1", "--check", "termination"],
      {"gamedyn.spp", "gamedyn.minors", "gamedyn.relations", "gamedyn.dot"}),
-    (["spp", "sdw", "fixtures/safe.spp.json"], {"gamedyn.dynamics", "gamedyn.analysis"}),
+    (["spp", "sdw", "fixtures/safe.spp.json"],
+     {"gamedyn.dynamics", "gamedyn.analysis", "gamedyn.minors", "gamedyn.strategy"}),
 ], ids=["analyze", "spp-sdw"])
 def test_a_command_loads_only_the_modules_it_runs(argv, unused):
     loaded = _modules_added(f"from gamedyn.cli import run_cli; run_cli({argv!r})")

@@ -19,7 +19,7 @@ from gamedyn import (
 from gamedyn.dynamics import KINDS
 from gamedyn.errors import CyclicArena, NonDeterministicBestReply, StateSpaceTooLarge
 from gamedyn.strategy import PROFILE_GUARD, Profiles, enumerate_profiles, outcome
-from gamedyn.game import Comparison, FinitePlay
+from gamedyn.game import Comparison, FinitePlay, Game, PreferenceOrder
 
 from .conftest import load_game
 from .generators import random_game
@@ -150,12 +150,28 @@ def test_one_step_matches_enumeration(fig2):
 
 
 def _play_ranks(game):
-    """Per player, {play: rank} in the oracles' play keys."""
+    """Per player, {play: rank} in the oracles' play keys; a play listed in
+    two classes takes the first, as rank_of does."""
     def key(play):
         return play.path if isinstance(play, FinitePlay) else (play.stem, play.loop)
 
-    return {i: {key(play): r for r, cls in enumerate(pref.ranks) for play in cls}
-            for i, pref in enumerate(game.preferences, start=1)}
+    ranks = {}
+    for i, pref in enumerate(game.preferences, start=1):
+        ranks[i] = {}
+        for r, cls in enumerate(pref.ranks):
+            for play in cls:
+                ranks[i].setdefault(key(play), r)
+    return ranks
+
+
+def _listed_twice():
+    """LOOP_BACK with a->t also in player 1's first class, which only a game
+    built without validation can hold."""
+    game = parse_game(json.dumps(LOOP_BACK))
+    first, second = game.preferences
+    doubled = PreferenceOrder(((first.ranks[0] | {FinitePlay(("a", "t"))}),) + first.ranks[1:])
+    return Game(game.n_players, game.vertices, game.edges, game.owner, (doubled, second),
+                game.edge_labels)
 
 
 def _positional_oracle(game, kind):
@@ -170,7 +186,7 @@ FIXTURE_GAMES = ("gdis.json", "fig2.json", "fig3.json", "fig4.json", "fig5.json"
 
 @pytest.mark.parametrize("kind", ["p1", "bp1", "pc", "bpc"])
 def test_positional_dynamics_match_enumeration(kind):
-    games = [load_game(name) for name in FIXTURE_GAMES]
+    games = [load_game(name) for name in FIXTURE_GAMES] + [_listed_twice()]
     for game in games + [random_game(seed) for seed in range(200)]:
         dg = build_dynamics(game, kind, force=True)
         labels, updates = _positional_oracle(game, kind)

@@ -88,6 +88,21 @@ def test_delete_vertex_rejects_play_that_skips_its_successor():
         delete_vertex(game, "v")
 
 
+def test_delete_vertex_refuses_an_invalid_play_before_a_collapse():
+    # squeezing v (v -> a -> t) lands the ranked v->a->t on a->t, which is
+    # in the bottom class: a collapse at a, which player 1 still owns
+    ranked = frozenset({FinitePlay(("v", "a", "t"))})
+    game = Game(1, ("a", "t", "v"), frozenset({("a", "t"), ("v", "a")}), {"a": 1, "v": 1},
+                (PreferenceOrder((ranked,)),), {})
+    with pytest.raises(NotDeletable, match="PreferenceCollapse"):
+        delete_vertex(game, "v")
+    # a ranked play in which v steps to t, not to a, is refused first
+    invalid = Game(1, game.vertices, game.edges, game.owner,
+                   (PreferenceOrder((ranked, frozenset({FinitePlay(("v", "t"))}))),), {})
+    with pytest.raises(NotDeletable, match="InvalidPlay"):
+        delete_vertex(invalid, "v")
+
+
 def test_delete_edge_unknown(fig2):
     with pytest.raises(UnknownEdge):
         delete_edge(fig2, ("v1", "vbot"))

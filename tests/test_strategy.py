@@ -1,5 +1,6 @@
 """Strategy profiles, outcomes, the tree unfolding."""
 
+import itertools
 import json
 import random
 
@@ -7,8 +8,12 @@ import pytest
 
 from gamedyn import (
     FinitePlay,
+    Game,
     LassoPlay,
+    PreferenceOrder,
     StrategyProfile,
+    canonicalize,
+    is_dominated,
     outcome,
     parse_game,
     positional_plays,
@@ -116,6 +121,71 @@ def test_moves_do_not_depend_on_visiting_order():
             profiles = Profiles(game)
             for i in order:
                 assert [profiles.moves(digits[i], b) for b in (False, True)] == want[i]
+
+
+def _ranked_directly():
+    """Games built without validation, ranking what a parsed game cannot:
+    a play in two classes of one player, a lasso through a vertex twice, a
+    play through a vertex outside the arena, and one play for two players."""
+    a_t, b_t, b_a_t = FinitePlay(("a", "t")), FinitePlay(("b", "t")), FinitePlay(("b", "a", "t"))
+    loop = LassoPlay((), ("a", "b"))
+    edges = frozenset({("a", "b"), ("a", "t"), ("b", "a"), ("b", "t")})
+    first = PreferenceOrder((frozenset({b_a_t, loop}), frozenset({a_t, b_a_t}),
+                             frozenset({LassoPlay(("a",), ("b", "a")), FinitePlay(("a", "z"))}),
+                             frozenset({b_t})))
+    second = PreferenceOrder((frozenset({b_t}), frozenset({b_t, LassoPlay((), ("b", "a"))}),
+                              frozenset({LassoPlay((), ("a", "b", "a", "t")), a_t})))
+    yield Game(2, ("a", "b", "t"), edges, {"a": 1, "b": 2}, (first, second), {})
+    yield Game(2, ("a", "b", "t"), edges, {"a": 2, "b": 1}, (second, first), {})
+    yield Game(1, ("a", "b", "t"), edges, {"a": 1, "b": 1}, (second,), {})
+
+
+def _play_by_names(game, profile, v, w):
+    """The play from v through w under the profile, built from vertex names."""
+    choice = profile.as_dict()
+    path = [v]
+    while w not in path:
+        path.append(w)
+        if w in game.terminals:
+            return canonicalize(path)
+        w = choice[w]
+    i = path.index(w)
+    return canonicalize(path[:i], path[i:])
+
+
+def test_ranks_come_from_the_table_exactly():
+    games = [load_game(f"{name}.json") for name in ("gdis", "fig2", "fig3", "fig4", "fig5")]
+    games += [parse_game(json.dumps(LOOP_BACK)), unfold(games[1]), *_ranked_directly()]
+    games += [random_game(seed) for seed in range(200)]
+    for game in games:
+        profiles = Profiles(game)
+        for profile, digits in zip(profiles, profiles.digits()):
+            for k, v in enumerate(profiles.movers):
+                want = [tuple(pref.rank_of(_play_by_names(game, profile, v, w))
+                              for pref in game.preferences) for w in profiles.choices[k]]
+                assert profiles.ranks(digits, k) == want, (profile, v)
+
+
+def test_moves_build_no_play(monkeypatch):
+    games = [load_game(f"{name}.json") for name in ("gdis", "fig2", "fig3", "fig4", "fig5")]
+    games += [parse_game(json.dumps(LOOP_BACK)), *_ranked_directly()]
+    games += [random_game(seed) for seed in range(100)]
+    for game in games:
+        game.rank_table()
+
+    def rank_of(pref, play):
+        raise AssertionError(f"rank_of({play}) on the hot path")
+
+    monkeypatch.setattr(PreferenceOrder, "rank_of", rank_of)
+    for game in games:
+        profiles = Profiles(game)
+        for digits in profiles.digits():
+            profiles.moves(digits, False)
+            profiles.moves(digits, True)
+            profiles.has_move(digits)
+        for v in game.non_terminals():
+            for w1, w2 in itertools.permutations(game.successors(v), 2):
+                is_dominated(game, (v, w1), (v, w2), force=True)
 
 
 # ---------------------------------------------------------------------------
