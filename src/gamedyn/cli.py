@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -22,8 +21,6 @@ from .game import parse_game
 
 # each command imports the modules it runs, so a process loads no others
 
-log = logging.getLogger("gamedyn")
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNSAFE = 3
@@ -31,11 +28,12 @@ EXIT_UNKNOWN = 4
 EXIT_ERROR = 5
 
 
-def _setup_logging():
-    level = os.environ.get("GAMEDYN_LOG", "warn").lower()
+def _setup_logging(level: str):
+    import logging  # only when asked for: it costs milliseconds at every start
+
     levels = {"error": logging.ERROR, "warn": logging.WARNING,
               "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level, logging.WARNING),
+    logging.basicConfig(level=levels.get(level.lower(), logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -297,7 +295,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    _setup_logging()
+    if os.environ.get("GAMEDYN_LOG"):
+        _setup_logging(os.environ["GAMEDYN_LOG"])
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

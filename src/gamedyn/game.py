@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import json
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import Frozen, GameFormatError, NotMaximal, UnknownVertex
 
@@ -253,21 +253,27 @@ def positional_plays(game: Game, v: str) -> frozenset[Play]:
     These are exactly the rho-shaped walks: a simple path to a terminal
     vertex, or a simple stem entering a simple cycle.
     """
+    # collected in a set first, so that the frozenset iterates as it always has
+    return frozenset(set(walk_positional_plays(game, v)))
+
+
+def walk_positional_plays(game: Game, v: str) -> Iterator[Play]:
+    """The plays of positional_plays(game, v), each once, depth first."""
     if v not in game.vertex_set:
         raise UnknownVertex(v)
     terms = game.terminals
     if v in terms:
-        return frozenset({FinitePlay((v,))})
-    out: set[Play] = set()
+        yield FinitePlay((v,))
+        return
     path, on_path = [v], {v: 0}  # on_path: vertex -> its index in path
     work = [iter(game.successors(v))]  # one successor iterator per path vertex
     while work:
         for w in work[-1]:
             if w in on_path:
                 i = on_path[w]
-                out.add(canonicalize(path[:i], path[i:]))
+                yield canonicalize(path[:i], path[i:])
             elif w in terms:
-                out.add(FinitePlay(tuple(path) + (w,)))
+                yield FinitePlay(tuple(path) + (w,))
             else:
                 on_path[w] = len(path)
                 path.append(w)
@@ -276,7 +282,17 @@ def positional_plays(game: Game, v: str) -> frozenset[Play]:
         else:
             work.pop()
             del on_path[path.pop()]
-    return frozenset(out)
+
+
+def is_positional_from(game: Game, v: str, play: Play) -> bool:
+    """True iff play is in positional_plays(game, v): it starts at v, visits
+    no vertex twice, its steps are edges, and a finite play ends at a
+    terminal.  Decided from the play alone, without the enumeration."""
+    finite = isinstance(play, FinitePlay)
+    seq = play.path if finite else play.stem + play.loop
+    return (bool(seq) and seq[0] == v and len(set(seq)) == len(seq)
+            and (seq[-1] in game.terminals if finite else bool(play.loop))
+            and game.edges.issuperset(play.steps()))
 
 
 # ---------------------------------------------------------------------------

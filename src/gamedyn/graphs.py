@@ -149,29 +149,28 @@ def shortest_path(g: Digraph, source, targets, within=None) -> list | None:
     return None
 
 
-def simple_cycles(g: Digraph) -> Iterator[list]:
-    """Yields every elementary cycle of g once, starting at its first node in
-    node order.
+def simple_cycles(g) -> Iterator[list[int]]:
+    """Yields every elementary cycle of an int graph (g[i] lists node i's
+    successors) once, starting at its least node.
 
     Johnson's algorithm (SIAM J. Comput. 4(1), 1975), iterative: roots are
-    taken in node order, and the search from root s uses only nodes after s.
+    taken in index order, and the search from root s uses only nodes after s.
     A node stays blocked until a cycle through it is found; B[w] lists the
     blocked nodes to release when w is.
     """
-    rank = {v: i for i, v in enumerate(g.nodes)}
-    for i, s in enumerate(g.nodes):
+    for s in range(len(g)):
         blocked, B = {s}, {}
-        path, succ = [s], [iter(g.successors(s))]
+        path, succ = [s], [iter(g[s])]
         closed = [False]  # per path node: a cycle was found through it
         while path:
             for w in succ[-1]:
                 if w == s:
                     yield list(path)
                     closed[-1] = True
-                elif rank[w] > i and w not in blocked:
+                elif w > s and w not in blocked:
                     blocked.add(w)
                     path.append(w)
-                    succ.append(iter(g.successors(w)))
+                    succ.append(iter(g[w]))
                     closed.append(False)
                     break
             else:
@@ -187,8 +186,8 @@ def simple_cycles(g: Digraph) -> Iterator[list]:
                     if closed:
                         closed[-1] = True
                 else:
-                    for w in g.successors(v):
-                        if rank[w] > i:
+                    for w in g[v]:
+                        if w > s:
                             B.setdefault(w, set()).add(v)
 
 

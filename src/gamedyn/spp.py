@@ -24,14 +24,15 @@ from .errors import (
     SuffixClosureRepairNeeded,
 )
 from .game import (
-    Comparison,
     FinitePlay,
     Game,
     LassoPlay,
     PreferenceOrder,
+    is_positional_from,
     positional_plays,
+    walk_positional_plays,
 )
-from .graphs import Digraph, simple_cycles
+from .graphs import IndexGraph, simple_cycles
 
 # the functions that build minors or dynamics import minors, strategy,
 # dynamics and analysis themselves, so that validating an instance and the
@@ -119,11 +120,10 @@ class SafetyVerdict(Frozen):
 
 def validate_otg(game: Game, permitted: Mapping[int, frozenset]) -> list[str]:
     """Check the one-target axioms; returns diagnostics (empty iff valid)."""
-    diags = []
     terms = game.terminals
     if len(terms) != 1:
-        diags.append(f"SingleTarget: expected one terminal, found {sorted(terms)}")
-        return diags
+        return [f"SingleTarget: expected one terminal, found {sorted(terms)}"]
+    diags = []
     (target,) = terms
     for i in range(1, game.n_players + 1):
         owned = game.owned_by(i)
@@ -136,23 +136,21 @@ def validate_otg(game: Game, permitted: Mapping[int, frozenset]) -> list[str]:
         (v,) = game.owned_by(i)
         perm = permitted.get(i, frozenset())
         pref = game.preference(i)
+        rank = pref.rank_of
         for p in perm:
             if not isinstance(p, FinitePlay) or p.start != v or p.path[-1] != target:
                 diags.append(f"PermittedShape: player {i}: {p} is not a {v}->{target} path")
-        # forbidden = the positional plays from v that are not permitted
-        forbidden = [p for p in positional_plays(game, v) if p not in perm]
-        for p in perm:
-            for q in forbidden:
-                if pref.compare(q, p) is not Comparison.LESS:
-                    diags.append(
-                        f"ForbiddenBelowPermitted: player {i}: {q} not strictly below {p}"
-                    )
-        for q1, q2 in itertools.combinations(sorted(forbidden, key=str), 2):
-            if pref.compare(q1, q2) is not Comparison.EQUAL:
-                diags.append(f"ForbiddenPlateau: player {i}: {q1} vs {q2}")
+        # forbidden = the positional plays from v that are not permitted; they
+        # are enumerated only to name them when the ranks show a violation
+        if not _forbidden_plateau_below(game, v, perm, pref):
+            forbidden = [p for p in positional_plays(game, v) if p not in perm]
+            diags += [f"ForbiddenBelowPermitted: player {i}: {q} not strictly below {p}"
+                      for p in perm for q in forbidden if rank(q) <= rank(p)]
+            diags += [f"ForbiddenPlateau: player {i}: {q1} vs {q2}"
+                      for q1, q2 in itertools.combinations(sorted(forbidden, key=str), 2)
+                      if rank(q1) != rank(q2)]
         for p1, p2 in itertools.combinations(sorted(perm, key=str), 2):
-            if (pref.compare(p1, p2) is Comparison.EQUAL
-                    and p1.path[1] != p2.path[1]):
+            if rank(p1) == rank(p2) and p1.path[1] != p2.path[1]:
                 diags.append(f"SameNextHopTies: player {i}: {p1} ~ {p2}")
         # suffix closure
         for p in perm:
@@ -164,17 +162,28 @@ def validate_otg(game: Game, permitted: Mapping[int, frozenset]) -> list[str]:
                     diags.append(f"SuffixClosure: player {i}: suffix of {p} at unowned {w}")
                 elif suffix not in permitted.get(j, frozenset()):
                     diags.append(
-                        f"SuffixClosure: {suffix} (suffix of {p}) not permitted at {w}"
-                    )
+                        f"SuffixClosure: {suffix} (suffix of {p}) not permitted at {w}")
     return diags
+
+
+def _forbidden_plateau_below(game: Game, v: str, perm, pref: PreferenceOrder) -> bool:
+    """True iff the plays forbidden at v share one rank, worse than every
+    permitted one: the ranks of the ranked forbidden plays, and the bottom
+    rank if the walk of the positional plays meets an unranked one."""
+    ranked = pref.mentioned()
+    ranks = {pref.rank_of(p) for p in ranked
+             if p not in perm and is_positional_from(game, v, p)}
+    if any(p not in ranked and p not in perm for p in walk_positional_plays(game, v)):
+        ranks.add(len(pref.ranks))
+    return len(ranks) <= 1 and all(r > pref.rank_of(p) for r in ranks for p in perm)
 
 
 def is_notg(otg: OneTargetGame) -> bool:
     """Next-hop-only preferences: permitted paths sharing a next hop tie."""
     for i in range(1, otg.game.n_players + 1):
-        pref = otg.game.preference(i)
+        rank = otg.game.preference(i).rank_of
         for p1, p2 in itertools.combinations(sorted(otg.permitted[i], key=str), 2):
-            if p1.path[1] == p2.path[1] and pref.compare(p1, p2) is not Comparison.EQUAL:
+            if p1.path[1] == p2.path[1] and rank(p1) != rank(p2):
                 return False
     return True
 
@@ -209,44 +218,47 @@ def otg_from_game(game: Game) -> OneTargetGame:
 
 
 def _dispute_digraph(otg: OneTargetGame):
-    """Nodes (pivot, direct path); an edge to (u2, pi2) carries each prefix
-    h with h + pi2 permitted at the pivot and strictly preferred to its
+    """The nodes (pivot, direct path) in repr order, their IndexGraph, and for
+    each arc (i, j) the sorted prefixes h such that h + the path of node j
+    is permitted at the pivot of node i and strictly preferred to its
     direct path."""
     game = otg.game
-    nodes = [(otg.player_vertex(i), p)
-             for i in range(1, game.n_players + 1)
-             for p in sorted(otg.permitted[i], key=str)]
+    nodes, ranks = [], {}  # ranks: pivot -> {permitted path: its rank}
+    for i in range(1, game.n_players + 1):
+        u, rank = otg.player_vertex(i), game.preference(i).rank_of
+        ranks[u] = {p.path: rank(p) for p in otg.permitted[i]}
+        nodes += [(u, p) for p in otg.permitted[i]]
+    nodes.sort(key=repr)
+    index = {(u, p.path): k for k, (u, p) in enumerate(nodes)}
     decomps: dict = {}
-    pivot_vertices = {u for u, _ in nodes}
-    for (u, pi) in nodes:
-        pref = game.preference(game.owner[u])
-        for rho in sorted(otg.permitted_at(u), key=str):
-            if pref.compare(pi, rho) is not Comparison.LESS:
-                continue
-            for m in range(1, len(rho.path) - 1):
-                u2 = rho.path[m]
-                if u2 not in pivot_vertices:
-                    continue
-                pi2 = FinitePlay(rho.path[m:])
-                if pi2 not in otg.permitted_at(u2):
-                    continue
-                decomps.setdefault(((u, pi), (u2, pi2)), []).append(rho.path[:m])
-    return nodes, decomps
+    for k, (u, pi) in enumerate(nodes):
+        worse = ranks[u][pi.path]
+        for rho in [rho for rho, r in ranks[u].items() if r < worse]:
+            for m in range(1, len(rho) - 1):
+                j = index.get((rho[m], rho[m:]))
+                if j is not None:
+                    decomps.setdefault((k, j), []).append(rho[:m])
+    succ = [[] for _ in nodes]
+    for k, j in decomps:
+        succ[k].append(j)
+        decomps[k, j].sort()
+    return nodes, IndexGraph(tuple(sorted(js)) for js in succ), decomps
 
 
 def _wheels(otg: OneTargetGame):
     """Every wheel candidate: the dispute digraph's cycles in repr order, each
     with every choice of its links' prefixes, taken in sorted order.  A
     digraph with more than SEARCH_BUDGET cycles raises SearchBudgetExceeded."""
-    nodes, decomps = _dispute_digraph(otg)
-    digraph = Digraph.from_edges(sorted(nodes, key=repr), decomps)
-    cycles = list(itertools.islice(simple_cycles(digraph), SEARCH_BUDGET + 1))
+    nodes, succ, decomps = _dispute_digraph(otg)
+    cycles = list(itertools.islice(simple_cycles(succ), SEARCH_BUDGET + 1))
     if len(cycles) > SEARCH_BUDGET:
         raise SearchBudgetExceeded(SEARCH_BUDGET, "dispute-wheel cycles")
-    for cycle in sorted(cycles, key=repr):
+    # no node's repr is a prefix of another's, so cycles sort by repr as their
+    # index lists do once a sentinel puts each after the cycles it prefixes
+    for cycle in sorted(cycles, key=lambda c: c + [len(nodes)]):
         arcs = zip(cycle, cycle[1:] + cycle[:1])
-        pivots, direct = zip(*cycle)
-        for links in itertools.product(*(sorted(decomps[arc]) for arc in arcs)):
+        pivots, direct = zip(*(nodes[k] for k in cycle))
+        for links in itertools.product(*(decomps[arc] for arc in arcs)):
             yield DisputeWheel(pivots, direct, links)
 
 
@@ -274,7 +286,7 @@ def sdw_violations(otg: OneTargetGame, dw: DisputeWheel) -> list[str]:
             continue
         if ind not in otg.permitted_at(u):
             diags.append(f"indirect path {ind} of {u} not permitted")
-        elif pref.compare(dw.direct[i], ind) is not Comparison.LESS:
+        elif pref.rank_of(dw.direct[i]) <= pref.rank_of(ind):
             diags.append(f"{u} does not strictly prefer {ind} over {dw.direct[i]}")
     if diags:
         return diags
@@ -309,14 +321,10 @@ def sdw_violations(otg: OneTargetGame, dw: DisputeWheel) -> list[str]:
     return diags
 
 
-def _iter_sdws(otg: OneTargetGame):
-    return (dw for dw in _wheels(otg) if not sdw_violations(otg, dw))
-
-
 def find_sdw(otg: OneTargetGame) -> Optional[DisputeWheel]:
     """Some strong dispute wheel, or None after exhausting all wheel
     candidates (cycles of the dispute digraph with every link choice)."""
-    return next(_iter_sdws(otg), None)
+    return next((dw for dw in _wheels(otg) if not sdw_violations(otg, dw)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +350,7 @@ def extract_sdw_minor(otg: OneTargetGame, sdw: DisputeWheel):
     keep = set()
     for i in range(sdw.k):
         keep.update(sdw.direct[i].steps())
-        seq = sdw.links[i] + (sdw.pivots[(i + 1) % sdw.k],)
-        keep.update(zip(seq, seq[1:]))
+        keep.update(zip(sdw.link_states(i), sdw.link_states(i)[1:]))
 
     steps: list = []
     g = game
@@ -403,20 +410,13 @@ def _sdw_bpc_oscillation(otg: OneTargetGame, sdw: DisputeWheel):
     for i in range(sdw.k):
         for seq in (sdw.direct[i].path, sdw.link_states(i)):
             for a, b in zip(seq, seq[1:]):
-                if a in pivots:
-                    continue
-                if hop.setdefault(a, b) != b:
+                if a not in pivots and hop.setdefault(a, b) != b:
                     return None  # conflicting wheel routing
-    base = {}
+    best = {}  # each state's best permitted next hop, else its first successor
     for v in game.non_terminals():
-        if v in pivots:
-            continue
-        if v in hop:
-            base[v] = hop[v]
-            continue
-        pref = game.preference(game.owner[v])
-        perm = sorted(otg.permitted_at(v), key=lambda p: (pref.rank_of(p), str(p)))
-        base[v] = perm[0].path[1] if perm else game.successors(v)[0]
+        rank = game.preference(game.owner[v]).rank_of
+        perm = min(otg.permitted_at(v), key=lambda p: (rank(p), str(p)), default=None)
+        best[v] = perm.path[1] if perm else game.successors(v)[0]
     ring, direct = {}, {}
     for i, u in enumerate(sdw.pivots):
         link = sdw.links[i]
@@ -424,8 +424,8 @@ def _sdw_bpc_oscillation(otg: OneTargetGame, sdw: DisputeWheel):
         direct[u] = sdw.direct[i].path[1]
     if ring == direct:
         return None
-    s1 = StrategyProfile.from_dict({**base, **ring})
-    s2 = StrategyProfile.from_dict({**base, **direct})
+    s1 = StrategyProfile.from_dict({**best, **hop, **ring})
+    s2 = StrategyProfile.from_dict({**best, **hop, **direct})
     profiles = Profiles(game)
     i1, i2 = profiles.index(s1), profiles.index(s2)
     dev1, dev2 = (profiles.moves(profiles.digits_at(i), best_reply=True) for i in (i1, i2))
@@ -448,13 +448,14 @@ def _structural_verdict(otg: OneTargetGame, guard: int, force: bool) -> SafetyVe
     from .analysis import equilibria
     from .dynamics import build_dynamics
 
-    dw = find_dispute_wheel(otg)
+    wheels = _wheels(otg)  # one stream: the first wheel, then the strong ones
+    dw = next(wheels, None)
     if dw is None:
         return SafetyVerdict(SafetyStatus.SAFE_NO_DW, None,
                              "no dispute wheel: fair best-reply updates converge")
     if is_notg(otg):
-        for sdw in _iter_sdws(otg):
-            osc = _sdw_bpc_oscillation(otg, sdw)
+        for sdw in itertools.chain([dw], wheels):
+            osc = None if sdw_violations(otg, sdw) else _sdw_bpc_oscillation(otg, sdw)
             if osc is not None:
                 return SafetyVerdict(
                     SafetyStatus.UNSAFE_SDW, (sdw, osc),
@@ -493,14 +494,13 @@ def safety_verdict(otg: OneTargetGame, mode: str = "structural", *,
         raise GameDynError(f"unknown safety mode {mode!r}")
     structural = _structural_verdict(otg, guard, force)
     exact = _exact_verdict(otg, guard, force)
-    if structural.status.safe is not None and structural.status.safe != exact.status.safe:
+    if structural.status.safe is None:
+        return exact
+    if structural.status.safe != exact.status.safe:
         raise GameDynError(
-            f"inconsistent verdicts: {structural.status.value} vs {exact.status.value}"
-        )
-    if structural.status.safe is not None:
-        return SafetyVerdict(structural.status, structural.evidence,
-                             structural.method + "; confirmed by model checking")
-    return exact
+            f"inconsistent verdicts: {structural.status.value} vs {exact.status.value}")
+    return SafetyVerdict(structural.status, structural.evidence,
+                         structural.method + "; confirmed by model checking")
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ def test_cli_imports_only_the_standard_library():
 def test_a_command_loads_only_the_modules_it_runs(argv, unused):
     loaded = _modules_added(f"from gamedyn.cli import run_cli; run_cli({argv!r})")
     assert "gamedyn.cli" in loaded
-    assert not loaded & ({"dataclasses", "inspect"} | unused)
+    assert not loaded & ({"dataclasses", "inspect", "logging"} | unused)
 
 
 GDIS_DOC = json.loads((FIXTURES / "gdis.json").read_text())

@@ -17,6 +17,7 @@ from gamedyn import (
     positional_plays,
 )
 from gamedyn.errors import GameFormatError, UnknownVertex
+from gamedyn.game import is_positional_from, walk_positional_plays
 
 from .conftest import FIXTURES, load_game
 from .generators import random_game
@@ -161,6 +162,24 @@ def test_positional_plays_are_the_profile_outcomes():
         profiles = list(enumerate_profiles(game, force=True))
         for v in game.vertices:
             assert positional_plays(game, v) == {outcome(game, s, v) for s in profiles}
+
+
+def test_positional_membership_is_decided_from_the_play():
+    for seed in range(200):
+        game, other = random_game(seed), random_game(seed + 1000)
+        # plays of every vertex, ranked plays, and plays of another arena on
+        # the same vertex names, most of which are no walk here
+        plays = set().union(*(positional_plays(g, v) for g in (game, other)
+                              for v in g.vertices))
+        plays |= {p for pref in game.preferences for cls in pref.ranks for p in cls}
+        plays |= {FinitePlay(("v0",)), LassoPlay(("v0",), ("v0",))}
+        plays |= {LassoPlay(p.stem + p.loop, p.loop) for p in list(plays)  # walks, not simple
+                  if isinstance(p, LassoPlay)}
+        for v in game.vertices:
+            from_v = positional_plays(game, v)
+            assert {p for p in plays if is_positional_from(game, v, p)} == from_v & plays
+            walk = list(walk_positional_plays(game, v))
+            assert len(walk) == len(from_v) and set(walk) == from_v
 
 
 # ---------------------------------------------------------------------------

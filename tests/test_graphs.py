@@ -128,7 +128,7 @@ def test_simple_cycles_match_brute_force():
     for seed in range(300):
         rng = random.Random(seed)
         g = random_digraph(seed, n=rng.randint(1, 6), p=rng.random(), loops=True)
-        cycles = [tuple(c) for c in simple_cycles(g)]
+        cycles = [tuple(g.nodes[i] for i in c) for c in simple_cycles(g.succ)]
         assert len(cycles) == len(set(cycles))
         assert all(c[0] == min(c, key=repr) for c in cycles)
         assert set(cycles) == elementary_cycles_by_enumeration(g.nodes, g.edges)

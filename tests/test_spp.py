@@ -1,11 +1,16 @@
 """Single-destination routing games: validation, dispute wheels, safety."""
 
+import itertools
 import json
+import random
 
 import pytest
 
 from gamedyn import (
     FinitePlay,
+    Game,
+    OneTargetGame,
+    PreferenceOrder,
     SafetyStatus,
     apply_script,
     build_dynamics,
@@ -17,15 +22,18 @@ from gamedyn import (
     is_dis_pattern,
     is_notg,
     otg_from_game,
+    parse_spp,
+    positional_plays,
     safety_verdict,
     terminates,
     validate_otg,
 )
 from gamedyn.cli import EXIT_ERROR, run_cli
 from gamedyn.errors import InvalidSDW, SearchBudgetExceeded, SuffixClosureRepairNeeded
-from gamedyn.graphs import Digraph, simple_cycles
+from gamedyn.graphs import simple_cycles
 from gamedyn.minors import SEARCH_BUDGET
-from gamedyn.spp import DisputeWheel, _dispute_digraph, sdw_violations
+from gamedyn import spp
+from gamedyn.spp import DisputeWheel, _dispute_digraph, _wheels, sdw_violations
 
 from .conftest import load_spp
 from .generators import game_doc, random_notg
@@ -114,10 +122,9 @@ def test_wheel_search_stops_at_the_cycle_budget(tmp_path, capsys):
     wheel search takes one cycle past the budget and refuses; the command
     line exits 5 on it."""
     otg = random_notg(88, max_nodes=6)
-    nodes, decomps = _dispute_digraph(otg)
-    digraph = Digraph.from_edges(sorted(nodes, key=repr), decomps)
-    assert (len(digraph.nodes), sum(map(len, digraph.succ))) == (48, 254)
-    cycles = simple_cycles(digraph)
+    nodes, succ, _ = _dispute_digraph(otg)
+    assert (len(nodes), sum(map(len, succ))) == (48, 254)
+    cycles = simple_cycles(succ)
     assert all(next(cycles, None) is not None for _ in range(SEARCH_BUDGET + 1))
     with pytest.raises(SearchBudgetExceeded, match="100000 dispute-wheel cycles"):
         find_dispute_wheel(otg)
@@ -241,3 +248,115 @@ def test_parse_spp_auto_repair():
     otg = load_spp("incomplete.spp.json", complete_suffixes=True)
     assert validate_otg(otg.game, otg.permitted) == []
     assert FinitePlay(("v2", "vbot")) in otg.permitted_at("v2")
+
+
+# ---------------------------------------------------------------------------
+# validity decided from the ranked plays, wheels on the index digraph
+
+
+def complete_spp(n):
+    """The complete routing instance: each node permits only its direct path
+    to the origin, and every ordered pair of nodes is an extra edge, so each
+    node has thousands of positional plays from n = 6 on."""
+    nodes = [f"n{k}" for k in range(1, n + 1)]
+    return {"origin": "o", "nodes": {u: {"paths": [[u, "o"]]} for u in nodes},
+            "extra_edges": [[u, w] for u in nodes for w in nodes if u != w]}
+
+
+def test_complete_instance_validates_without_enumerating(tmp_path, capsys):
+    path = tmp_path / "complete.spp.json"
+    path.write_text(json.dumps(complete_spp(7)))
+    assert run_cli(["spp", "validate", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "valid: true", "next-hop-only preferences: true"]
+    arena = tmp_path / "complete.json"
+    arena.write_text(json.dumps(game_doc(parse_spp(json.dumps(complete_spp(6))).game)))
+    assert run_cli(["dis-minor", str(arena)]) == 0
+    assert capsys.readouterr().out == "no disagreement-pattern minor\n"
+
+
+def test_valid_instances_enumerate_no_plays(monkeypatch, gdis, gdis_otg):
+    instances = [(gdis, gdis_otg.permitted)]
+    instances += [(otg.game, otg.permitted) for otg in (
+        load_spp("gdis.spp.json"), load_spp("safe.spp.json"),
+        load_spp("incomplete.spp.json", complete_suffixes=True))]
+    instances += [(otg.game, otg.permitted) for otg in map(random_notg, range(60))]
+    instances += [(otg.game, otg.permitted) for otg in (
+        parse_spp(json.dumps(complete_spp(n))) for n in range(2, 9))]
+
+    def enumerate_plays(game, v):
+        raise AssertionError(f"enumerated the plays from {v}")
+
+    monkeypatch.setattr(spp, "positional_plays", enumerate_plays)
+    for game, permitted in instances:
+        assert validate_otg(game, permitted) == []
+
+
+def _variants(otg, seed):
+    """The instance with one player's ranking broken in each way that the
+    forbidden-play checks see: classes shuffled or merged, a forbidden play
+    ranked, a permitted play left unranked, forbidden plays ranked last."""
+    rng = random.Random(seed)
+    game = otg.game
+    for i in range(1, game.n_players + 1):
+        ranks = [frozenset(c) for c in game.preference(i).ranks]
+        v = otg.player_vertex(i)
+        forbidden = sorted(set(positional_plays(game, v)) - otg.permitted[i], key=str)
+        merged = ranks[:1] + [ranks[1] | ranks[2]] + ranks[3:] if len(ranks) > 2 else ranks
+        shuffled = rng.sample(ranks, len(ranks))
+        changed = [shuffled, merged, ranks[:-1] + [ranks[-1] - {min(ranks[-1], key=str)}],
+                   ranks + [frozenset(forbidden)]]
+        if forbidden:
+            changed.append(ranks[:1] + [frozenset({rng.choice(forbidden)})] + ranks[1:])
+            changed.append(ranks + [frozenset(forbidden[:1]), frozenset(forbidden[1:])])
+        for new in changed:
+            prefs = list(game.preferences)
+            prefs[i - 1] = PreferenceOrder(tuple(new))
+            yield Game(game.n_players, game.vertices, game.edges, game.owner,
+                       tuple(prefs), {}), otg.permitted
+
+
+def test_enumerating_and_deciding_give_the_same_diagnostics(monkeypatch):
+    cases = [(otg.game, otg.permitted) for otg in map(random_notg, range(40))]
+    for seed in range(40):
+        cases += _variants(random_notg(seed), seed)
+    decided = [validate_otg(game, permitted) for game, permitted in cases]
+    assert sum(map(bool, decided)) > 200
+    assert any(d.startswith("ForbiddenPlateau") for ds in decided for d in ds)
+    assert any(d.startswith("ForbiddenBelowPermitted") for ds in decided for d in ds)
+    monkeypatch.setattr(spp, "_forbidden_plateau_below", lambda *args: False)
+    assert [validate_otg(game, permitted) for game, permitted in cases] == decided
+
+
+def _renamed(otg, names):
+    f = dict(zip(otg.game.vertices, names)).__getitem__
+    play = lambda p: FinitePlay(tuple(map(f, p.path)))  # noqa: E731
+    g = otg.game
+    game = Game(g.n_players, tuple(map(f, g.vertices)),
+                frozenset((f(u), f(w)) for u, w in g.edges),
+                {f(v): i for v, i in g.owner.items()},
+                tuple(PreferenceOrder(tuple(frozenset(map(play, c)) for c in pref.ranks))
+                      for pref in g.preferences), {})
+    return OneTargetGame(game, {i: frozenset(map(play, ps)) for i, ps in otg.permitted.items()})
+
+
+NAMES = ["u1", "u10", "u1'", 'u"1', "u,1", "(u1)", "u1)", "u", "'", "t"]
+
+
+def test_wheels_follow_the_repr_order_of_named_cycles():
+    otgs = [random_notg(seed) for seed in range(60)]
+    otgs += [_renamed(random_notg(seed, max_nodes=6), random.Random(seed).sample(NAMES, 7))
+             for seed in range(80) if seed != 88]
+    seen = 0
+    for otg in otgs:
+        nodes, succ, decomps = _dispute_digraph(otg)
+        named = sorted(([nodes[k] for k in c] for c in simple_cycles(succ)), key=repr)
+        index = {node: k for k, node in enumerate(nodes)}
+        expected = [
+            DisputeWheel(*zip(*cycle), links)
+            for cycle in named
+            for links in itertools.product(*(
+                decomps[index[a], index[b]] for a, b in zip(cycle, cycle[1:] + cycle[:1])))]
+        assert list(_wheels(otg)) == expected
+        seen += len(named) > 1
+    assert seen > 20
