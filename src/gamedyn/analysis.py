@@ -60,14 +60,14 @@ def equilibria(dg: DynamicsGraph) -> frozenset:
     """Nodes with no outgoing edge.  A profile whose row is not built yet is
     only asked whether some player has a move, and its row stays unbuilt."""
     rows, has_move = dg.succ, dg.profiles.has_move
-    return frozenset(n for n, row, digits in zip(dg.nodes, map(rows.get, rows.nodes),
+    return frozenset(n for n, row, digits in zip(dg.nodes, map(rows.get, range(len(rows))),
                                                  dg.profiles.digits())
                      if not (has_move(digits) if row is None else row))
 
 
 def _cycle_through(g, scc: frozenset, start) -> list:
     """A closed walk in the component from start: one edge out, then back."""
-    first = next(w for w in g.successors(start) if w in scc)
+    first = next(w for w in g[start] if w in scc)
     if first == start:
         return [start]
     return [start] + shortest_path(g, first, {start}, within=scc)[:-1]

@@ -9,17 +9,17 @@ from functools import cached_property
 from .errors import (KINDS, PROFILE_GUARD, Frozen, NonDeterministicBestReply,
                      StateSpaceTooLarge)
 from .game import Game
-from .graphs import Digraph, IndexGraph, strongly_connected_components
+from .graphs import Digraph, scc_stream
 from .strategy import Profiles, StrategyProfile, unfold
 
 
 class Rows(dict):
     """n rows, row i made by fill(i) the first time it is read.
 
-    It reads as IndexGraph does (`[i]`, `len`, iteration in index order,
-    `nodes`, `successors`), so every walk runs on it unchanged; `get(i)` is
-    row i if it is built and None if not, and builds nothing.  A dict, so
-    that a built row is read at dict speed.
+    It reads as an int graph does (`[i]`, `len`, iteration in index order),
+    so every walk runs on it unchanged; `get(i)` is row i if it is built and
+    None if not, and builds nothing.  A dict, so that a built row is read at
+    dict speed.
     """
 
     __slots__ = ("n", "fill")
@@ -39,12 +39,6 @@ class Rows(dict):
 
     def __iter__(self):
         return map(self.__getitem__, range(self.n))
-
-    @property
-    def nodes(self) -> range:
-        return range(self.n)
-
-    successors = dict.__getitem__
 
 
 class DynamicsGraph(Frozen):
@@ -202,14 +196,14 @@ class BeliefGraph(Frozen):
         return tuple(range(self.n_players + 1))
 
     @cached_property
-    def succ(self) -> IndexGraph:
+    def succ(self) -> tuple:
         """Per index, the distinct targets of its edges, ascending."""
-        return IndexGraph(tuple(sorted(set(ts))) for ts in zip(*self.delta))
+        return tuple(tuple(sorted(set(ts))) for ts in zip(*self.delta))
 
     @cached_property
     def sccs(self) -> list:
         """Tarjan's components of succ, in completion order."""
-        return strongly_connected_components(self.succ)
+        return list(scc_stream(self.succ))
 
     def index(self, node: BeliefNode) -> int:
         """The node's index, from its rows' profile indices."""

@@ -253,8 +253,7 @@ def positional_plays(game: Game, v: str) -> frozenset[Play]:
     These are exactly the rho-shaped walks: a simple path to a terminal
     vertex, or a simple stem entering a simple cycle.
     """
-    # collected in a set first, so that the frozenset iterates as it always has
-    return frozenset(set(walk_positional_plays(game, v)))
+    return frozenset(walk_positional_plays(game, v))
 
 
 def walk_positional_plays(game: Game, v: str) -> Iterator[Play]:

@@ -1,4 +1,6 @@
-"""The graph kernel: a graph is its nodes plus an IndexGraph of successor lists."""
+"""The graph kernel.  Every routine walks an int graph: g[i] is the tuple of
+node i's successor indices, len(g) the node count, and iterating g gives the
+rows in index order.  A Digraph names the nodes of one."""
 
 from __future__ import annotations
 
@@ -8,30 +10,13 @@ from typing import Iterator
 from .errors import Frozen
 
 
-class IndexGraph(tuple):
-    """A graph on the nodes 0..n-1: item i is node i's successors, in order.
-
-    It answers `nodes` and `successors` as a Digraph does, so every walk in
-    this module runs on it unchanged.
-    """
-
-    __slots__ = ()
-
-    @property
-    def nodes(self) -> range:
-        return range(len(self))
-
-    def successors(self, u):
-        return self[u]
-
-
 class Digraph(Frozen):
     """Node i is nodes[i], and its successors are succ[i], in that order."""
 
     _fields = ("nodes", "succ")
     __slots__ = _fields + ("__dict__",)  # the __dict__ holds _pos
 
-    def __init__(self, nodes: tuple, succ: IndexGraph):
+    def __init__(self, nodes: tuple, succ: tuple):
         self._set(nodes=nodes, succ=succ)
 
     @classmethod
@@ -42,7 +27,7 @@ class Digraph(Frozen):
         succ = [[] for _ in nodes]
         for u, v in edges:
             succ[pos[u]].append(pos[v])
-        return cls(nodes, IndexGraph(tuple(sorted(js)) for js in succ))
+        return cls(nodes, tuple(tuple(sorted(js)) for js in succ))
 
     @cached_property
     def _pos(self) -> dict:
@@ -107,24 +92,21 @@ def scc_stream(g):
                     yield frozenset(comp)
 
 
-def strongly_connected_components(g) -> list[frozenset]:
-    """Every component of scc_stream, in its order; for a Digraph, of node
-    names rather than indices."""
-    if isinstance(g, Digraph):
-        nodes = g.nodes
-        return [frozenset(nodes[i] for i in c) for c in scc_stream(g.succ)]
-    return list(scc_stream(g))
+def strongly_connected_components(g: Digraph) -> list[frozenset]:
+    """Every component of scc_stream on g.succ, in its order, by node name."""
+    nodes = g.nodes
+    return [frozenset(nodes[i] for i in c) for c in scc_stream(g.succ)]
 
 
-def is_nontrivial(g: Digraph, scc: frozenset) -> bool:
-    """True iff the component holds a cycle: two nodes or a self-loop."""
+def is_nontrivial(g, scc: frozenset) -> bool:
+    """True iff component scc of int graph g has two nodes or a self-loop."""
     if len(scc) > 1:
         return True
     (node,) = scc
-    return node in g.successors(node)
+    return node in g[node]
 
 
-def shortest_path(g: Digraph, source, targets, within=None) -> list | None:
+def shortest_path(g, source: int, targets, within=None) -> list | None:
     """BFS path from source to any node in targets; with `within`, every
     node after source lies in that set."""
     targets = set(targets)
@@ -135,7 +117,7 @@ def shortest_path(g: Digraph, source, targets, within=None) -> list | None:
     while todo:
         next_todo = []
         for u in todo:
-            for w in g.successors(u):
+            for w in g[u]:
                 if w in prev or (within is not None and w not in within):
                     continue
                 prev[w] = u
@@ -205,4 +187,4 @@ def transitive_closure(g) -> Digraph:
                 seen.add(w)
                 todo.extend(succ[w])
         closure.append(tuple(sorted(seen)))
-    return Digraph(g.nodes, IndexGraph(closure))
+    return Digraph(g.nodes, tuple(closure))

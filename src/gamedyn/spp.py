@@ -32,11 +32,10 @@ from .game import (
     positional_plays,
     walk_positional_plays,
 )
-from .graphs import IndexGraph, simple_cycles
 
 # the functions that build minors or dynamics import minors, strategy,
-# dynamics and analysis themselves, so that validating an instance and the
-# wheel searches load none of them
+# dynamics and analysis themselves, and the wheel searches import graphs, so
+# that validating an instance loads none of them
 
 
 class OneTargetGame(Frozen):
@@ -134,26 +133,28 @@ def validate_otg(game: Game, permitted: Mapping[int, frozenset]) -> list[str]:
 
     for i in range(1, game.n_players + 1):
         (v,) = game.owned_by(i)
+        # sorted copies fix the printed order; perm stays a set for membership
         perm = permitted.get(i, frozenset())
+        ordered = sorted(perm, key=_by_name)
         pref = game.preference(i)
         rank = pref.rank_of
-        for p in perm:
+        for p in ordered:
             if not isinstance(p, FinitePlay) or p.start != v or p.path[-1] != target:
                 diags.append(f"PermittedShape: player {i}: {p} is not a {v}->{target} path")
         # forbidden = the positional plays from v that are not permitted; they
         # are enumerated only to name them when the ranks show a violation
         if not _forbidden_plateau_below(game, v, perm, pref):
-            forbidden = [p for p in positional_plays(game, v) if p not in perm]
+            forbidden = sorted(positional_plays(game, v).difference(perm), key=_by_name)
             diags += [f"ForbiddenBelowPermitted: player {i}: {q} not strictly below {p}"
-                      for p in perm for q in forbidden if rank(q) <= rank(p)]
+                      for p in ordered for q in forbidden if rank(q) <= rank(p)]
             diags += [f"ForbiddenPlateau: player {i}: {q1} vs {q2}"
-                      for q1, q2 in itertools.combinations(sorted(forbidden, key=str), 2)
+                      for q1, q2 in itertools.combinations(forbidden, 2)
                       if rank(q1) != rank(q2)]
-        for p1, p2 in itertools.combinations(sorted(perm, key=str), 2):
+        for p1, p2 in itertools.combinations(ordered, 2):
             if rank(p1) == rank(p2) and p1.path[1] != p2.path[1]:
                 diags.append(f"SameNextHopTies: player {i}: {p1} ~ {p2}")
         # suffix closure
-        for p in perm:
+        for p in ordered:
             for m in range(1, len(p.path) - 1):
                 w = p.path[m]
                 suffix = FinitePlay(p.path[m:])
@@ -164,6 +165,10 @@ def validate_otg(game: Game, permitted: Mapping[int, frozenset]) -> list[str]:
                     diags.append(
                         f"SuffixClosure: {suffix} (suffix of {p}) not permitted at {w}")
     return diags
+
+
+def _by_name(play) -> tuple:
+    return str(play), repr(play)  # repr breaks ties of names holding "->"
 
 
 def _forbidden_plateau_below(game: Game, v: str, perm, pref: PreferenceOrder) -> bool:
@@ -218,7 +223,7 @@ def otg_from_game(game: Game) -> OneTargetGame:
 
 
 def _dispute_digraph(otg: OneTargetGame):
-    """The nodes (pivot, direct path) in repr order, their IndexGraph, and for
+    """The nodes (pivot, direct path) in repr order, their int graph, and for
     each arc (i, j) the sorted prefixes h such that h + the path of node j
     is permitted at the pivot of node i and strictly preferred to its
     direct path."""
@@ -242,13 +247,15 @@ def _dispute_digraph(otg: OneTargetGame):
     for k, j in decomps:
         succ[k].append(j)
         decomps[k, j].sort()
-    return nodes, IndexGraph(tuple(sorted(js)) for js in succ), decomps
+    return nodes, tuple(tuple(sorted(js)) for js in succ), decomps
 
 
 def _wheels(otg: OneTargetGame):
     """Every wheel candidate: the dispute digraph's cycles in repr order, each
     with every choice of its links' prefixes, taken in sorted order.  A
     digraph with more than SEARCH_BUDGET cycles raises SearchBudgetExceeded."""
+    from .graphs import simple_cycles
+
     nodes, succ, decomps = _dispute_digraph(otg)
     cycles = list(itertools.islice(simple_cycles(succ), SEARCH_BUDGET + 1))
     if len(cycles) > SEARCH_BUDGET:

@@ -8,7 +8,6 @@ from operator import itemgetter
 
 from .errors import PROFILE_GUARD, CyclicArena, Frozen, StateSpaceTooLarge, UnknownVertex
 from .game import FinitePlay, Game, Play, PreferenceOrder, canonicalize
-from .graphs import Digraph, is_nontrivial, strongly_connected_components
 
 
 class StrategyProfile(Frozen):
@@ -264,15 +263,18 @@ def outcome(game: Game, profile: StrategyProfile, v: str) -> Play:
 
 def enumerate_histories(game: Game) -> list[tuple[str, ...]]:
     """All non-maximal paths of an acyclic arena, sorted."""
-    arena = Digraph.from_edges(game.vertices, game.edges)
-    sccs = strongly_connected_components(arena)
+    from .graphs import Digraph, is_nontrivial, scc_stream
+
+    names = game.vertices
+    arena = Digraph.from_edges(names, game.edges).succ
+    sccs = list(scc_stream(arena))
     for scc in sccs:
         if is_nontrivial(arena, scc):
-            raise CyclicArena(f"cycle through {min(scc)!r}")
+            raise CyclicArena(f"cycle through {min(names[i] for i in scc)!r}")
     terms = game.terminals
     # paths_to[v]: all paths ending in v
-    paths_to: dict[str, list[tuple[str, ...]]] = {v: [(v,)] for v in game.vertices}
-    for (v,) in reversed(sccs):
+    paths_to: dict[str, list[tuple[str, ...]]] = {v: [(v,)] for v in names}
+    for v in [names[i] for (i,) in reversed(sccs)]:
         for w in game.successors(v):
             paths_to[w].extend(p + (w,) for p in paths_to[v])
     return sorted(h for v, ps in paths_to.items() if v not in terms for h in ps)

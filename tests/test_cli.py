@@ -258,7 +258,11 @@ def test_cli_imports_only_the_standard_library():
      {"gamedyn.spp", "gamedyn.minors", "gamedyn.relations", "gamedyn.dot"}),
     (["spp", "sdw", "fixtures/safe.spp.json"],
      {"gamedyn.dynamics", "gamedyn.analysis", "gamedyn.minors", "gamedyn.strategy"}),
-], ids=["analyze", "spp-sdw"])
+    (["dominated", "fixtures/fig2.json", "--edges", "v1,v2", "v1,v3"],
+     {"gamedyn.graphs", "gamedyn.dynamics", "gamedyn.analysis", "gamedyn.spp"}),
+    (["spp", "validate", "fixtures/safe.spp.json"],
+     {"gamedyn.graphs", "gamedyn.dynamics", "gamedyn.minors", "gamedyn.strategy"}),
+], ids=["analyze", "spp-sdw", "dominated", "spp-validate"])
 def test_a_command_loads_only_the_modules_it_runs(argv, unused):
     loaded = _modules_added(f"from gamedyn.cli import run_cli; run_cli({argv!r})")
     assert "gamedyn.cli" in loaded

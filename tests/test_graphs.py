@@ -5,6 +5,7 @@ from itertools import islice
 
 from gamedyn.graphs import (
     Digraph,
+    is_nontrivial,
     scc_stream,
     shortest_path,
     simple_cycles,
@@ -64,11 +65,19 @@ def test_scc_stream_matches_reference_tarjan():
     for g in graphs:
         want = components_by_tarjan(g.nodes, g.edges)
         assert strongly_connected_components(g) == want
-        assert strongly_connected_components(g.succ) == [
+        assert list(scc_stream(g.succ)) == [
             frozenset(g.nodes.index(v) for v in c) for c in want]
         for k in range(len(want) + 1):
             stopped = islice(scc_stream(g.succ), k)
             assert [frozenset(g.nodes[i] for i in c) for c in stopped] == want[:k]
+
+
+def test_is_nontrivial_means_two_nodes_or_a_self_loop():
+    for seed in range(60):
+        g = random_digraph(seed, p=0.2, loops=True)
+        for c in components_by_tarjan(g.nodes, g.edges):
+            cyclic = len(c) > 1 or any((v, v) in g.edges for v in c)
+            assert is_nontrivial(g.succ, frozenset(map(g.nodes.index, c))) == cyclic
 
 
 def test_transitive_closure_matches_oracle():
@@ -79,11 +88,19 @@ def test_transitive_closure_matches_oracle():
         )
 
 
+def named_shortest_path(g, source, targets, within=None):
+    """shortest_path on g.succ, from and to node names."""
+    pos = g.nodes.index
+    path = shortest_path(g.succ, pos(source), set(map(pos, targets)),
+                         within=None if within is None else set(map(pos, within)))
+    return None if path is None else [g.nodes[i] for i in path]
+
+
 def test_shortest_path_valid_and_minimal():
     for seed in range(60):
         g = random_digraph(seed)
         targets = {g.nodes[-1]}
-        path = shortest_path(g, g.nodes[0], targets)
+        path = named_shortest_path(g, g.nodes[0], targets)
         closure = closure_by_matrix_powers(g.nodes, g.edges)
         if path is None:
             assert g.nodes[0] != g.nodes[-1]
@@ -110,7 +127,7 @@ def test_shortest_path_stays_within():
         rng = random.Random(seed + 10_000)
         within = {n for n in g.nodes if rng.random() < 0.6} | {g.nodes[0]}
         inside = {(u, v) for u, v in g.edges if u in within and v in within}
-        path = shortest_path(g, g.nodes[0], {g.nodes[-1]}, within=within)
+        path = named_shortest_path(g, g.nodes[0], {g.nodes[-1]}, within=within)
         if path is None:
             assert (g.nodes[0], g.nodes[-1]) not in closure_by_matrix_powers(within, inside)
             continue
@@ -120,8 +137,8 @@ def test_shortest_path_stays_within():
 
 def test_shortest_path_within_refuses_a_path_outside():
     g = Digraph.from_edges(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
-    assert shortest_path(g, "a", {"c"}) == ["a", "b", "c"]
-    assert shortest_path(g, "a", {"c"}, within={"a", "c"}) is None
+    assert named_shortest_path(g, "a", {"c"}) == ["a", "b", "c"]
+    assert named_shortest_path(g, "a", {"c"}, within={"a", "c"}) is None
 
 
 def test_simple_cycles_match_brute_force():

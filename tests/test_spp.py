@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +40,7 @@ from gamedyn.spp import DisputeWheel, _dispute_digraph, _wheels, sdw_violations
 
 from .conftest import load_spp
 from .generators import game_doc, random_notg
+from .golden import ROOT
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +330,21 @@ def test_enumerating_and_deciding_give_the_same_diagnostics(monkeypatch):
     assert any(d.startswith("ForbiddenBelowPermitted") for ds in decided for d in ds)
     monkeypatch.setattr(spp, "_forbidden_plateau_below", lambda *args: False)
     assert [validate_otg(game, permitted) for game, permitted in cases] == decided
+
+
+def test_invalid_instance_diagnostics_do_not_depend_on_hash_seed():
+    probe = ("from gamedyn import validate_otg; from tests.generators import random_notg; "
+             "from tests.test_spp import _variants; "
+             "print([validate_otg(g, p) for s in range(60) "
+             "for g, p in _variants(random_notg(s), s)])")
+    outs = {
+        subprocess.run([sys.executable, "-c", probe], cwd=ROOT, check=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                            "PYTHONHASHSEED": seed},
+                       capture_output=True, text=True).stdout
+        for seed in ("0", "77")
+    }
+    assert len(outs) == 1 and "ForbiddenBelowPermitted" in outs.pop()
 
 
 def _renamed(otg, names):

@@ -195,6 +195,11 @@ def test_moves_build_no_play(monkeypatch):
 def test_enumerate_histories_rejects_cycles(gdis):
     with pytest.raises(CyclicArena):
         enumerate_histories(gdis)
+    # the message names the least vertex of the cycle, not the first listed
+    game = Game(1, ("v3", "v2", "t"), frozenset({("v3", "v2"), ("v2", "v3"), ("v2", "t")}),
+                {"v3": 1, "v2": 1}, (PreferenceOrder(()),), {})
+    with pytest.raises(CyclicArena, match="cycle through 'v2'"):
+        enumerate_histories(game)
 
 
 def test_history_profiles(fig2):

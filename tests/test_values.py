@@ -24,7 +24,7 @@ from gamedyn import (
     build_belief_graph,
     build_dynamics,
 )
-from gamedyn.graphs import Digraph, IndexGraph
+from gamedyn.graphs import Digraph
 
 PLAY = FinitePlay(("a", "t"))
 PROFILE = StrategyProfile((("a", "t"),))
@@ -50,7 +50,7 @@ CASES = {
              ("n_players", "vertices", "edges", "owner", "preferences", "edge_labels")),
     "StrategyProfile": (lambda: StrategyProfile((("a", "t"),)),
                         "StrategyProfile(items=(('a', 't'),))", ("items",)),
-    "Digraph": (lambda: Digraph(("a", "t"), IndexGraph(((1,), ()))),
+    "Digraph": (lambda: Digraph(("a", "t"), ((1,), ())),
                 "Digraph(nodes=('a', 't'), succ=((1,), ()))", ("nodes", "succ")),
     "BeliefNode": (lambda: BeliefNode((PROFILE,)),
                    "BeliefNode(rows=(StrategyProfile(items=(('a', 't'),)),))", ("rows",)),
