@@ -36,7 +36,7 @@ def load(name):
 def dyn_report(game, kinds=("p1", "bp1", "pc", "bpc")):
     players = tuple(range(1, game.n_players + 1))
     for kind in kinds:
-        dg = build_dynamics(game, kind, force=True)
+        dg = build_dynamics(game, kind, guard=None)
         fair = find_fair_cycle(dg, players=players)
         eq = sorted(dg.label(e) for e in equilibria(dg))
         print(f"  {kind:>4}: {len(dg.nodes)} profiles, "
@@ -73,7 +73,7 @@ def main():
 
     print("three-player starvation game (fig4.json)")
     fig4 = load("fig4.json")
-    dg = build_dynamics(fig4, "pc", force=True)
+    dg = build_dynamics(fig4, "pc", guard=None)
     fair = find_fair_cycle(dg, players=(1, 2, 3))
     print(f"  pc: terminates={terminates(dg)}, fair-cycle={fair.fair}, "
           f"per-player={fair.per_player}")
@@ -84,7 +84,7 @@ def main():
     dom = is_dominated(fig5, ("v1", "vbot"), ("v1", "v4"))
     minor = delete_edge(fig5, ("v1", "vbot"))
     print(f"  (v1,vbot) dominated by (v1,v4): {dom}; after deleting it, "
-          f"pc terminates={terminates(build_dynamics(minor, 'pc', force=True))}")
+          f"pc terminates={terminates(build_dynamics(minor, 'pc', guard=None))}")
 
 
 if __name__ == "__main__":

@@ -73,18 +73,16 @@ def _cycle_through(g, scc: frozenset, start) -> list:
     return [start] + shortest_path(g, first, {start}, within=scc)[:-1]
 
 
-def find_fair_cycle(dg: DynamicsGraph, players=None) -> FairnessReport:
+def find_fair_cycle(dg: DynamicsGraph, players) -> FairnessReport:
     """Decide whether an infinite fair update path exists.
 
     A fair infinite path exists iff some non-trivial SCC S satisfies, for
-    every player i: either some edge inside S changes i's strategy, or some
+    every player i in players: either some edge inside S changes i's strategy, or some
     node of S has no outgoing edge (in the whole graph) changing i's
     strategy.  The witness is a closed walk in S visiting all per-player
     witnesses.
     """
     g, changed = dg.succ, dg.changed
-    if players is None:
-        players = sorted(frozenset().union(*(c for cs in changed for c in cs)))
 
     def can_switch(n):
         """The players with some outgoing edge of n changing them."""

@@ -53,7 +53,7 @@ def _cmd_dynamics(args) -> int:
     from . import analysis, dynamics
 
     game = _load_game(args.game)
-    dg = dynamics.build_dynamics(game, args.kind, guard=args.guard, force=args.force)
+    dg = dynamics.build_dynamics(game, args.kind, guard=args.guard)
     if args.output == "dot":
         from .dot import export_dot
 
@@ -78,7 +78,7 @@ def _cmd_analyze(args) -> int:
     from . import analysis, dynamics
 
     game = _load_game(args.game)
-    dg = dynamics.build_dynamics(game, args.kind, guard=args.guard, force=args.force)
+    dg = dynamics.build_dynamics(game, args.kind, guard=args.guard)
     if args.check == "termination":
         witness = analysis.find_cycle(dg)
         record = {"check": "termination", "kind": args.kind,
@@ -115,7 +115,7 @@ def _cmd_minor(args) -> int:
     except RecursionError as exc:
         raise GameFormatError(f"invalid JSON: {exc}") from exc
     minor = minors.apply_script(game, minors.DeletionScript.from_json(data))
-    small, big = (dynamics.build_dynamics(g, args.kind, guard=args.guard, force=args.force)
+    small, big = (dynamics.build_dynamics(g, args.kind, guard=args.guard)
                   for g in (minor, game))
     _, full = relations.largest_simulation(small, big)
     record = {
@@ -144,7 +144,7 @@ def _cmd_dominated(args) -> int:
 
     game = _load_game(args.game)
     e1, e2 = (_parse_edge(t) for t in args.edges)
-    result = minors.is_dominated(game, e1, e2, guard=args.guard, force=args.force)
+    result = minors.is_dominated(game, e1, e2, guard=args.guard)
     _emit(args, {"edge": list(e1), "by": list(e2), "dominated": result},
           [f"({e1[0]},{e1[1]}) dominated by ({e2[0]},{e2[1]}): {str(result).lower()}"])
     return EXIT_OK
@@ -175,7 +175,7 @@ def _cmd_spp(args) -> int:
                   "links": [list(h) for h in wheel.links]}
         _emit(args, record, [f"{name} found", wheel.describe()])
         return EXIT_UNSAFE
-    verdict = spp.safety_verdict(otg, args.mode, guard=args.guard, force=args.force)
+    verdict = spp.safety_verdict(otg, args.mode, guard=args.guard)
     record = {"status": verdict.status.value, "method": verdict.method}
     lines = [f"verdict: {verdict.status.value}", f"method: {verdict.method}"]
     evidence = verdict.evidence
@@ -196,7 +196,7 @@ def _cmd_belief(args) -> int:
     from . import analysis, dynamics
 
     game = _load_game(args.game)
-    bg = dynamics.build_belief_graph(game, guard=args.guard, force=args.force)
+    bg = dynamics.build_belief_graph(game, guard=args.guard)
     if args.output == "dot":
         from .dot import export_dot
 
@@ -298,6 +298,8 @@ def run_cli(argv=None) -> int:
     if os.environ.get("GAMEDYN_LOG"):
         _setup_logging(os.environ["GAMEDYN_LOG"])
     args = _parser().parse_args(argv)
+    if args.force:
+        args.guard = None  # the library's "no bound"
     try:
         return args.func(args)
     except SuffixClosureRepairNeeded as exc:

@@ -73,7 +73,7 @@ class DynamicsGraph(Frozen):
                          for j, c in zip(js, cs))
 
     def digraph(self) -> Digraph:
-        return Digraph(self.nodes, self.succ)
+        return Digraph(self.nodes, tuple(self.succ))
 
     def successors(self, node):
         i = self.profiles.index(node)
@@ -100,8 +100,7 @@ def _most_updates(profiles: Profiles, concurrent: bool) -> int:
     return math.prod(1 + m for m in spare) - 1 if concurrent else sum(spare)
 
 
-def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
-                   force: bool = False) -> DynamicsGraph:
+def build_dynamics(game: Game, kind: str, guard: int | None = PROFILE_GUARD) -> DynamicsGraph:
     """Dynamics graph over positional profiles for kind in KINDS.
 
     Kind 1, the one-step dynamics of an acyclic arena, is p1 on its tree
@@ -109,8 +108,8 @@ def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
     subgame perfect equilibria.
 
     Rows are built when first read.  Only where the profiles could have
-    more than guard updates in all, and force is off, is every row built
-    here, in index order, counting the updates against the guard.
+    more than guard updates in all is every row built here, in index
+    order, counting the updates against the guard; guard None is no bound.
     """
     kind = kind.lower()
     if kind not in KINDS:
@@ -119,7 +118,7 @@ def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
         game = unfold(game)
     concurrent = kind.endswith("pc")
     profiles = Profiles(game)
-    profiles.check(guard, force)
+    profiles.check(guard)
     best_reply = kind.startswith("b")
     groups = _Players()
     pending = {}  # row p of changed, from when row p of succ is built to its first read
@@ -148,7 +147,7 @@ def build_dynamics(game: Game, kind: str, guard: int = PROFILE_GUARD,
     # changed refers to succ, never the other way round, so a graph is
     # freed as soon as it is dropped
     succ, changed = Rows(profiles.count, updates), Rows(profiles.count, players)
-    if not force and profiles.count * _most_updates(profiles, concurrent) > guard:
+    if guard is not None and profiles.count * _most_updates(profiles, concurrent) > guard:
         count = 0
         for row in succ:
             count += len(row)
@@ -222,7 +221,7 @@ class BeliefGraph(Frozen):
         return Digraph(self.nodes, self.succ)
 
 
-def build_belief_graph(game: Game, guard: int = PROFILE_GUARD, force: bool = False) -> BeliefGraph:
+def build_belief_graph(game: Game, guard: int | None = PROFILE_GUARD) -> BeliefGraph:
     """The complete deterministic labelled graph over belief matrices.
 
     Label 0 is the global knowledge update; label i applies player i's unique
@@ -231,7 +230,7 @@ def build_belief_graph(game: Game, guard: int = PROFILE_GUARD, force: bool = Fal
     """
     n = game.n_players
     profiles = Profiles(game)
-    profiles.check(guard, force, rows=n)
+    profiles.check(guard, rows=n)
     base = profiles.count
     listed = tuple(profiles)
     nodes = tuple(BeliefNode(rows) for rows in itertools.product(listed, repeat=n))

@@ -75,14 +75,6 @@ class UnknownEdge(GameDynError):
         self.edge = edge
 
 
-class NotMaximal(GameDynError):
-    """A finite vertex sequence ends in a non-terminal vertex."""
-
-    def __init__(self, vertex):
-        super().__init__(f"path ends in non-terminal vertex {vertex!r}")
-        self.vertex = vertex
-
-
 class StateSpaceTooLarge(GameDynError):
     def __init__(self, count, guard, size=None):
         size = size or f"state space has {count} elements"

@@ -12,7 +12,7 @@ import json
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .errors import Frozen, GameFormatError, NotMaximal, UnknownVertex
+from .errors import Frozen, GameFormatError, UnknownVertex
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +88,10 @@ def _primitive_period(loop):
     return loop
 
 
-def canonicalize(path: Iterable[str], loop: Iterable[str] | None = None,
-                 terminals: frozenset[str] | None = None) -> Play:
+def canonicalize(path: Iterable[str], loop: Iterable[str] | None = None) -> Play:
     """Normalise a syntactic maximal path into a canonical Play.
 
-    With ``loop=None`` the sequence must end in a terminal vertex (when
-    ``terminals`` is given this is checked, raising NotMaximal otherwise).
+    With ``loop=None`` the sequence must end in a terminal vertex.
     For lassos the loop is reduced to its primitive period and the stem is
     shortened by absorbing trailing vertices into loop rotations.
     """
@@ -101,8 +99,6 @@ def canonicalize(path: Iterable[str], loop: Iterable[str] | None = None,
     if loop is None:
         if not stem:
             raise GameFormatError("empty play")
-        if terminals is not None and stem[-1] not in terminals:
-            raise NotMaximal(stem[-1])
         return FinitePlay(stem)
     loop = _primitive_period(tuple(loop))
     if not loop:
@@ -430,12 +426,6 @@ def validate_game(game: Game) -> list[str]:
                 seen.add(play)
                 if not play_is_valid(play, game.vertex_set, game.edges, terms):
                     out.append(f"InvalidPlay(player {i}, {play})")
-                elif canonicalize_play(play) != play:
+                elif isinstance(play, LassoPlay) and canonicalize(play.stem, play.loop) != play:
                     out.append(f"NonCanonicalPlay(player {i}, {play})")
     return out
-
-
-def canonicalize_play(play: Play) -> Play:
-    if isinstance(play, FinitePlay):
-        return FinitePlay(play.path)
-    return canonicalize(play.stem, play.loop)

@@ -106,9 +106,9 @@ def is_nontrivial(g, scc: frozenset) -> bool:
     return node in g[node]
 
 
-def shortest_path(g, source: int, targets, within=None) -> list | None:
-    """BFS path from source to any node in targets; with `within`, every
-    node after source lies in that set."""
+def shortest_path(g, source: int, targets, within) -> list | None:
+    """BFS path from source to any node in targets whose every node after
+    source lies in `within`."""
     targets = set(targets)
     if source in targets:
         return [source]
@@ -118,7 +118,7 @@ def shortest_path(g, source: int, targets, within=None) -> list | None:
         next_todo = []
         for u in todo:
             for w in g[u]:
-                if w in prev or (within is not None and w not in within):
+                if w in prev or w not in within:
                     continue
                 prev[w] = u
                 if w in targets:

@@ -234,7 +234,7 @@ def apply_script(game: Game, script: DeletionScript) -> Game:
 
 
 def is_dominated(game: Game, e1: tuple[str, str], e2: tuple[str, str], *,
-                 guard: int = PROFILE_GUARD, force: bool = False) -> bool:
+                 guard: int | None = PROFILE_GUARD) -> bool:
     """True iff for every positional profile, the outcome from the shared
     source is strictly better through e2 than through e1 (for the source's
     owner)."""
@@ -247,7 +247,7 @@ def is_dominated(game: Game, e1: tuple[str, str], e2: tuple[str, str], *,
     if e1 == e2:
         return False
     profiles = Profiles(game)
-    profiles.check(guard, force)
+    profiles.check(guard)
     k = profiles.movers.index(e1[0])
     j1, j2 = (profiles.choices[k].index(e[1]) for e in (e1, e2))
     player = game.owner[e1[0]] - 1
@@ -261,7 +261,7 @@ def is_dominated(game: Game, e1: tuple[str, str], e2: tuple[str, str], *,
 
 
 def script_is_dominant(game: Game, script: DeletionScript, *,
-                       guard: int = PROFILE_GUARD) -> bool:
+                       guard: int | None = PROFILE_GUARD) -> bool:
     """True iff every edge deletion of the script removes an edge dominated
     by some sibling edge of the game reached at that step."""
     for step in script.steps:

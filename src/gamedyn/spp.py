@@ -150,11 +150,14 @@ def validate_otg(game: Game, permitted: Mapping[int, frozenset]) -> list[str]:
             diags += [f"ForbiddenPlateau: player {i}: {q1} vs {q2}"
                       for q1, q2 in itertools.combinations(forbidden, 2)
                       if rank(q1) != rank(q2)]
-        for p1, p2 in itertools.combinations(ordered, 2):
+        # the next-hop and suffix checks read paths: a lasso or a one-vertex
+        # play is reported by PermittedShape alone
+        paths = [p for p in ordered if isinstance(p, FinitePlay) and len(p.path) > 1]
+        for p1, p2 in itertools.combinations(paths, 2):
             if rank(p1) == rank(p2) and p1.path[1] != p2.path[1]:
                 diags.append(f"SameNextHopTies: player {i}: {p1} ~ {p2}")
         # suffix closure
-        for p in ordered:
+        for p in paths:
             for m in range(1, len(p.path) - 1):
                 w = p.path[m]
                 suffix = FinitePlay(p.path[m:])
@@ -451,7 +454,7 @@ def _sdw_bpc_oscillation(otg: OneTargetGame, sdw: DisputeWheel):
     return (s1, s2)
 
 
-def _structural_verdict(otg: OneTargetGame, guard: int, force: bool) -> SafetyVerdict:
+def _structural_verdict(otg: OneTargetGame, guard: int | None) -> SafetyVerdict:
     from .analysis import equilibria
     from .dynamics import build_dynamics
 
@@ -467,7 +470,7 @@ def _structural_verdict(otg: OneTargetGame, guard: int, force: bool) -> SafetyVe
                 return SafetyVerdict(
                     SafetyStatus.UNSAFE_SDW, (sdw, osc),
                     "strong dispute wheel whose oscillation survives best replies")
-    dg = build_dynamics(otg.game, "bpc", guard=guard, force=force)
+    dg = build_dynamics(otg.game, "bpc", guard=guard)
     eq = equilibria(dg)
     if len(eq) >= 2:
         return SafetyVerdict(SafetyStatus.UNSAFE_MULTI_EQUILIBRIA, eq,
@@ -478,11 +481,11 @@ def _structural_verdict(otg: OneTargetGame, guard: int, force: bool) -> SafetyVe
                          "of a next-hop game; structural tests inconclusive")
 
 
-def _exact_verdict(otg: OneTargetGame, guard: int, force: bool) -> SafetyVerdict:
+def _exact_verdict(otg: OneTargetGame, guard: int | None) -> SafetyVerdict:
     from .analysis import find_fair_cycle
     from .dynamics import build_dynamics
 
-    dg = build_dynamics(otg.game, "bpc", guard=guard, force=force)
+    dg = build_dynamics(otg.game, "bpc", guard=guard)
     report = find_fair_cycle(dg, players=range(1, otg.game.n_players + 1))
     if report.fair:
         return SafetyVerdict(SafetyStatus.UNSAFE_MODEL_CHECKED, report,
@@ -492,15 +495,15 @@ def _exact_verdict(otg: OneTargetGame, guard: int, force: bool) -> SafetyVerdict
 
 
 def safety_verdict(otg: OneTargetGame, mode: str = "structural", *,
-                   guard: int = PROFILE_GUARD, force: bool = False) -> SafetyVerdict:
+                   guard: int | None = PROFILE_GUARD) -> SafetyVerdict:
     if mode == "structural":
-        return _structural_verdict(otg, guard, force)
+        return _structural_verdict(otg, guard)
     if mode == "exact":
-        return _exact_verdict(otg, guard, force)
+        return _exact_verdict(otg, guard)
     if mode != "both":
         raise GameDynError(f"unknown safety mode {mode!r}")
-    structural = _structural_verdict(otg, guard, force)
-    exact = _exact_verdict(otg, guard, force)
+    structural = _structural_verdict(otg, guard)
+    exact = _exact_verdict(otg, guard)
     if structural.status.safe is None:
         return exact
     if structural.status.safe != exact.status.safe:

@@ -83,10 +83,10 @@ class Profiles:
         self._keyed = [(k, itemgetter(*s), o - 1)
                        for k, (s, o) in enumerate(zip(self._succ, self.owner))]
 
-    def check(self, guard: int, force: bool, rows: int = 1):
-        """Refuse, unless forced, more than guard states of rows profiles each."""
+    def check(self, guard: int | None, rows: int = 1):
+        """Refuse more than guard states of rows profiles each; None is no bound."""
         count = self.count ** rows
-        if count > guard and not force:
+        if guard is not None and count > guard:
             raise StateSpaceTooLarge(count, guard)
 
     def __iter__(self):
@@ -230,12 +230,12 @@ def profile_count(game: Game) -> int:
     return Profiles(game).count
 
 
-def enumerate_profiles(game: Game, guard: int = PROFILE_GUARD, force: bool = False):
+def enumerate_profiles(game: Game, guard: int | None = PROFILE_GUARD):
     """All positional profiles, in lexicographic (vertex id, successor id) order.
 
     The i-th profile is profile index i of a dynamics graph."""
     profiles = Profiles(game)
-    profiles.check(guard, force)
+    profiles.check(guard)
     yield from profiles
 
 

@@ -76,15 +76,15 @@ def test_two_player_ring_termination_and_equilibria(gdis):
 
 
 def test_three_vertex_ring_best_reply_terminates_and_contains_pattern(fig3):
-    assert not terminates(build_dynamics(fig3, "pc", force=True))
-    assert terminates(build_dynamics(fig3, "bpc", force=True))
+    assert not terminates(build_dynamics(fig3, "pc", guard=None))
+    assert terminates(build_dynamics(fig3, "bpc", guard=None))
     script = find_dis_minor(fig3)
     assert script is not None
     assert is_dis_pattern(apply_script(fig3, script))
 
 
 def test_cycle_without_fairness_names_the_starved_player(fig4):
-    dg = build_dynamics(fig4, "pc", force=True)
+    dg = build_dynamics(fig4, "pc", guard=None)
     assert not terminates(dg)
     report = find_fair_cycle(dg, players=(1, 2, 3))
     assert not report.fair
@@ -94,7 +94,7 @@ def test_cycle_without_fairness_names_the_starved_player(fig4):
 def test_four_player_concurrent_cycle_and_dominated_edge(fig5):
     """The concurrent dynamics walks the published eight-profile cycle;
     deleting the dominated stop edge of v1 makes it terminate."""
-    dg = build_dynamics(fig5, "pc", force=True)
+    dg = build_dynamics(fig5, "pc", guard=None)
     seq = [
         ("v2", "vbot", "vbot"),
         ("v2", "v3", "vbot"),
@@ -113,7 +113,7 @@ def test_four_player_concurrent_cycle_and_dominated_edge(fig5):
         assert any(m == nxt for m, _ in dg.successors(cur))
     assert is_dominated(fig5, ("v1", "vbot"), ("v1", "v4"))
     minor = delete_edge(fig5, ("v1", "vbot"))
-    assert terminates(build_dynamics(minor, "pc", force=True))
+    assert terminates(build_dynamics(minor, "pc", guard=None))
 
 
 def test_routing_pipeline_on_two_player_ring(gdis):
@@ -163,7 +163,7 @@ def test_fair_cycle_detection_matches_brute_force():
             continue
         players = tuple(range(1, game.n_players + 1))
         for kind in ("p1", "pc"):
-            dg = build_dynamics(game, kind, force=True)
+            dg = build_dynamics(game, kind, guard=None)
             triples = [
                 (n, m, ch) for n in dg.nodes for m, ch in dg.successors(n)
             ]

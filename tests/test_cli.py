@@ -235,6 +235,35 @@ def test_package_lists_its_exports():
     assert set(EXPORTED) <= set(dir(gamedyn))
 
 
+# the parameters of the bounded and searching entry points: guard (None for
+# no bound) is the one bound option, so a new knob shows up as a diff here
+OPTIONS = {
+    "build_dynamics": ("game", "kind", "guard"),
+    "build_belief_graph": ("game", "guard"),
+    "enumerate_profiles": ("game", "guard"),
+    "is_dominated": ("game", "e1", "e2", "guard"),
+    "script_is_dominant": ("game", "script", "guard"),
+    "safety_verdict": ("otg", "mode", "guard"),
+    "find_dis_minor": ("game", "budget"),
+    "find_fair_cycle": ("dg", "players"),
+    "canonicalize": ("path", "loop"),
+    "parse_spp": ("text", "complete_suffixes"),
+}
+
+
+def test_entry_points_take_one_bound_option():
+    import inspect
+
+    import gamedyn
+
+    for name, params in OPTIONS.items():
+        signature = inspect.signature(getattr(gamedyn, name))
+        assert tuple(signature.parameters) == params, name
+        assert "force" not in signature.parameters, name
+    players = inspect.signature(gamedyn.find_fair_cycle).parameters["players"]
+    assert players.default is inspect.Parameter.empty
+
+
 def test_package_imports_a_name_or_submodule_on_first_use():
     loaded = _modules_added("import gamedyn; assert gamedyn.KINDS[0] == '1'; "
                             "assert gamedyn.graphs.__name__ == 'gamedyn.graphs'")

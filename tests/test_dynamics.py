@@ -8,13 +8,19 @@ import weakref
 import pytest
 
 from gamedyn import (
+    DeleteEdge,
+    DeletionScript,
     StrategyProfile,
     build_belief_graph,
     build_dynamics,
     equilibria,
     find_cycle,
     find_fair_cycle,
+    is_dominated,
+    otg_from_game,
     parse_game,
+    safety_verdict,
+    script_is_dominant,
 )
 from gamedyn.dynamics import KINDS
 from gamedyn.errors import CyclicArena, NonDeterministicBestReply, StateSpaceTooLarge
@@ -81,7 +87,7 @@ def test_inclusions_random():
     """bp1 is contained in p1; every p1 edge appears in pc (and bp1 in bpc)."""
     for seed in range(25):
         game = random_game(seed)
-        graphs = {k: edge_set(build_dynamics(game, k, force=True))
+        graphs = {k: edge_set(build_dynamics(game, k, guard=None))
                   for k in ("p1", "bp1", "pc", "bpc")}
         assert graphs["bp1"] <= graphs["p1"]
         assert graphs["p1"] <= graphs["pc"]
@@ -91,7 +97,7 @@ def test_inclusions_random():
 def test_p1_edges_are_strict_improvements():
     for seed in range(25):
         game = random_game(seed)
-        dg = build_dynamics(game, "p1", force=True)
+        dg = build_dynamics(game, "p1", guard=None)
         for sigma in dg.nodes:
             for tau, changed in dg.successors(sigma):
                 diff = sigma.changed_vertices(tau)
@@ -108,8 +114,8 @@ def test_p1_edges_are_strict_improvements():
 def test_pc_edges_decompose_into_unilateral_moves():
     for seed in range(25):
         game = random_game(seed)
-        p1 = edge_set(build_dynamics(game, "p1", force=True))
-        pc = build_dynamics(game, "pc", force=True)
+        p1 = edge_set(build_dynamics(game, "p1", guard=None))
+        pc = build_dynamics(game, "pc", guard=None)
         for sigma in pc.nodes:
             for tau, changed in pc.successors(sigma):
                 for v in sigma.changed_vertices(tau):
@@ -127,7 +133,7 @@ def test_one_step_requires_acyclic(gdis):
 
 
 def test_one_step_fig2(fig2):
-    dg = build_dynamics(fig2, "1", force=True)
+    dg = build_dynamics(fig2, "1", guard=None)
     assert len(dg.nodes) == 768
     # history-based updating never revisits a profile: the graph is acyclic
     from gamedyn.analysis import terminates
@@ -143,7 +149,7 @@ def _one_step_oracle(game):
 
 def test_one_step_matches_enumeration(fig2):
     for game in (fig2, *(random_game(seed, acyclic=True) for seed in range(200))):
-        dg = build_dynamics(game, "1", force=True)
+        dg = build_dynamics(game, "1", guard=None)
         labels, updates = _one_step_oracle(game)
         assert [dg.label(n) for n in dg.nodes] == labels
         assert {(dg.label(u), dg.label(v), tuple(sorted(c))) for u, v, c in dg.edges} == updates
@@ -188,7 +194,7 @@ FIXTURE_GAMES = ("gdis.json", "fig2.json", "fig3.json", "fig4.json", "fig5.json"
 def test_positional_dynamics_match_enumeration(kind):
     games = [load_game(name) for name in FIXTURE_GAMES] + [_listed_twice()]
     for game in games + [random_game(seed) for seed in range(200)]:
-        dg = build_dynamics(game, kind, force=True)
+        dg = build_dynamics(game, kind, guard=None)
         labels, updates = _positional_oracle(game, kind)
         assert [dg.label(n) for n in dg.nodes] == labels
         assert {(dg.label(u), dg.label(v), tuple(sorted(c))) for u, v, c in dg.edges} == updates
@@ -359,6 +365,10 @@ def test_searches_build_only_the_rows_they_read(kind, moves_calls):
     assert find_fair_cycle(dg, players=(1, 2, 3)).fair
     fresh = build_dynamics(oscillating, kind)
     del moves_calls[:]
+    assert find_fair_cycle(fresh, players=(1, 2, 3)).fair
+    assert 0 < len(moves_calls) < 1024 / 5
+    fresh = build_dynamics(oscillating, kind)
+    del moves_calls[:]
     assert len(equilibria(fresh)) == 2 and moves_calls == []
 
     converging = build_dynamics(ring_game(10, "converging"), kind)
@@ -392,6 +402,35 @@ def test_update_guard_at_its_edge(fig5, kind, moves_calls):
     eager = build_dynamics(fig5, kind, guard=limit - 1)
     assert len(moves_calls) == count
     assert list(eager.succ) == list(lazy.succ) and len(moves_calls) == count
+
+
+def test_digraph_holds_every_row(fig5):
+    """A dynamics graph's Digraph is a plain value: hashable, and equal to
+    another's whatever rows either dynamics graph has built."""
+    read, fresh = build_dynamics(fig5, "p1"), build_dynamics(fig5, "p1")
+    find_cycle(read)
+    g, h = read.digraph(), fresh.digraph()
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert g.succ == tuple(read.succ)
+
+
+def test_guard_none_is_no_bound(gdis, fig5):
+    """guard=1 refuses at every bounded entry point, and guard=None (what
+    the CLI's --force passes) lets each one run."""
+    script = DeletionScript((DeleteEdge("v1", "vbot"),))
+    otg = otg_from_game(gdis)
+    calls = [
+        lambda guard: list(enumerate_profiles(gdis, guard=guard)),
+        lambda guard: build_dynamics(gdis, "pc", guard=guard),
+        lambda guard: build_belief_graph(gdis, guard=guard),
+        lambda guard: is_dominated(gdis, ("v1", "vbot"), ("v1", "v2"), guard=guard),
+        lambda guard: script_is_dominant(fig5, script, guard=guard),
+        lambda guard: safety_verdict(otg, "exact", guard=guard),
+    ]
+    for call in calls:
+        with pytest.raises(StateSpaceTooLarge):
+            call(1)
+        call(None)
 
 
 def test_a_dropped_graph_is_freed_at_once(fig5):

@@ -68,7 +68,7 @@ def test_canonicalize_examples():
 
 
 def test_canonicalize_finite():
-    play = canonicalize(["a", "b", "c"], None, terminals={"c"})
+    play = canonicalize(["a", "b", "c"], None)
     assert play == FinitePlay(("a", "b", "c"))
     assert play.start == "a"
     assert set(play.vertices()) == {"a", "b", "c"}
@@ -159,7 +159,7 @@ def test_positional_plays_are_the_profile_outcomes():
     games += [random_game(seed, acyclic=acyclic) for seed in range(200)
               for acyclic in (False, True)]
     for game in games:
-        profiles = list(enumerate_profiles(game, force=True))
+        profiles = list(enumerate_profiles(game, guard=None))
         for v in game.vertices:
             assert positional_plays(game, v) == {outcome(game, s, v) for s in profiles}
 

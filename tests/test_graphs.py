@@ -89,10 +89,11 @@ def test_transitive_closure_matches_oracle():
 
 
 def named_shortest_path(g, source, targets, within=None):
-    """shortest_path on g.succ, from and to node names."""
+    """shortest_path on g.succ, from and to node names; within defaults to
+    every node."""
     pos = g.nodes.index
     path = shortest_path(g.succ, pos(source), set(map(pos, targets)),
-                         within=None if within is None else set(map(pos, within)))
+                         within=set(map(pos, g.nodes if within is None else within)))
     return None if path is None else [g.nodes[i] for i in path]
 
 

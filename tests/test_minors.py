@@ -187,9 +187,9 @@ def test_is_dominated_matches_enumeration():
                         outcome(game, sigma.updated(v, w1), v),
                         outcome(game, sigma.updated(v, w2), v),
                     ) is Comparison.LESS
-                    for sigma in enumerate_profiles(game, force=True)
+                    for sigma in enumerate_profiles(game, guard=None)
                 )
-                assert is_dominated(game, (v, w1), (v, w2), force=True) == expected
+                assert is_dominated(game, (v, w1), (v, w2), guard=None) == expected
 
 
 def test_dominant_script_recognition(fig5):
@@ -202,9 +202,9 @@ def test_dominant_script_recognition(fig5):
 def test_deleting_dominated_edge_stabilizes_fig5(fig5):
     """The four-player game oscillates under concurrent updating until its
     dominated stop edge is removed."""
-    assert not terminates(build_dynamics(fig5, "pc", force=True))
+    assert not terminates(build_dynamics(fig5, "pc", guard=None))
     minor = delete_edge(fig5, ("v1", "vbot"))
-    assert terminates(build_dynamics(minor, "pc", force=True))
+    assert terminates(build_dynamics(minor, "pc", guard=None))
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +266,9 @@ def test_dominated_edge_removal_can_break_a_fair_cycle():
     minor = apply_script(game, script)
     players = tuple(range(1, game.n_players + 1))
     for kind in ("bp1", "bpc"):
-        big = find_fair_cycle(build_dynamics(game, kind, force=True), players=players)
-        small = find_fair_cycle(build_dynamics(minor, kind, force=True), players=players)
+        big = find_fair_cycle(build_dynamics(game, kind, guard=None), players=players)
+        small = find_fair_cycle(build_dynamics(minor, kind, guard=None), players=players)
         assert big.fair and not small.fair
     # the witness really does park v1 on the dominated edge throughout
-    report = find_fair_cycle(build_dynamics(game, "bp1", force=True), players=players)
+    report = find_fair_cycle(build_dynamics(game, "bp1", guard=None), players=players)
     assert all(dict(node.items)["v1"] == "v3" for node in report.witness.cycle)

@@ -45,7 +45,7 @@ def test_largest_simulation_two_edge_example():
 def test_identity_is_bisimulation():
     for seed in range(20):
         game = random_game(seed)
-        dg = build_dynamics(game, "p1", force=True)
+        dg = build_dynamics(game, "p1", guard=None)
         ident = Relation(frozenset((n, n) for n in dg.nodes))
         ok, _ = is_bisimulation(dg, dg, ident)
         assert ok
@@ -100,8 +100,8 @@ def test_dynamics_graph_and_its_digraph_give_one_relation():
         game = random_game(seed)
         script = random_script(seed, game)
         minor = apply_script(game, script) if script is not None else game
-        small = build_dynamics(minor, "p1", force=True)
-        big = build_dynamics(game, "p1", force=True)
+        small = build_dynamics(minor, "p1", guard=None)
+        big = build_dynamics(game, "p1", guard=None)
         assert largest_simulation(small, big) == largest_simulation(
             small.digraph(), big.digraph())
 
@@ -109,7 +109,7 @@ def test_dynamics_graph_and_its_digraph_give_one_relation():
 def test_identity_relation_is_its_own_inverse():
     for seed in range(15):
         game = random_game(seed)
-        dg = build_dynamics(game, "p1", force=True)
+        dg = build_dynamics(game, "p1", guard=None)
         ident = Relation(frozenset((n, n) for n in dg.nodes))
         assert ident.inverse().pairs == ident.pairs
 
@@ -134,8 +134,8 @@ def test_simulation_transfers_termination():
         if script is None or not script.steps:
             continue
         minor = apply_script(game, script)
-        big = build_dynamics(game, "p1", force=True)
-        small = build_dynamics(minor, "p1", force=True)
+        big = build_dynamics(game, "p1", guard=None)
+        small = build_dynamics(minor, "p1", guard=None)
         rel, full = largest_simulation(small, big)
         if full and terminates(big):
             checked += 1
@@ -153,13 +153,13 @@ def test_partial_simulation_protects_domain_from_cycles():
         if script is None or not script.steps:
             continue
         minor = apply_script(game, script)
-        big = transitive_closure(build_dynamics(game, "p1", force=True).digraph())
-        small_dg = build_dynamics(minor, "p1", force=True)
+        big = transitive_closure(build_dynamics(game, "p1", guard=None).digraph())
+        small_dg = build_dynamics(minor, "p1", guard=None)
         small = transitive_closure(small_dg.digraph())
         rel, _ = largest_simulation(small, big)
         ok, _ = is_partial_simulation(small, big, rel)
         assert ok
-        if not terminates(build_dynamics(game, "p1", force=True)):
+        if not terminates(build_dynamics(game, "p1", guard=None)):
             continue
         dom = rel.domain
         for n in small.nodes:

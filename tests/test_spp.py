@@ -12,6 +12,7 @@ import pytest
 from gamedyn import (
     FinitePlay,
     Game,
+    LassoPlay,
     OneTargetGame,
     PreferenceOrder,
     SafetyStatus,
@@ -73,6 +74,16 @@ def test_validate_detects_tied_next_hops(gdis, gdis_otg):
                 (tied,) + gdis.preferences[1:], gdis.edge_labels)
     problems = validate_otg(game, otg_from_game(game).permitted)
     assert any(p.startswith("SameNextHopTies") for p in problems)
+
+
+def test_validate_reports_a_permitted_lasso_by_its_shape():
+    """A lasso is no v->target path: PermittedShape names it, and the
+    next-hop and suffix checks, which read paths, pass it by."""
+    safe = load_spp("safe.spp.json")
+    lasso = LassoPlay((), ("v1", "v2"))
+    permitted = {**safe.permitted, 1: safe.permitted[1] | {lasso}}
+    assert validate_otg(safe.game, permitted) == [
+        "PermittedShape: player 1: (v1->v2)* is not a v1->vbot path"]
 
 
 def test_random_instances_validate():
@@ -174,7 +185,7 @@ def test_strong_wheel_blocks_pc_termination():
         otg = random_notg(seed)
         if find_sdw(otg) is None:
             continue
-        assert not terminates(build_dynamics(otg.game, "pc", force=True))
+        assert not terminates(build_dynamics(otg.game, "pc", guard=None))
 
 
 def test_strong_wheel_without_fair_oscillation_exists():
@@ -185,7 +196,7 @@ def test_strong_wheel_without_fair_oscillation_exists():
     best-reply oscillation witness before declaring an instance unsafe."""
     otg = random_notg(99)
     assert find_sdw(otg) is not None
-    pc = build_dynamics(otg.game, "pc", force=True)
+    pc = build_dynamics(otg.game, "pc", guard=None)
     players = tuple(range(1, otg.game.n_players + 1))
     report = find_fair_cycle(pc, players=players)
     assert not report.fair
@@ -197,7 +208,7 @@ def test_strong_wheel_without_fair_oscillation_exists():
     # the disagreement-minor converse fails here too, and the structural
     # verdict does not claim the wheel oscillates under fair best replies
     assert find_dis_minor(otg.game) is not None
-    verdict = safety_verdict(otg, "structural", force=True)
+    verdict = safety_verdict(otg, "structural", guard=None)
     assert verdict.status is not SafetyStatus.UNSAFE_SDW
 
 
@@ -226,8 +237,8 @@ def test_safety_safe_instance():
 def test_structural_never_contradicts_exact():
     for seed in range(40):
         otg = random_notg(seed)
-        verdict = safety_verdict(otg, "both", force=True)
-        exact = safety_verdict(otg, "exact", force=True)
+        verdict = safety_verdict(otg, "both", guard=None)
+        exact = safety_verdict(otg, "exact", guard=None)
         if verdict.status.safe is not None:
             assert verdict.status.safe == exact.status.safe
 

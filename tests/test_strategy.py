@@ -69,7 +69,7 @@ def test_outcome_gdis(gdis):
 def test_outcome_random_follows_profile():
     for seed in range(40):
         game = random_game(seed)
-        for sigma in enumerate_profiles(game, force=True):
+        for sigma in enumerate_profiles(game, guard=None):
             play = outcome(game, sigma, game.vertices[0])
             choice = sigma.as_dict()
             for u, v in play.steps():
@@ -185,7 +185,7 @@ def test_moves_build_no_play(monkeypatch):
             profiles.has_move(digits)
         for v in game.non_terminals():
             for w1, w2 in itertools.permutations(game.successors(v), 2):
-                is_dominated(game, (v, w1), (v, w2), force=True)
+                is_dominated(game, (v, w1), (v, w2), guard=None)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +211,12 @@ def test_history_profiles(fig2):
     for h in hists:
         assert tree.owner[h] == fig2.owner[h[-1]]
         assert tree.successors(h) == tuple(h + (w,) for w in fig2.successors(h[-1]))
-    assert len(list(enumerate_profiles(tree, force=True))) == profile_count(tree) == 768
+    assert len(list(enumerate_profiles(tree, guard=None))) == profile_count(tree) == 768
 
 
 def test_unfolding_outcome_consistent(fig2):
     tree = unfold(fig2)
-    tau = next(iter(enumerate_profiles(tree, force=True)))
+    tau = next(iter(enumerate_profiles(tree, guard=None)))
     for v in fig2.non_terminals():
         play = outcome(tree, tau, (v,))
         assert play.start == (v,)

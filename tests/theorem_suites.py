@@ -35,7 +35,7 @@ def _players(game):
 
 
 def _fair(game, kind):
-    dg = build_dynamics(game, kind, force=True)
+    dg = build_dynamics(game, kind, guard=None)
     return find_fair_cycle(dg, players=_players(game)).fair
 
 
@@ -57,8 +57,8 @@ def suite_minor_simulation(seeds):
             if script is None:
                 continue
             minor = apply_script(game, script)
-            big = build_dynamics(game, kind, force=True)
-            small = build_dynamics(minor, kind, force=True)
+            big = build_dynamics(game, kind, guard=None)
+            small = build_dynamics(minor, kind, guard=None)
             _, full = largest_simulation(small, big)
             if not full:
                 violations.append(f"seed {seed} kind {kind}: no full simulation")
@@ -120,7 +120,7 @@ def suite_unique_equilibrium(seeds):
     violations = []
     for seed in seeds:
         otg = random_notg(seed)
-        dg = build_dynamics(otg.game, "bpc", force=True)
+        dg = build_dynamics(otg.game, "bpc", guard=None)
         if find_fair_cycle(dg, players=_players(otg.game)).fair:
             continue
         count = len(equilibria(dg))
@@ -149,7 +149,7 @@ def suite_strong_wheel_blocks_termination(seeds):
         otg = random_notg(seed)
         if find_sdw(otg) is None:
             continue
-        if terminates(build_dynamics(otg.game, "pc", force=True)):
+        if terminates(build_dynamics(otg.game, "pc", guard=None)):
             violations.append(f"seed {seed}: strong wheel but PC terminates")
     return violations
 
@@ -200,7 +200,7 @@ def _pattern_vs_fair_cycle(seeds, pattern, find):
         fair = _fair(otg.game, "pc")
         if fair and not found:
             violations.append(f"seed {seed}: fair cycle without a {pattern}")
-        if found and (safety_verdict(otg, "structural", force=True).status
+        if found and (safety_verdict(otg, "structural", guard=None).status
                       is SafetyStatus.UNSAFE_SDW):
             exercised += 1
             if not fair:
