@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Time the profile kernel of this checkout against another revision, in one
+process.
+
+    python scripts/kernel_pair.py <rev> [--rounds N] [--seeds N]
+
+<rev>'s src/gamedyn is exported with `git archive` into a temporary
+directory as the package `gamedyn_base` and imported beside this checkout's
+`gamedyn`.  Both sides parse the same game documents, and each round times
+every task on both sides, the side that goes first alternating, so that a
+slow phase of the host hits both alike; each task keeps its best round.
+
+Tasks:
+- moves: a fresh Profiles per random_game seed 0..N-1 (--seeds) and one
+  moves pass, improving moves only, over every profile;
+- equilibria: a fresh p1 graph of a 10-vertex ring, then equilibria;
+- rows: a fresh graph of the oscillating 10-vertex ring, then every row.
+"""
+
+import argparse
+import importlib
+import io
+import json
+import pathlib
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+from tests.generators import game_doc, random_game, ring_doc  # noqa: E402
+
+BASE = "gamedyn_base"
+RING = 10
+
+
+def export(rev: str, into: pathlib.Path) -> None:
+    """Write rev's src/gamedyn to into/gamedyn_base."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src/gamedyn"], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    prefix = "src/gamedyn/"
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        for member in archive.getmembers():
+            if member.isfile() and member.name.startswith(prefix):
+                target = into / BASE / member.name[len(prefix):]
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(archive.extractfile(member).read())
+
+
+def tasks(package: str, docs: list, rings: dict) -> dict:
+    """Task name -> a function of no arguments that runs it on package."""
+    pkg = importlib.import_module(package)
+    Profiles = importlib.import_module(f"{package}.strategy").Profiles
+    games = [pkg.parse_game(text) for text in docs]
+    ring = {family: pkg.parse_game(text) for family, text in rings.items()}
+
+    def moves():
+        for game in games:
+            profiles = Profiles(game)
+            for digits in profiles.digits():
+                profiles.moves(digits, False)
+
+    def equilibria(family):
+        return lambda: pkg.equilibria(pkg.build_dynamics(ring[family], "p1"))
+
+    def rows(kind):
+        return lambda: list(pkg.build_dynamics(ring["oscillating"], kind).succ)
+
+    out = {f"moves random_game 0..{len(games) - 1}": moves}
+    out.update((f"equilibria {family}-{RING}", equilibria(family)) for family in ring)
+    out.update((f"rows {kind} oscillating-{RING}", rows(kind))
+               for kind in ("p1", "bp1", "pc", "bpc"))
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("rev", help="the revision to compare against, e.g. HEAD~1")
+    ap.add_argument("--rounds", type=int, default=30, help="rounds per side (best of)")
+    ap.add_argument("--seeds", type=int, default=500, help="random_game seeds 0..N-1")
+    args = ap.parse_args(argv)
+    docs = [json.dumps(game_doc(random_game(seed))) for seed in range(args.seeds)]
+    rings = {family: json.dumps(ring_doc(RING, family))
+             for family in ("oscillating", "converging")}
+    with tempfile.TemporaryDirectory() as tmp:
+        export(args.rev, pathlib.Path(tmp))
+        sys.path.insert(0, tmp)
+        sides = {args.rev: tasks(BASE, docs, rings), "this": tasks("gamedyn", docs, rings)}
+        best = {side: dict.fromkeys(run, float("inf")) for side, run in sides.items()}
+        order = list(sides)
+        for r in range(args.rounds):
+            for side in order if r % 2 == 0 else order[::-1]:
+                for name, task in sides[side].items():
+                    start = time.perf_counter()
+                    task()
+                    best[side][name] = min(best[side][name], time.perf_counter() - start)
+    base, this = best[args.rev], best["this"]
+    width = max(map(len, base))
+    print(f"{f'best of {args.rounds}, ms':{width}} {args.rev[:10]:>10} {'this':>10}  change")
+    for name in base:
+        print(f"{name:{width}} {base[name] * 1e3:10.2f} {this[name] * 1e3:10.2f}  "
+              f"{this[name] / base[name] - 1:+.1%}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

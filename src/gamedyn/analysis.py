@@ -83,6 +83,7 @@ def find_fair_cycle(dg: DynamicsGraph, players) -> FairnessReport:
     witnesses.
     """
     g, changed = dg.succ, dg.changed
+    players = tuple(players)  # read once per component and again for the witness
 
     def can_switch(n):
         """The players with some outgoing edge of n changing them."""

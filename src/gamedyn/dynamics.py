@@ -125,7 +125,7 @@ def build_dynamics(game: Game, kind: str, guard: int | None = PROFILE_GUARD) -> 
 
     def updates(p: int) -> tuple:
         """Row p of succ; row p of changed goes to pending."""
-        by_player = profiles.moves(profiles.digits_at(p), best_reply)
+        by_player = profiles.moves_at(p, best_reply)
         # each update is (target, bit mask of the players it changes)
         if concurrent:
             out = [(p, 0)]

@@ -438,7 +438,7 @@ def _sdw_bpc_oscillation(otg: OneTargetGame, sdw: DisputeWheel):
     s2 = StrategyProfile.from_dict({**best, **hop, **direct})
     profiles = Profiles(game)
     i1, i2 = profiles.index(s1), profiles.index(s2)
-    dev1, dev2 = (profiles.moves(profiles.digits_at(i), best_reply=True) for i in (i1, i2))
+    dev1, dev2 = (profiles.moves_at(i, best_reply=True) for i in (i1, i2))
     switching = set()
     for u in sdw.pivots:
         if ring[u] == direct[u]:

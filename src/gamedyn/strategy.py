@@ -52,9 +52,11 @@ class Profiles:
 
     Equal plays share one int id (hash-consing): a terminal's id is fixed, a
     non-terminal's is the id of (vertex, id of the rest of the play), and a
-    vertex on a loop gets the id of (its rotation of the loop,).  The ids of
-    the plays from k's successors fix every play a move at k leads to, so
-    k's improving and best-reply moves are memoised under them.
+    vertex on a loop gets the id of (its rotation of the loop,).  An id
+    depends only on the play, so vertices may get theirs in any order.  The
+    ids of the plays from k's successors fix every play a move at k leads
+    to, so k's improving and best-reply moves are memoised under them, in
+    one memo per non-terminal.
     """
 
     def __init__(self, game: Game):
@@ -66,21 +68,23 @@ class Profiles:
         for k in range(len(self.movers) - 2, -1, -1):
             self.weight[k] = self.weight[k + 1] * len(self.choices[k + 1])
         self.count = self.weight[0] * len(self.choices[0]) if self.movers else 1
-        self._places = [(w, len(s)) for w, s in zip(self.weight, self.choices)]
         self._pos = [{w: j for j, w in enumerate(s)} for s in self.choices]
         vid = {v: i for i, v in enumerate(game.vertices)}
         self._at = [vid[v] for v in self.movers]
         self._succ = [tuple(vid[w] for w in s) for s in self.choices]
+        # per non-terminal k: its vertex id, its successors' ids, the weight
+        # and the radix of digit k
+        self._places = [(x, s, w, len(s)) for x, s, w in zip(self._at, self._succ, self.weight)]
         self._table, self._bottom = game.rank_table()
         self._next = [-1] * len(game.vertices)  # the walked profile; -1 at terminals
         self._ids = _Interned()  # play key -> play id
         # per vertex id: its play's id if it is a terminal, else -1
         self._fixed = [self._ids[x] if v in game.terminals else -1
                        for x, v in enumerate(game.vertices)]
-        # (k, play ids from k's successors) -> per choice of k: (improving, best) offsets
-        self._memo = {}
-        # per non-terminal k: k, the getter of its successors' play ids, its owner's index
-        self._keyed = [(k, itemgetter(*s), o - 1)
+        # per non-terminal k: k, its memo from the play ids of its successors
+        # to (improving, best) offsets per choice of k, its successors, the
+        # getter of their play ids and its owner's index
+        self._keyed = [(k, {}, s, itemgetter(*s), o - 1)
                        for k, (s, o) in enumerate(zip(self._succ, self.owner))]
 
     def check(self, guard: int | None, rows: int = 1):
@@ -100,10 +104,6 @@ class Profiles:
         the profiles whose digit k is 0."""
         return itertools.product(*(range(len(s)) if k != hold else (0,)
                                    for k, s in enumerate(self.choices)))
-
-    def digits_at(self, i: int) -> list[int]:
-        """Profile i's choice indices."""
-        return [i // w % r for w, r in self._places]
 
     def index(self, profile: StrategyProfile) -> int:
         """The profile's index; KeyError unless it chooses a successor at
@@ -158,12 +158,12 @@ class Profiles:
         self._walk(digits)
         return [self._rank(self._at[k], w) for w in self._succ[k]]
 
-    def _play_ids(self):
-        """Per vertex id, the id of the play from it under the walked profile.
-        Walks each vertex once; -2 marks the vertices of the open path."""
+    def _fill(self, pid, starts):
+        """Give the plays from starts under the walked profile, and every play
+        on their way, their ids in pid, where pid has none (-1); -2 marks
+        the vertices of the open path."""
         nxt, ids = self._next, self._ids
-        pid = self._fixed[:]
-        for x in self._at:
+        for x in starts:
             if pid[x] != -1:
                 continue
             path = []
@@ -179,9 +179,8 @@ class Profiles:
             rest = pid[x]
             for y in reversed(path):
                 rest = pid[y] = ids[y, rest]
-        return pid
 
-    def _moves_at(self, k: int) -> list[tuple]:
+    def _vertex_moves(self, k: int) -> list[tuple]:
         """Per current choice of non-terminal k under the walked profile: the
         offsets of its owner's improving moves at k, and of the best of them."""
         v, step, player = self._at[k], self.weight[k], self.owner[k] - 1
@@ -199,28 +198,44 @@ class Profiles:
         moves at a vertex are kept: best replies are judged per state, not
         per whole strategy."""
         self._walk(digits)
-        pid, memo = self._play_ids(), self._memo
+        return self._walked_moves(digits, best_reply)
+
+    def moves_at(self, i: int, best_reply: bool) -> list[list[int]]:
+        """moves of profile i, whose digits are decoded and walked in one loop."""
+        nxt, digits = self._next, []
+        for x, s, w, r in self._places:
+            c = i // w % r
+            nxt[x] = s[c]
+            digits.append(c)
+        return self._walked_moves(digits, best_reply)
+
+    def _walked_moves(self, digits, best_reply):
+        pid = self._fixed[:]
+        self._fill(pid, self._at)
         which = 1 if best_reply else 0
         by_player = [[] for _ in range(self.game.n_players)]
-        for (k, ids_at, player), c in zip(self._keyed, digits):
-            key = (k, ids_at(pid))
+        for (k, memo, _, ids_at, player), c in zip(self._keyed, digits):
+            key = ids_at(pid)
             at = memo.get(key)
             if at is None:
-                at = memo[key] = self._moves_at(k)
+                at = memo[key] = self._vertex_moves(k)
             by_player[player].extend(at[c][which])
         return by_player
 
     def has_move(self, digits) -> bool:
         """True iff some player has an improving move from the profile digits
         spells, which is when some player has a best reply.  It reads the
-        memo as moves does, but stops at the first vertex with a move."""
+        memo as moves does, but gives ids only to the plays from the
+        successors of the non-terminals it reads, and stops at the first
+        one with a move."""
         self._walk(digits)
-        pid, memo = self._play_ids(), self._memo
-        for (k, ids_at, _), c in zip(self._keyed, digits):
-            key = (k, ids_at(pid))
+        pid, fill = self._fixed[:], self._fill
+        for (k, memo, succ, ids_at, _), c in zip(self._keyed, digits):
+            fill(pid, succ)
+            key = ids_at(pid)
             at = memo.get(key)
             if at is None:
-                at = memo[key] = self._moves_at(k)
+                at = memo[key] = self._vertex_moves(k)
             if at[c][0]:
                 return True
         return False

@@ -169,6 +169,25 @@ def random_notg(seed, max_nodes=5):
     })
 
 
+def ring_doc(n, family, players=3):
+    """An n-vertex ring as the `ring` benchmark builds one, as a document of
+    the input format: each ring vertex has an edge to the next and one to
+    the terminal t.  Oscillating owners prefer one hop round, then the
+    direct edge; converging owners the direct edge."""
+    order = [f"v{i}" for i in range(n)]
+    owner = {v: i % players + 1 for i, v in enumerate(order)}
+    nxt = {v: order[(i + 1) % n] for i, v in enumerate(order)}
+    prefs = {}
+    for p in range(1, players + 1):
+        mine = [v for v in order if owner[v] == p]
+        hop = [{"path": [v, nxt[v], "t"]} for v in mine]
+        direct = [{"path": [v, "t"]} for v in mine]
+        prefs[str(p)] = [hop, direct] if family == "oscillating" else [direct, hop]
+    return {"players": players, "vertices": order + ["t"],
+            "edges": [[v, nxt[v]] for v in order] + [[v, "t"] for v in order],
+            "owner": owner, "preferences": prefs}
+
+
 def game_doc(game):
     """The game as a document of the input format."""
     def play(p):

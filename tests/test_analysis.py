@@ -108,6 +108,17 @@ def test_per_player_vocabulary():
             assert verdict in (SWITCHES, CANNOT_SWITCH, NON_SWITCHER)
 
 
+def test_fair_cycle_reads_players_from_an_iterator():
+    """players is read for every component and again for the witness, so a
+    one-shot iterator must give the report a tuple gives."""
+    for seed in range(2000):
+        game = random_game(seed)
+        for kind in ("p1", "bp1", "pc", "bpc"):
+            dg = build_dynamics(game, kind, guard=None)
+            players = all_players(game)
+            assert find_fair_cycle(dg, players=iter(players)) == find_fair_cycle(dg, players)
+
+
 # ---------------------------------------------------------------------------
 # belief graphs
 

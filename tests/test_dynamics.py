@@ -28,7 +28,7 @@ from gamedyn.strategy import PROFILE_GUARD, Profiles, enumerate_profiles, outcom
 from gamedyn.game import Comparison, FinitePlay, Game, PreferenceOrder
 
 from .conftest import load_game
-from .generators import random_game
+from .generators import random_game, ring_doc
 from .oracles import (
     belief_delta_by_enumeration,
     one_step_by_enumeration,
@@ -323,35 +323,20 @@ def test_lazy_rows_equal_eager_rows():
 
 
 def ring_game(n, family, players=3):
-    """An n-vertex ring as the `ring` benchmark builds one: each ring vertex
-    has an edge to the next and one to the terminal t.  Oscillating owners
-    prefer one hop round, then the direct edge; converging owners the
-    direct edge."""
-    order = [f"v{i}" for i in range(n)]
-    owner = {v: i % players + 1 for i, v in enumerate(order)}
-    nxt = {v: order[(i + 1) % n] for i, v in enumerate(order)}
-    prefs = {}
-    for p in range(1, players + 1):
-        mine = [v for v in order if owner[v] == p]
-        hop = [{"path": [v, nxt[v], "t"]} for v in mine]
-        direct = [{"path": [v, "t"]} for v in mine]
-        prefs[str(p)] = [hop, direct] if family == "oscillating" else [direct, hop]
-    return parse_game(json.dumps({
-        "players": players, "vertices": order + ["t"],
-        "edges": [[v, nxt[v]] for v in order] + [[v, "t"] for v in order],
-        "owner": owner, "preferences": prefs}))
+    return parse_game(json.dumps(ring_doc(n, family, players)))
 
 
 @pytest.fixture
 def moves_calls(monkeypatch):
-    """The profiles each Profiles.moves call is made for, in call order."""
-    calls, moves = [], Profiles.moves
+    """The profile indices each Profiles.moves_at call is made for, in call
+    order: one call per dynamics row built."""
+    calls, moves_at = [], Profiles.moves_at
 
-    def counted(self, digits, best_reply):
-        calls.append(tuple(digits))
-        return moves(self, digits, best_reply)
+    def counted(self, i, best_reply):
+        calls.append(i)
+        return moves_at(self, i, best_reply)
 
-    monkeypatch.setattr(Profiles, "moves", counted)
+    monkeypatch.setattr(Profiles, "moves_at", counted)
     return calls
 
 
@@ -375,6 +360,32 @@ def test_searches_build_only_the_rows_they_read(kind, moves_calls):
     assert _verdicts(converging)[1] is None
     assert len(list(converging.succ)) == len(list(converging.changed)) == 1024
     assert len(moves_calls) == len(set(moves_calls)) == 1024
+
+
+@pytest.mark.parametrize("kind", ["p1", "bp1", "pc", "bpc"])
+def test_equilibria_walk_only_the_plays_they_read(kind, moves_calls, monkeypatch):
+    """A fresh equilibria asks has_move of every profile and builds no row,
+    and has_move gives ids to the plays from the vertices it reads up to
+    the first move: 3059 ids on this ring, against 10 per profile for a
+    full walk."""
+    asked, filled = [], []
+    has_move, fill = Profiles.has_move, Profiles._fill
+
+    def counted_has_move(self, digits):
+        asked.append(tuple(digits))
+        return has_move(self, digits)
+
+    def counted_fill(self, pid, starts):
+        unknown = pid.count(-1)
+        fill(self, pid, starts)
+        filled.append(unknown - pid.count(-1))
+
+    monkeypatch.setattr(Profiles, "has_move", counted_has_move)
+    monkeypatch.setattr(Profiles, "_fill", counted_fill)
+    dg = build_dynamics(ring_game(10, "oscillating"), kind)
+    assert len(equilibria(dg)) == 2 and moves_calls == []
+    assert len(asked) == len(set(asked)) == 1024
+    assert sum(filled) < 1024 * 10 / 3
 
 
 def _most_updates(game, kind):

@@ -123,6 +123,26 @@ def test_moves_do_not_depend_on_visiting_order():
                 assert [profiles.moves(digits[i], b) for b in (False, True)] == want[i]
 
 
+def test_has_move_is_some_move_in_every_visiting_order():
+    """has_move gives ids only to the plays it reads; on every profile it
+    answers as the moves of a fully walked profile do, whichever profiles
+    filled the memo before it."""
+    games = [load_game(f"{name}.json") for name in ("gdis", "fig2", "fig3", "fig4", "fig5")]
+    games += [parse_game(json.dumps(LOOP_BACK)), *_ranked_directly()]
+    games += [random_game(seed) for seed in range(200)]
+    rng = random.Random(0)
+    for game in games:
+        reference = Profiles(game)
+        digits = list(reference.digits())
+        want = [any(reference.moves(d, False)) for d in digits]
+        shuffled = list(range(len(digits)))
+        rng.shuffle(shuffled)
+        for order in (range(len(digits)), range(len(digits) - 1, -1, -1), shuffled):
+            profiles = Profiles(game)
+            for i in order:
+                assert profiles.has_move(digits[i]) == want[i], (game, digits[i])
+
+
 def _ranked_directly():
     """Games built without validation, ranking what a parsed game cannot:
     a play in two classes of one player, a lasso through a vertex twice, a
