@@ -2,7 +2,7 @@
 """Time the profile kernel of this checkout against another revision, in one
 process.
 
-    python scripts/kernel_pair.py <rev> [--rounds N] [--seeds N]
+    python scripts/kernel_pair.py <rev> [group ...] [--rounds N] [--seeds N]
 
 <rev>'s src/gamedyn is exported with `git archive` into a temporary
 directory as the package `gamedyn_base` and imported beside this checkout's
@@ -10,11 +10,13 @@ directory as the package `gamedyn_base` and imported beside this checkout's
 every task on both sides, the side that goes first alternating, so that a
 slow phase of the host hits both alike; each task keeps its best round.
 
-Tasks:
+Task groups (moves, equilibria and rows unless others are named):
 - moves: a fresh Profiles per random_game seed 0..N-1 (--seeds) and one
   moves pass, improving moves only, over every profile;
 - equilibria: a fresh p1 graph of a 10-vertex ring, then equilibria;
-- rows: a fresh graph of the oscillating 10-vertex ring, then every row.
+- rows: a fresh graph of the oscillating 10-vertex ring, then every row;
+- verdicts: per kind, a fresh graph of the converging 10-vertex ring, then
+  find_cycle, find_fair_cycle and equilibria, as one `ring` round asks them.
 """
 
 import argparse
@@ -36,6 +38,8 @@ from tests.generators import game_doc, random_game, ring_doc  # noqa: E402
 
 BASE = "gamedyn_base"
 RING = 10
+KINDS = ("p1", "bp1", "pc", "bpc")
+GROUPS = ("moves", "equilibria", "rows", "verdicts")
 
 
 def export(rev: str, into: pathlib.Path) -> None:
@@ -70,26 +74,41 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
     def rows(kind):
         return lambda: list(pkg.build_dynamics(ring["oscillating"], kind).succ)
 
+    def verdicts(kind):
+        def run():
+            dg = pkg.build_dynamics(ring["converging"], kind)
+            return (pkg.find_cycle(dg), pkg.find_fair_cycle(dg, players=(1, 2, 3)),
+                    pkg.equilibria(dg))
+        return run
+
     out = {f"moves random_game 0..{len(games) - 1}": moves}
     out.update((f"equilibria {family}-{RING}", equilibria(family)) for family in ring)
-    out.update((f"rows {kind} oscillating-{RING}", rows(kind))
-               for kind in ("p1", "bp1", "pc", "bpc"))
+    out.update((f"rows {kind} oscillating-{RING}", rows(kind)) for kind in KINDS)
+    out.update((f"verdicts {kind} converging-{RING}", verdicts(kind)) for kind in KINDS)
     return out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="the revision to compare against, e.g. HEAD~1")
+    ap.add_argument("groups", nargs="*", metavar="group",
+                    help=f"a task group to time, of {', '.join(GROUPS)} "
+                         f"(default: {' '.join(GROUPS[:3])})")
     ap.add_argument("--rounds", type=int, default=30, help="rounds per side (best of)")
     ap.add_argument("--seeds", type=int, default=500, help="random_game seeds 0..N-1")
     args = ap.parse_args(argv)
+    groups = args.groups or GROUPS[:3]
+    if set(groups) - set(GROUPS):
+        ap.error(f"unknown task group among {groups}; choose from {', '.join(GROUPS)}")
     docs = [json.dumps(game_doc(random_game(seed))) for seed in range(args.seeds)]
     rings = {family: json.dumps(ring_doc(RING, family))
              for family in ("oscillating", "converging")}
     with tempfile.TemporaryDirectory() as tmp:
         export(args.rev, pathlib.Path(tmp))
         sys.path.insert(0, tmp)
-        sides = {args.rev: tasks(BASE, docs, rings), "this": tasks("gamedyn", docs, rings)}
+        sides = {side: {name: task for name, task in tasks(package, docs, rings).items()
+                        if name.split()[0] in groups}
+                 for side, package in ((args.rev, BASE), ("this", "gamedyn"))}
         best = {side: dict.fromkeys(run, float("inf")) for side, run in sides.items()}
         order = list(sides)
         for r in range(args.rounds):

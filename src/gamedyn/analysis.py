@@ -6,7 +6,7 @@ from typing import Mapping, Optional
 
 from .dynamics import BeliefGraph, DynamicsGraph
 from .errors import Frozen
-from .graphs import Digraph, is_nontrivial, scc_stream, shortest_path
+from .graphs import Digraph, is_nontrivial, shortest_path
 
 
 class CycleWitness(Frozen):
@@ -16,8 +16,12 @@ class CycleWitness(Frozen):
         self._set(cycle=cycle)
 
     def validate(self, g: Digraph) -> bool:
+        """True iff the cycle is a closed walk of g; False if a node is not in g."""
         seq = self.cycle
-        return bool(seq) and all(b in g.successors(a) for a, b in zip(seq, seq[1:] + seq[:1]))
+        try:
+            return bool(seq) and all(b in g.successors(a) for a, b in zip(seq, seq[1:] + seq[:1]))
+        except KeyError:  # a node g does not have
+            return False
 
 
 SWITCHES = "switches-infinitely-often"
@@ -49,7 +53,7 @@ def terminates(dg: DynamicsGraph) -> bool:
 
 def find_cycle(dg: DynamicsGraph) -> Optional[CycleWitness]:
     g = dg.succ
-    for scc in scc_stream(g):
+    for scc in dg.sccs:
         if is_nontrivial(g, scc):
             cycle = _cycle_through(g, scc, min(scc))
             return CycleWitness(cycle=tuple(dg.nodes[n] for n in cycle))
@@ -58,11 +62,12 @@ def find_cycle(dg: DynamicsGraph) -> Optional[CycleWitness]:
 
 def equilibria(dg: DynamicsGraph) -> frozenset:
     """Nodes with no outgoing edge.  A profile whose row is not built yet is
-    only asked whether some player has a move, and its row stays unbuilt."""
-    rows, has_move = dg.succ, dg.profiles.has_move
-    return frozenset(n for n, row, digits in zip(dg.nodes, map(rows.get, range(len(rows))),
-                                                 dg.profiles.digits())
-                     if not (has_move(digits) if row is None else row))
+    only asked whether some player has a move, and its row stays unbuilt;
+    only the equilibria are made into profiles."""
+    get, has_move = dg.succ.get, dg.profiles.has_move
+    return frozenset(map(dg.nodes.__getitem__, [
+        i for i, digits in enumerate(dg.profiles.digits())
+        if not (has_move(digits) if (row := get(i)) is None else row)]))
 
 
 def _cycle_through(g, scc: frozenset, start) -> list:
@@ -90,7 +95,7 @@ def find_fair_cycle(dg: DynamicsGraph, players) -> FairnessReport:
         return frozenset().union(*changed[n])
 
     report_per_player = {}
-    for scc in scc_stream(g):
+    for scc in dg.sccs:
         if not is_nontrivial(g, scc):
             continue
         members = sorted(scc)

@@ -9,7 +9,7 @@ from functools import cached_property
 from .errors import (KINDS, PROFILE_GUARD, Frozen, NonDeterministicBestReply,
                      StateSpaceTooLarge)
 from .game import Game
-from .graphs import Digraph, scc_stream
+from .graphs import Digraph, SccReplay, scc_stream
 from .strategy import Profiles, StrategyProfile, unfold
 
 
@@ -44,36 +44,46 @@ class Rows(dict):
 class DynamicsGraph(Frozen):
     """Update dynamics over positional profiles.
 
-    Node i is profile i of the numbering `profiles`.  succ[i] lists the
-    indices node i updates to, ascending, and changed[i] the players each of
-    those updates changes, so index order is the one successor order.  Both
-    are Rows: a profile's updates are worked out when either row is first
-    read.  Graphs are equal only to themselves.
+    Node i is profile i of the numbering `nodes`, which is `profiles` and
+    makes a profile only when one is read.  succ[i] lists the indices node
+    i updates to, ascending, and changed[i] the players each of those
+    updates changes, so index order is the one successor order.  Both are
+    Rows: succ[i] is worked out when first read, and changed[i] from i and
+    succ[i].  Graphs are equal only to themselves.
     """
 
     _fields = ("kind", "nodes", "succ", "changed")
-    __slots__ = _fields + ("profiles", "__dict__")  # the __dict__ holds names
+    __slots__ = _fields + ("profiles", "__dict__")  # the __dict__ holds names and sccs
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, kind: str, profiles: Profiles, nodes: tuple, succ: Rows, changed: Rows):
-        # nodes: a StrategyProfile per index; changed: per index, a frozenset
-        # of players per successor
-        self._set(kind=kind, profiles=profiles, nodes=nodes, succ=succ, changed=changed)
+    def __init__(self, kind: str, profiles: Profiles, succ: Rows, changed: Rows):
+        # changed: per index, a frozenset of players per successor
+        self._set(kind=kind, profiles=profiles, nodes=profiles, succ=succ, changed=changed)
+
+    def __repr__(self):
+        return (f"DynamicsGraph(kind={self.kind!r}, nodes={tuple(self.nodes)!r}, "
+                f"succ={self.succ!r}, changed={self.changed!r})")
 
     @cached_property
     def names(self) -> tuple:
         """Compact display name per index."""
         return tuple(self.profiles.names(one_step=self.kind == "1"))
 
+    @cached_property
+    def sccs(self) -> SccReplay:
+        """Tarjan's components of succ, in completion order, from one pass
+        that every reader shares and that goes only as far as one has read."""
+        return SccReplay(self.succ)
+
     @property
     def edges(self) -> frozenset:
         """(src, dst, changed players) triples, derived from the successor lists."""
-        nodes = self.nodes
+        nodes = tuple(self.nodes)
         return frozenset((u, nodes[j], c) for u, js, cs in zip(nodes, self.succ, self.changed)
                          for j, c in zip(js, cs))
 
     def digraph(self) -> Digraph:
-        return Digraph(self.nodes, tuple(self.succ))
+        return Digraph(tuple(self.nodes), tuple(self.succ))
 
     def successors(self, node):
         i = self.profiles.index(node)
@@ -120,29 +130,42 @@ def build_dynamics(game: Game, kind: str, guard: int | None = PROFILE_GUARD) -> 
     profiles = Profiles(game)
     profiles.check(guard)
     best_reply = kind.startswith("b")
-    groups = _Players()
-    pending = {}  # row p of changed, from when row p of succ is built to its first read
 
     def updates(p: int) -> tuple:
-        """Row p of succ; row p of changed goes to pending."""
+        """Row p of succ: p plus each player's offset, or for concurrent
+        kinds plus each sum of offsets of distinct players."""
         by_player = profiles.moves_at(p, best_reply)
-        # each update is (target, bit mask of the players it changes)
         if concurrent:
-            out = [(p, 0)]
-            for i, offsets in enumerate(by_player):
+            out = [p]
+            for offsets in by_player:
                 if offsets:
-                    bit = 1 << i
-                    out += [(t + d, m | bit) for t, m in out for d in offsets]
+                    out += [t + d for t in out for d in offsets]
             del out[0]
         else:
-            out = [(p + d, 1 << i) for i, offsets in enumerate(by_player) for d in offsets]
-        out.sort()  # targets are unique, so masks are never compared
-        pending[p] = tuple([groups[m] for _, m in out])
-        return tuple([t for t, _ in out])
+            out = [p + d for offsets in by_player for d in offsets]
+        out.sort()
+        return tuple(out)
+
+    groups = _Players()
+    # per non-terminal, last digit first: its radix and its owner's bit
+    places = [(len(s), 1 << o - 1) for s, o in zip(profiles.choices, profiles.owner)][::-1]
 
     def players(p: int) -> tuple:
-        succ[p]  # builds row p of succ, and so pending[p], unless it is built
-        return pending.pop(p)
+        """Row p of changed: per target of row p of succ, the owners of the
+        non-terminals whose digit differs from p's, read from the last
+        digit up to the last one that differs."""
+        out = []
+        for t in succ[p]:
+            a, b, mask = t, p, 0
+            for r, bit in places:
+                if a % r != b % r:
+                    mask |= bit
+                a //= r
+                b //= r
+                if a == b:
+                    break
+            out.append(groups[mask])
+        return tuple(out)
 
     # changed refers to succ, never the other way round, so a graph is
     # freed as soon as it is dropped
@@ -153,8 +176,7 @@ def build_dynamics(game: Game, kind: str, guard: int | None = PROFILE_GUARD) -> 
             count += len(row)
             if count > guard:
                 raise StateSpaceTooLarge(count, guard, f"{kind} dynamics has over {guard} updates")
-    return DynamicsGraph(kind=kind, profiles=profiles, nodes=tuple(profiles),
-                         succ=succ, changed=changed)
+    return DynamicsGraph(kind=kind, profiles=profiles, succ=succ, changed=changed)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ rows in index order.  A Digraph names the nodes of one."""
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 from typing import Iterator
 
@@ -90,6 +91,33 @@ def scc_stream(g):
                         on_stack[w] = 0
                         comp.append(w)
                     yield frozenset(comp)
+
+
+class SccReplay:
+    """One scc_stream of int graph g, shared by its readers: each iteration
+    replays the components found so far, then continues the one pass, so
+    every reader sees scc_stream's components in its order.  If the pass
+    raises, the next read that needs it starts a new pass and skips what is
+    found already."""
+
+    __slots__ = ("g", "found", "stream")
+
+    def __init__(self, g):
+        self.g, self.found, self.stream = g, [], scc_stream(g)
+
+    def __iter__(self):
+        found, i = self.found, 0
+        while True:
+            if i == len(found):
+                try:
+                    found.append(next(self.stream))
+                except StopIteration:
+                    return
+                except BaseException:
+                    self.stream = itertools.islice(scc_stream(self.g), len(found), None)
+                    raise
+            yield found[i]
+            i += 1
 
 
 def strongly_connected_components(g: Digraph) -> list[frozenset]:

@@ -91,7 +91,7 @@ def largest_simulation(small, big):
             if len(kept) < len(sim[a]):
                 sim[a] = kept
                 changed = True
-    nodes_s, nodes_b = small.nodes, big.nodes
+    nodes_s, nodes_b = tuple(small.nodes), tuple(big.nodes)
     rel = Relation(frozenset((nodes_s[a], nodes_b[b]) for a, bs in enumerate(sim) for b in bs))
     return rel, all(sim)
 

@@ -69,6 +69,10 @@ class Profiles:
             self.weight[k] = self.weight[k + 1] * len(self.choices[k + 1])
         self.count = self.weight[0] * len(self.choices[0]) if self.movers else 1
         self._pos = [{w: j for j, w in enumerate(s)} for s in self.choices]
+        # per non-terminal: its (vertex, successor) pair per choice, shared by
+        # every profile made here
+        self._pairs = [tuple((v, w) for w in s) for v, s in zip(self.movers, self.choices)]
+        self._made = {}  # profile index -> its profile, once read, shared by every result
         vid = {v: i for i, v in enumerate(game.vertices)}
         self._at = [vid[v] for v in self.movers]
         self._succ = [tuple(vid[w] for w in s) for s in self.choices]
@@ -93,11 +97,24 @@ class Profiles:
         if guard is not None and count > guard:
             raise StateSpaceTooLarge(count, guard)
 
+    def __len__(self):
+        return self.count
+
     def __iter__(self):
-        """Every profile, in index order; profiles share their (vertex,
-        successor) pairs."""
-        pairs = [[(v, w) for w in s] for v, s in zip(self.movers, self.choices)]
-        return map(StrategyProfile, itertools.product(*pairs))
+        """Every profile, in index order."""
+        return map(StrategyProfile, itertools.product(*self._pairs))
+
+    def __getitem__(self, i: int) -> StrategyProfile:
+        """Profile i, decoded digit by digit the first time it is read;
+        negative i counts from the end."""
+        if not -self.count <= i < self.count:
+            raise IndexError(f"profile {i} of {self.count}")
+        i %= self.count
+        profile = self._made.get(i)
+        if profile is None:
+            profile = self._made[i] = StrategyProfile(tuple(
+                [pairs[i // w % len(pairs)] for pairs, w in zip(self._pairs, self.weight)]))
+        return profile
 
     def digits(self, hold=None):
         """Every profile's choice indices, in index order; with hold=k, only

@@ -45,6 +45,15 @@ def test_empty_cycle_witness_is_false(gdis):
     assert CycleWitness(()).validate(build_dynamics(gdis, "pc").digraph()) is False
 
 
+def test_witness_off_the_graph_is_false(gdis, fig3):
+    """A witness holding a node the graph does not have is no cycle of it."""
+    g = build_dynamics(gdis, "pc").digraph()
+    witness = find_fair_cycle(build_dynamics(fig3, "pc"), players=(1, 2)).witness
+    assert not set(witness.cycle) & set(g.nodes)
+    assert witness.validate(g) is False
+    assert CycleWitness(g.nodes[:1] + witness.cycle[:1]).validate(g) is False
+
+
 def test_equilibria_are_exactly_sinks():
     for seed in range(40):
         game = random_game(seed)

@@ -456,3 +456,72 @@ def test_a_dropped_graph_is_freed_at_once(fig5):
         assert profiles() is None
     finally:
         gc.enable()
+
+
+@pytest.fixture
+def profiles_made(monkeypatch):
+    """The items of every StrategyProfile made, in order."""
+    made, init = [], StrategyProfile.__init__
+
+    def counted(self, items):
+        made.append(items)
+        init(self, items)
+
+    monkeypatch.setattr(StrategyProfile, "__init__", counted)
+    return made
+
+
+def test_build_makes_no_profile(profiles_made):
+    """A graph's nodes are its numbering: a profile is made when one is
+    read, and node i is the i-th profile enumerated."""
+    oscillating = ring_game(10, "oscillating")
+    dg = build_dynamics(oscillating, "p1")
+    assert profiles_made == []
+    witness = find_cycle(dg)
+    assert profiles_made == [p.items for p in witness.cycle]
+    # a profile read again is the one made before, so results share it
+    fair = find_fair_cycle(dg, players=(1, 2, 3)).witness
+    assert all(dg.nodes[dg.profiles.index(p)] is p for p in witness.cycle + fair.cycle)
+
+    games = [load_game(name) for name in FIXTURE_GAMES] + [parse_game(json.dumps(LOOP_BACK))]
+    for game in games + [random_game(seed) for seed in range(200)]:
+        dg = build_dynamics(game, "p1", guard=None)
+        listed = list(dg.profiles)
+        assert len(dg.nodes) == len(listed) == Profiles(game).count
+        assert [dg.nodes[i] for i in range(len(listed))] == listed
+        assert dg.nodes[-1] == listed[-1]
+        for i in (len(listed), -len(listed) - 1):
+            with pytest.raises(IndexError):
+                dg.nodes[i]
+
+
+@pytest.fixture
+def scc_starts(monkeypatch):
+    """One entry per scc_stream started."""
+    from gamedyn import graphs
+
+    starts, stream = [], graphs.scc_stream
+
+    def counted(g):
+        starts.append(g)
+        return stream(g)
+
+    monkeypatch.setattr(graphs, "scc_stream", counted)
+    return starts
+
+
+@pytest.mark.parametrize("kind", ["p1", "bp1", "pc", "bpc"])
+def test_searches_share_one_tarjan_pass(kind, scc_starts, moves_calls):
+    players = (1, 2, 3)
+    for family in ("converging", "oscillating"):
+        game = ring_game(10, family)
+        dg = build_dynamics(game, kind)
+        del moves_calls[:], scc_starts[:]
+        got = find_cycle(dg), find_fair_cycle(dg, players=players), find_cycle(dg)
+        assert scc_starts == [dg.succ]
+        if family == "oscillating":
+            assert len(moves_calls) == 96
+        want = (find_cycle(build_dynamics(game, kind)),
+                find_fair_cycle(build_dynamics(game, kind), players=players))
+        assert got == want + want[:1]
+        assert (got[0] is None) == (family == "converging")

@@ -3,8 +3,11 @@
 import random
 from itertools import islice
 
+import pytest
+
 from gamedyn.graphs import (
     Digraph,
+    SccReplay,
     is_nontrivial,
     scc_stream,
     shortest_path,
@@ -70,6 +73,41 @@ def test_scc_stream_matches_reference_tarjan():
         for k in range(len(want) + 1):
             stopped = islice(scc_stream(g.succ), k)
             assert [frozenset(g.nodes[i] for i in c) for c in stopped] == want[:k]
+
+
+class FailsOnce(list):
+    """An int graph whose row k raises the first time it is read."""
+
+    def __init__(self, rows, k):
+        super().__init__(rows)
+        self.k = k
+
+    def __getitem__(self, i):
+        if i == self.k:
+            self.k = None
+            raise RuntimeError(i)
+        return super().__getitem__(i)
+
+
+def test_scc_replay_is_one_stream_for_every_reader():
+    graphs = [random_digraph(seed, n=10, p=0.15, loops=True) for seed in range(60)]
+    for seed, g in enumerate(graphs):
+        want = list(scc_stream(g.succ))
+        shared = SccReplay(g.succ)
+        # two readers, interleaved: each sees every component, in order
+        first, second = iter(shared), iter(shared)
+        half = list(islice(first, len(want) // 2))
+        assert list(second) == want and half + list(first) == want
+        assert list(shared) == want
+
+        # a pass that raises is restarted, skipping what was found
+        broken = SccReplay(FailsOnce(g.succ, random.Random(seed).randrange(len(g.succ))))
+        seen = []
+        with pytest.raises(RuntimeError):  # Tarjan reads every row
+            for c in broken:
+                seen.append(c)
+        assert seen == want[:len(seen)]
+        assert list(broken) == want
 
 
 def test_is_nontrivial_means_two_nodes_or_a_self_loop():
