@@ -16,14 +16,24 @@ Task groups (moves, equilibria and rows unless others are named):
 - equilibria: a fresh p1 graph of a 10-vertex ring, then equilibria;
 - rows: a fresh graph of the oscillating 10-vertex ring, then every row;
 - verdicts: per kind, a fresh graph of the converging 10-vertex ring, then
-  find_cycle, find_fair_cycle and equilibria, as one `ring` round asks them.
+  find_cycle, find_fair_cycle and equilibria, as one `ring` round asks them;
+- scans: a fresh p1 graph of a 12- and of a 14-vertex ring, named at random
+  as the `ring` benchmark names them, then equilibria;
+- dominated: is_dominated on the converging 12-vertex ring named at random,
+  for an edge to the next vertex against the edge to the terminal (it
+  holds) and the other way round (it fails); and on every ordered pair of
+  sibling edges of random_game seeds 0..N-1, on games parsed before the
+  timing and, as "fresh", on games parsed in it, so that each builds its
+  rank table and prefixes afresh, as the minors a sweep checks do.
 """
 
 import argparse
 import importlib
 import io
+import itertools
 import json
 import pathlib
+import random
 import subprocess
 import sys
 import tarfile
@@ -38,8 +48,10 @@ from tests.generators import game_doc, random_game, ring_doc  # noqa: E402
 
 BASE = "gamedyn_base"
 RING = 10
+SCANNED = (12, 14)
+FAMILIES = ("oscillating", "converging")
 KINDS = ("p1", "bp1", "pc", "bpc")
-GROUPS = ("moves", "equilibria", "rows", "verdicts")
+GROUPS = ("moves", "equilibria", "rows", "verdicts", "scans", "dominated")
 
 
 def export(rev: str, into: pathlib.Path) -> None:
@@ -60,7 +72,9 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
     pkg = importlib.import_module(package)
     Profiles = importlib.import_module(f"{package}.strategy").Profiles
     games = [pkg.parse_game(text) for text in docs]
-    ring = {family: pkg.parse_game(text) for family, text in rings.items()}
+    ring = {name: pkg.parse_game(text) for name, text in rings.items()}
+    siblings = [(game, (v, w1), (v, w2)) for game in games for v in game.non_terminals()
+                for w1, w2 in itertools.permutations(game.successors(v), 2)]
 
     def moves():
         for game in games:
@@ -81,10 +95,36 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
                     pkg.equilibria(dg))
         return run
 
+    def dominated(name, holds):
+        game = ring[name]
+        v = game.non_terminals()[0]
+        (t,) = game.terminals
+        (w,) = set(game.successors(v)) - {t}
+        pair = [(v, w), (v, t)] if holds else [(v, t), (v, w)]
+        return lambda: pkg.is_dominated(game, *pair)
+
+    def siblings_dominated():
+        for game, e1, e2 in siblings:
+            pkg.is_dominated(game, e1, e2)
+
+    def fresh_siblings_dominated():
+        for text in docs:
+            game = pkg.parse_game(text)
+            for v in game.non_terminals():
+                for w1, w2 in itertools.permutations(game.successors(v), 2):
+                    pkg.is_dominated(game, (v, w1), (v, w2))
+
     out = {f"moves random_game 0..{len(games) - 1}": moves}
-    out.update((f"equilibria {family}-{RING}", equilibria(family)) for family in ring)
+    out.update((f"equilibria {family}-{RING}", equilibria(family)) for family in FAMILIES)
     out.update((f"rows {kind} oscillating-{RING}", rows(kind)) for kind in KINDS)
     out.update((f"verdicts {kind} converging-{RING}", verdicts(kind)) for kind in KINDS)
+    out.update((f"scans equilibria {family}-{n}", equilibria(f"{family}-{n}"))
+               for n in SCANNED for family in FAMILIES)
+    name = f"converging-{SCANNED[0]}"
+    out[f"dominated holds {name}"] = dominated(name, True)
+    out[f"dominated fails {name}"] = dominated(name, False)
+    out[f"dominated random_game 0..{len(games) - 1}"] = siblings_dominated
+    out[f"dominated random_game 0..{len(games) - 1} fresh"] = fresh_siblings_dominated
     return out
 
 
@@ -101,8 +141,10 @@ def main(argv=None) -> int:
     if set(groups) - set(GROUPS):
         ap.error(f"unknown task group among {groups}; choose from {', '.join(GROUPS)}")
     docs = [json.dumps(game_doc(random_game(seed))) for seed in range(args.seeds)]
-    rings = {family: json.dumps(ring_doc(RING, family))
-             for family in ("oscillating", "converging")}
+    rings = {family: json.dumps(ring_doc(RING, family)) for family in FAMILIES}
+    rng = random.Random(0)
+    rings.update((f"{family}-{n}", json.dumps(ring_doc(n, family, rng=rng)))
+                 for n in SCANNED for family in FAMILIES)
     with tempfile.TemporaryDirectory() as tmp:
         export(args.rev, pathlib.Path(tmp))
         sys.path.insert(0, tmp)

@@ -63,11 +63,19 @@ def find_cycle(dg: DynamicsGraph) -> Optional[CycleWitness]:
 def equilibria(dg: DynamicsGraph) -> frozenset:
     """Nodes with no outgoing edge.  A profile whose row is not built yet is
     only asked whether some player has a move, and its row stays unbuilt;
-    only the equilibria are made into profiles."""
-    get, has_move = dg.succ.get, dg.profiles.has_move
-    return frozenset(map(dg.nodes.__getitem__, [
-        i for i, digits in enumerate(dg.profiles.digits())
-        if not (has_move(digits) if (row := get(i)) is None else row)]))
+    a move rules out the block of profiles that share it, and only the
+    equilibria are made into profiles."""
+    get, has_move, count = dg.succ.get, dg.profiles.has_move, len(dg.profiles)
+    found, i = [], 0
+    while i < count:
+        row = get(i)
+        if row is None and (past := has_move(i)):
+            i = past
+            continue
+        if not row:
+            found.append(i)
+        i += 1
+    return frozenset(map(dg.nodes.__getitem__, found))
 
 
 def _cycle_through(g, scc: frozenset, start) -> list:

@@ -175,7 +175,7 @@ class PreferenceOrder(Frozen):
 
 class Game(Frozen):
     _fields = ("n_players", "vertices", "edges", "owner", "preferences", "edge_labels")
-    __slots__ = _fields + ("vertex_set", "terminals", "_succ", "_pred", "_ranked")
+    __slots__ = _fields + ("vertex_set", "terminals", "_succ", "_pred", "_ranked", "_prefixes")
 
     def __init__(self, n_players: int, vertices: tuple[str, ...],
                  edges: frozenset[tuple[str, str]], owner: Mapping[str, int],
@@ -233,6 +233,23 @@ class Game(Frozen):
                         table.setdefault(key, list(bottom))[player] = r
         object.__setattr__(self, "_ranked", ({k: tuple(r) for k, r in table.items()}, bottom))
         return self._ranked
+
+    def rank_prefixes(self) -> dict:
+        """The paths of rank_table's keys as a trie: per vertex index, the
+        trie of the paths that go on from it.  A walk whose path leaves the
+        trie is no ranked play, wherever it goes on.  Built on first use,
+        apart from the table, and kept outside the fields."""
+        try:
+            return self._prefixes
+        except AttributeError:
+            pass
+        root: dict = {}
+        for path, _ in self.rank_table()[0]:
+            node = root
+            for x in path:
+                node = node.setdefault(x, {})
+        object.__setattr__(self, "_prefixes", root)
+        return root
 
 
 def compare_plays(game: Game, player: int, p1: Play, p2: Play) -> Comparison:

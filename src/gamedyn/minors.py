@@ -251,11 +251,13 @@ def is_dominated(game: Game, e1: tuple[str, str], e2: tuple[str, str], *,
     k = profiles.movers.index(e1[0])
     j1, j2 = (profiles.choices[k].index(e[1]) for e in (e1, e2))
     player = game.owner[e1[0]] - 1
-    # one profile per choice of the other vertices: a play from v that
-    # returns to v closes its loop there, so v's own digit is never read
-    for digits in profiles.digits(hold=k):
-        ranks = profiles.ranks(digits, k)
-        if ranks[j1][player] <= ranks[j2][player]:
+    # the profiles whose digit k is 0, a block of equal ranks at a time: a
+    # play from v that returns to v closes its loop there, so v's own digit
+    # is never read
+    i = 0
+    while i < profiles.count:
+        (r1, r2), i = profiles.reads(i, k, (j1, j2))
+        if r1[player] <= r2[player]:
             return False
     return True
 

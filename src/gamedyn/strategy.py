@@ -28,9 +28,8 @@ class StrategyProfile(Frozen):
     def updated(self, v, w):
         return StrategyProfile(tuple(sorted((dict(self.items) | {v: w}).items())))
 
-    def changed_vertices(self, other):
-        mine, theirs = self.as_dict(), other.as_dict()
-        return tuple(sorted(v for v in mine if mine[v] != theirs.get(v)))
+
+_LEAF = {}  # the trie below a path that no ranked play goes on from
 
 
 class _Interned(dict):
@@ -57,6 +56,11 @@ class Profiles:
     ids of the plays from k's successors fix every play a move at k leads
     to, so k's improving and best-reply moves are memoised under them, in
     one memo per non-terminal.
+
+    A play is walked only as far as it can still be ranked, and the walk
+    reports the last digit it read: in a scan over the profiles (has_move,
+    reads), every profile that shares digits 0 to that one with i is
+    answered as i is, so the scan goes on past that block.
     """
 
     def __init__(self, game: Game):
@@ -79,17 +83,25 @@ class Profiles:
         # per non-terminal k: its vertex id, its successors' ids, the weight
         # and the radix of digit k
         self._places = [(x, s, w, len(s)) for x, s, w in zip(self._at, self._succ, self.weight)]
+        self._digit = [-1] * len(game.vertices)  # per vertex id: its digit; -1 at terminals
+        for k, x in enumerate(self._at):
+            self._digit[x] = k
         self._table, self._bottom = game.rank_table()
         self._next = [-1] * len(game.vertices)  # the walked profile; -1 at terminals
-        self._ids = _Interned()  # play key -> play id
-        # per vertex id: its play's id if it is a terminal, else -1
-        self._fixed = [self._ids[x] if v in game.terminals else -1
-                       for x, v in enumerate(game.vertices)]
-        # per non-terminal k: k, its memo from the play ids of its successors
-        # to (improving, best) offsets per choice of k, its successors, the
-        # getter of their play ids and its owner's index
-        self._keyed = [(k, {}, s, itemgetter(*s), o - 1)
-                       for k, (s, o) in enumerate(zip(self._succ, self.owner))]
+        self._memo = None  # the moves memo, made by the first moves call
+
+    def _moves_memo(self) -> tuple:
+        """The play ids (play key -> id); per vertex id, its play's id if it
+        is a terminal, else -1; and per non-terminal k: k, its memo from the
+        play ids of its successors to (improving, best) offsets per choice
+        of k, the getter of their play ids and its owner's index."""
+        ids = _Interned()
+        terms = self.game.terminals
+        fixed = [ids[x] if v in terms else -1 for x, v in enumerate(self.game.vertices)]
+        keyed = [(k, {}, itemgetter(*s), o - 1)
+                 for k, (s, o) in enumerate(zip(self._succ, self.owner))]
+        self._memo = ids, fixed, keyed
+        return self._memo
 
     def check(self, guard: int | None, rows: int = 1):
         """Refuse more than guard states of rows profiles each; None is no bound."""
@@ -116,11 +128,9 @@ class Profiles:
                 [pairs[i // w % len(pairs)] for pairs, w in zip(self._pairs, self.weight)]))
         return profile
 
-    def digits(self, hold=None):
-        """Every profile's choice indices, in index order; with hold=k, only
-        the profiles whose digit k is 0."""
-        return itertools.product(*(range(len(s)) if k != hold else (0,)
-                                   for k, s in enumerate(self.choices)))
+    def digits(self):
+        """Every profile's choice indices, in index order."""
+        return itertools.product(*map(range, map(len, self.choices)))
 
     def index(self, profile: StrategyProfile) -> int:
         """The profile's index; KeyError unless it chooses a successor at
@@ -151,10 +161,15 @@ class Profiles:
         mine = [k for k, o in enumerate(self.owner) if o == player]
         return [sum(digits[k] * self.weight[k] for k in mine) for digits in self.digits()]
 
+    def _walk(self, digits):
+        for x, s, c in zip(self._at, self._succ, digits):
+            self._next[x] = s[c]
+
     def _rank(self, v, w):
-        """Ranks of the play from v that steps to w, then follows the walked
-        profile; it never reads v's own choice, since a return to v closes
-        the loop."""
+        """The ranks _read gives, from a walk that is never cut and tracks
+        no digit, for the moves memo, which needs no digit: through _read,
+        kernel_pair.py's moves task (random_game seeds 0..499) took 4-6%
+        longer."""
         nxt = self._next
         path, seen = [v], {v: 0}
         while w not in seen:
@@ -165,22 +180,33 @@ class Profiles:
                 return self._table.get((tuple(path), -1), self._bottom)
         return self._table.get((tuple(path), seen[w]), self._bottom)
 
-    def _walk(self, digits):
-        for x, s, c in zip(self._at, self._succ, digits):
-            self._next[x] = s[c]
+    def _read(self, prefixes, v, w) -> tuple[tuple, int]:
+        """Ranks of the play from v that steps to w and then follows the
+        walked profile, and the last digit that fixes them (-1 for none).
+        The walk stops at a terminal, at a repeat (v's own digit is never
+        read), or where its path leaves prefixes, the game's rank_prefixes:
+        from there the play ranks bottom, whatever the later digits are."""
+        nxt, digit = self._next, self._digit
+        node = prefixes.get(v, _LEAF)
+        seen, last = {v: 0}, -1  # in walk order: its keys are the path
+        while w not in seen:
+            node = node.get(w)
+            if node is None:
+                return self._bottom, last
+            seen[w] = len(seen)
+            x = nxt[w]
+            if x < 0:
+                return self._table.get((tuple(seen), -1), self._bottom), last
+            if digit[w] > last:
+                last = digit[w]
+            w = x
+        return self._table.get((tuple(seen), seen[w]), self._bottom), last
 
-    def ranks(self, digits, k: int) -> list[tuple]:
-        """Per successor of non-terminal k: the ranks, per player, of the play
-        that steps there from it and then follows the profile digits spells."""
-        self._walk(digits)
-        return [self._rank(self._at[k], w) for w in self._succ[k]]
-
-    def _fill(self, pid, starts):
-        """Give the plays from starts under the walked profile, and every play
-        on their way, their ids in pid, where pid has none (-1); -2 marks
-        the vertices of the open path."""
-        nxt, ids = self._next, self._ids
-        for x in starts:
+    def _fill(self, pid, ids):
+        """Give every play under the walked profile its id in pid, where pid
+        has none (-1), from ids; -2 marks the vertices of the open path."""
+        nxt = self._next
+        for x in self._at:
             if pid[x] != -1:
                 continue
             path = []
@@ -217,21 +243,26 @@ class Profiles:
         self._walk(digits)
         return self._walked_moves(digits, best_reply)
 
-    def moves_at(self, i: int, best_reply: bool) -> list[list[int]]:
-        """moves of profile i, whose digits are decoded and walked in one loop."""
+    def _decode(self, i: int) -> list[int]:
+        """Walk profile i, decoding its digits in the same loop; its digits."""
         nxt, digits = self._next, []
         for x, s, w, r in self._places:
             c = i // w % r
             nxt[x] = s[c]
             digits.append(c)
-        return self._walked_moves(digits, best_reply)
+        return digits
+
+    def moves_at(self, i: int, best_reply: bool) -> list[list[int]]:
+        """moves of profile i."""
+        return self._walked_moves(self._decode(i), best_reply)
 
     def _walked_moves(self, digits, best_reply):
-        pid = self._fixed[:]
-        self._fill(pid, self._at)
+        ids, fixed, keyed = self._memo or self._moves_memo()
+        pid = fixed[:]
+        self._fill(pid, ids)
         which = 1 if best_reply else 0
         by_player = [[] for _ in range(self.game.n_players)]
-        for (k, memo, _, ids_at, player), c in zip(self._keyed, digits):
+        for (k, memo, ids_at, player), c in zip(keyed, digits):
             key = ids_at(pid)
             at = memo.get(key)
             if at is None:
@@ -239,27 +270,50 @@ class Profiles:
             by_player[player].extend(at[c][which])
         return by_player
 
-    def has_move(self, digits) -> bool:
-        """True iff some player has an improving move from the profile digits
-        spells, which is when some player has a best reply.  It reads the
-        memo as moves does, but gives ids only to the plays from the
-        successors of the non-terminals it reads, and stops at the first
-        one with a move."""
-        self._walk(digits)
-        pid, fill = self._fixed[:], self._fill
-        for (k, memo, succ, ids_at, _), c in zip(self._keyed, digits):
-            fill(pid, succ)
-            key = ids_at(pid)
-            at = memo.get(key)
-            if at is None:
-                at = memo[key] = self._vertex_moves(k)
-            if at[c][0]:
-                return True
-        return False
+    def past(self, i: int, last: int) -> int:
+        """The first index past profile i's block: the profiles whose digits
+        0..last are i's (every profile for last -1)."""
+        size = self.weight[last] if last >= 0 else self.count
+        return (i // size + 1) * size
 
+    def reads(self, i: int, k: int, choices) -> tuple[list[tuple], int]:
+        """Under profile i, per choice j of choices: the ranks of the play
+        that steps from non-terminal k to its j-th successor and then follows
+        the profile; and the next profile that a scan of those whose digit k
+        is 0 has to read.  Every profile up to it either gives these ranks
+        or has a digit k other than 0, and so gives what the same profile
+        with digit k at 0 gives: k's own digit is never read."""
+        self._decode(i)
+        v, succ, last, out = self._at[k], self._succ[k], -1, []
+        prefixes, read = self.game.rank_prefixes(), self._read
+        for j in choices:
+            ranks, p = read(prefixes, v, succ[j])
+            out.append(ranks)
+            last = max(last, p)
+        i = self.past(i, last)
+        if i // self.weight[k] % len(succ):  # a carry reached digit k
+            i = self.past(i, k - 1)
+        return out, i
 
-def profile_count(game: Game) -> int:
-    return Profiles(game).count
+    def has_move(self, i: int) -> int:
+        """0 if no player has an improving move from profile i, which is when
+        none has a best reply.  Else the first index past the largest block
+        of profiles that share i's digits up to the last one that some move
+        reads (its current play and the improving one): every profile of
+        the block has that move."""
+        digits, read = self._decode(i), self._read
+        prefixes = self.game.rank_prefixes()
+        best = n = len(digits)
+        for k, (v, succ, owner, c) in enumerate(zip(self._at, self._succ, self.owner, digits)):
+            if k >= best:  # a move at k reads digit k: its block is no larger
+                break
+            now, last = read(prefixes, v, succ[c])
+            for j, w in enumerate(succ):
+                if j != c:
+                    ranks, p = read(prefixes, v, w)
+                    if ranks[owner - 1] < now[owner - 1]:
+                        best = min(best, max(k, last, p))
+        return self.past(i, best) if best < n else 0
 
 
 def enumerate_profiles(game: Game, guard: int | None = PROFILE_GUARD):

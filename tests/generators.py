@@ -6,6 +6,7 @@ instances each and every statement we exercise is size-independent.
 """
 
 import random
+import string
 
 from gamedyn import (
     DeleteEdge,
@@ -169,22 +170,32 @@ def random_notg(seed, max_nodes=5):
     })
 
 
-def ring_doc(n, family, players=3):
+def ring_doc(n, family, players=3, rng=None):
     """An n-vertex ring as the `ring` benchmark builds one, as a document of
     the input format: each ring vertex has an edge to the next and one to
     the terminal t.  Oscillating owners prefer one hop round, then the
-    direct edge; converging owners the direct edge."""
-    order = [f"v{i}" for i in range(n)]
-    owner = {v: i % players + 1 for i, v in enumerate(order)}
+    direct edge; converging owners the direct edge.  The vertices are
+    v0 .. v(n-1) and t, owned in turn from v0; with rng, they get random
+    four-letter names and the turns a random start, as the benchmark draws
+    them, so that the ring's order is not the order of the names."""
+    if rng is None:
+        order, t, rot = [f"v{i}" for i in range(n)], "t", 0
+    else:
+        names = set()
+        while len(names) < n + 1:
+            names.add("".join(rng.choice(string.ascii_lowercase) for _ in range(4)))
+        *order, t = rng.sample(sorted(names), n + 1)
+        rot = rng.randrange(n)
+    owner = {v: (i + rot) % players + 1 for i, v in enumerate(order)}
     nxt = {v: order[(i + 1) % n] for i, v in enumerate(order)}
     prefs = {}
     for p in range(1, players + 1):
         mine = [v for v in order if owner[v] == p]
-        hop = [{"path": [v, nxt[v], "t"]} for v in mine]
-        direct = [{"path": [v, "t"]} for v in mine]
+        hop = [{"path": [v, nxt[v], t]} for v in mine]
+        direct = [{"path": [v, t]} for v in mine]
         prefs[str(p)] = [hop, direct] if family == "oscillating" else [direct, hop]
-    return {"players": players, "vertices": order + ["t"],
-            "edges": [[v, nxt[v]] for v in order] + [[v, "t"] for v in order],
+    return {"players": players, "vertices": order + [t],
+            "edges": [[v, nxt[v]] for v in order] + [[v, t] for v in order],
             "owner": owner, "preferences": prefs}
 
 

@@ -204,6 +204,28 @@ def positional_dynamics_by_enumeration(vertices, edges, owners, ranks, kind):
     return [label(p) for p in profiles], updates
 
 
+def equilibria_by_enumeration(vertices, edges, owners, ranks):
+    """The labels of the profiles from which no vertex has an improving move,
+    in enumeration order: the sinks of every kind that
+    positional_dynamics_by_enumeration builds, since each of its updates is
+    made of improving moves and a vertex with an improving move has a best
+    one.  Arguments, profiles and labels are as there."""
+    succ = {v: sorted(e[1] for e in edges if e[0] == v) for v in vertices}
+    names = {(e[0], e[1]): e[2] for e in edges if len(e) == 3}
+    movers = sorted(v for v in vertices if succ[v])
+
+    def rank(v, choice):
+        return ranks.get(owners[v], {}).get(_play(succ, choice, v), float("inf"))
+
+    out = []
+    for combo in product(*(succ[v] for v in movers)):
+        choice = dict(zip(movers, combo))
+        if not any(rank(v, {**choice, v: w}) < rank(v, choice) for v in movers for w in succ[v]):
+            out.append("".join(names.get((v, choice[v]), f"{v}:{choice[v]}")
+                               for v in movers if len(succ[v]) > 1) or "<only>")
+    return out
+
+
 def belief_delta_by_enumeration(vertices, edges, owners, ranks):
     """The transitions of the belief graph, by brute force.
 
@@ -444,6 +466,24 @@ def _outcomes(doc):
         choice = dict(zip(movers, combo))
         out |= {_play(succ, choice, v) for v in vertices}
     return out
+
+
+def dominated_by_enumeration(doc, e1, e2):
+    """Whether edge e1 is dominated by its sibling e2 (the same source v):
+    under every positional profile, v's owner ranks the play from v through
+    e2 strictly above the play from v through e1, unranked plays sharing the
+    bottom class."""
+    vertices, edges = doc["vertices"], doc["edges"]
+    succ = {v: sorted(e[1] for e in edges if e[0] == v) for v in vertices}
+    movers = [v for v in vertices if succ[v]]
+    v = e1[0]
+    classes = _ranks(doc)[doc["owner"][v]]
+    for combo in product(*(succ[u] for u in movers)):
+        choice = dict(zip(movers, combo))
+        through = [_rank(classes, _play(succ, {**choice, v: e[1]}, v)) for e in (e1, e2)]
+        if through[0] <= through[1]:
+            return False
+    return True
 
 
 def _seq(play):

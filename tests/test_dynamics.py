@@ -31,10 +31,11 @@ from .conftest import load_game
 from .generators import random_game, ring_doc
 from .oracles import (
     belief_delta_by_enumeration,
+    equilibria_by_enumeration,
     one_step_by_enumeration,
     positional_dynamics_by_enumeration,
 )
-from .test_strategy import LOOP_BACK
+from .test_strategy import LOOP_BACK, _ranked_directly, changed_vertices
 
 
 def edge_set(dg):
@@ -100,7 +101,7 @@ def test_p1_edges_are_strict_improvements():
         dg = build_dynamics(game, "p1", guard=None)
         for sigma in dg.nodes:
             for tau, changed in dg.successors(sigma):
-                diff = sigma.changed_vertices(tau)
+                diff = changed_vertices(sigma, tau)
                 assert len(diff) == 1
                 (v,) = diff
                 player = game.owner[v]
@@ -118,7 +119,7 @@ def test_pc_edges_decompose_into_unilateral_moves():
         pc = build_dynamics(game, "pc", guard=None)
         for sigma in pc.nodes:
             for tau, changed in pc.successors(sigma):
-                for v in sigma.changed_vertices(tau):
+                for v in changed_vertices(sigma, tau):
                     solo = sigma.updated(v, tau.as_dict()[v])
                     assert (
                         pc.label(sigma),
@@ -198,6 +199,40 @@ def test_positional_dynamics_match_enumeration(kind):
         labels, updates = _positional_oracle(game, kind)
         assert [dg.label(n) for n in dg.nodes] == labels
         assert {(dg.label(u), dg.label(v), tuple(sorted(c))) for u, v, c in dg.edges} == updates
+
+
+def scanned_games():
+    """The games the profile scans are checked on: the fixtures, LOOP_BACK,
+    games ranked without validation, random_game seeds 0..299, and rings of
+    8 to 12 vertices in both families, named at random so that a ring's
+    order is not the order of its digits."""
+    games = [load_game(name) for name in FIXTURE_GAMES]
+    games += [parse_game(json.dumps(LOOP_BACK)), *_ranked_directly()]
+    games += [random_game(seed) for seed in range(300)]
+    rng = random.Random(21)
+    games += [parse_game(json.dumps(ring_doc(n, family, rng=rng)))
+              for n in range(8, 13) for family in ("oscillating", "converging")]
+    return games
+
+
+def test_equilibria_match_enumeration():
+    """Per kind, equilibria on a fresh graph, and again once find_cycle has
+    built rows, are the profiles from which no vertex has an improving move:
+    the sinks of the oracle's dynamics, which tries every pair of profiles
+    and so is run where there are at most 256."""
+    for game in scanned_games():
+        edges = [(u, v, game.edge_labels[u, v]) if (u, v) in game.edge_labels else (u, v)
+                 for u, v in game.edges]
+        want = equilibria_by_enumeration(game.vertices, edges, game.owner, _play_ranks(game))
+        for kind in ("p1", "bp1", "pc", "bpc"):
+            if len(Profiles(game)) <= 256:
+                labels, updates = _positional_oracle(game, kind)
+                moved = {u for u, _, _ in updates}
+                assert [label for label in labels if label not in moved] == want
+            dg = build_dynamics(game, kind, guard=None)
+            assert sorted(map(dg.label, equilibria(dg))) == sorted(want), (game, kind)
+            find_cycle(dg)
+            assert sorted(map(dg.label, equilibria(dg))) == sorted(want), (game, kind)
 
 
 # `t!` sorts after `t` in enumeration order but before it in repr order, and
@@ -364,28 +399,28 @@ def test_searches_build_only_the_rows_they_read(kind, moves_calls):
 
 @pytest.mark.parametrize("kind", ["p1", "bp1", "pc", "bpc"])
 def test_equilibria_walk_only_the_plays_they_read(kind, moves_calls, monkeypatch):
-    """A fresh equilibria asks has_move of every profile and builds no row,
-    and has_move gives ids to the plays from the vertices it reads up to
-    the first move: 3059 ids on this ring, against 10 per profile for a
-    full walk."""
-    asked, filled = [], []
-    has_move, fill = Profiles.has_move, Profiles._fill
+    """A fresh equilibria evaluates one profile per block of profiles that
+    share a move, and builds no row; a dominance that holds reads one
+    profile per block of profiles that rank the two plays alike."""
+    asked = []
+    has_move, reads = Profiles.has_move, Profiles.reads
 
-    def counted_has_move(self, digits):
-        asked.append(tuple(digits))
-        return has_move(self, digits)
+    def counted_has_move(self, i):
+        asked.append(i)
+        return has_move(self, i)
 
-    def counted_fill(self, pid, starts):
-        unknown = pid.count(-1)
-        fill(self, pid, starts)
-        filled.append(unknown - pid.count(-1))
+    def counted_reads(self, i, k, choices):
+        asked.append(i)
+        return reads(self, i, k, choices)
 
     monkeypatch.setattr(Profiles, "has_move", counted_has_move)
-    monkeypatch.setattr(Profiles, "_fill", counted_fill)
+    monkeypatch.setattr(Profiles, "reads", counted_reads)
     dg = build_dynamics(ring_game(10, "oscillating"), kind)
     assert len(equilibria(dg)) == 2 and moves_calls == []
-    assert len(asked) == len(set(asked)) == 1024
-    assert sum(filled) < 1024 * 10 / 3
+    assert len(asked) == len(set(asked)) < 1024 / 8
+    del asked[:]
+    assert is_dominated(ring_game(10, "converging"), ("v4", "v5"), ("v4", "t"))
+    assert len(asked) == len(set(asked)) < 1024 / 8
 
 
 def _most_updates(game, kind):

@@ -32,7 +32,9 @@ from gamedyn.errors import (
 )
 from gamedyn.strategy import enumerate_profiles, outcome
 
-from .generators import random_game, random_script
+from . import oracles
+from .generators import game_doc, random_game, random_script
+from .test_dynamics import scanned_games
 
 
 def ranks_as_strings(game, player=1):
@@ -190,6 +192,15 @@ def test_is_dominated_matches_enumeration():
                     for sigma in enumerate_profiles(game, guard=None)
                 )
                 assert is_dominated(game, (v, w1), (v, w2), guard=None) == expected
+
+
+def test_is_dominated_matches_the_oracle_on_every_sibling_pair():
+    for game in scanned_games():
+        doc = game_doc(game)
+        for v in game.non_terminals():
+            for w1, w2 in itertools.permutations(game.successors(v), 2):
+                want = oracles.dominated_by_enumeration(doc, (v, w1), (v, w2))
+                assert is_dominated(game, (v, w1), (v, w2), guard=None) == want, (v, w1, w2)
 
 
 def test_dominant_script_recognition(fig5):

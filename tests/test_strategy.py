@@ -23,7 +23,6 @@ from gamedyn.strategy import (
     Profiles,
     enumerate_histories,
     enumerate_profiles,
-    profile_count,
     unfold,
 )
 
@@ -34,14 +33,14 @@ from .generators import random_game
 def test_profile_count_matches_enumeration(gdis, fig3):
     for game in (gdis, fig3):
         profiles = list(enumerate_profiles(game))
-        assert len(profiles) == profile_count(game)
+        assert len(profiles) == len(Profiles(game))
         assert len(set(profiles)) == len(profiles)
 
 
 def test_profile_count_random():
     for seed in range(30):
         game = random_game(seed)
-        assert len(list(enumerate_profiles(game))) == profile_count(game)
+        assert len(list(enumerate_profiles(game))) == len(Profiles(game))
 
 
 def test_profile_guard():
@@ -50,12 +49,18 @@ def test_profile_guard():
         list(enumerate_profiles(game, guard=1))
 
 
+def changed_vertices(sigma, tau):
+    """The vertices whose choice differs between two profiles, sorted."""
+    mine, theirs = sigma.as_dict(), tau.as_dict()
+    return tuple(sorted(v for v in mine if mine[v] != theirs.get(v)))
+
+
 def test_updated_and_changed(gdis):
     sigma = StrategyProfile.from_dict({"v1": "vbot", "v2": "vbot"})
     tau = sigma.updated("v1", "v2")
     assert tau.as_dict() == {"v1": "v2", "v2": "vbot"}
-    assert sigma.changed_vertices(tau) == ("v1",)
-    assert sigma.changed_vertices(sigma) == ()
+    assert changed_vertices(sigma, tau) == ("v1",)
+    assert changed_vertices(sigma, sigma) == ()
 
 
 def test_outcome_gdis(gdis):
@@ -94,11 +99,12 @@ LOOP_BACK = {
 }
 
 
-def _moves_from_ranks(profiles, digits, best_reply):
-    """Profiles.moves without its memo: every move ranked afresh."""
+def _moves_from_ranks(profiles, i, digits, best_reply):
+    """Profiles.moves of profile i without its memo: every move ranked afresh."""
     by_player = [[] for _ in range(profiles.game.n_players)]
     for k, (player, c, step) in enumerate(zip(profiles.owner, digits, profiles.weight)):
-        ranks = [r[player - 1] for r in profiles.ranks(digits, k)]
+        every = range(len(profiles.choices[k]))
+        ranks = [r[player - 1] for r in profiles.reads(i, k, every)[0]]
         better = [j for j, r in enumerate(ranks) if r < ranks[c]]
         if best_reply and better:
             top = min(ranks[j] for j in better)
@@ -114,7 +120,8 @@ def test_moves_do_not_depend_on_visiting_order():
     for game in games:
         reference = Profiles(game)
         digits = list(reference.digits())
-        want = [[_moves_from_ranks(reference, d, b) for b in (False, True)] for d in digits]
+        want = [[_moves_from_ranks(reference, i, d, b) for b in (False, True)]
+                for i, d in enumerate(digits)]
         shuffled = list(range(len(digits)))
         rng.shuffle(shuffled)
         for order in (range(len(digits)), range(len(digits) - 1, -1, -1), shuffled):
@@ -124,23 +131,25 @@ def test_moves_do_not_depend_on_visiting_order():
 
 
 def test_has_move_is_some_move_in_every_visiting_order():
-    """has_move gives ids only to the plays it reads; on every profile it
-    answers as the moves of a fully walked profile do, whichever profiles
-    filled the memo before it."""
+    """has_move(i) walks only as far as a play can still be ranked; on every
+    profile it is nonzero exactly when the moves of a fully walked profile
+    are some move, whichever profiles were asked before it, and every
+    profile of the block it skips has a move too."""
     games = [load_game(f"{name}.json") for name in ("gdis", "fig2", "fig3", "fig4", "fig5")]
     games += [parse_game(json.dumps(LOOP_BACK)), *_ranked_directly()]
     games += [random_game(seed) for seed in range(200)]
     rng = random.Random(0)
     for game in games:
         reference = Profiles(game)
-        digits = list(reference.digits())
-        want = [any(reference.moves(d, False)) for d in digits]
-        shuffled = list(range(len(digits)))
+        want = [any(reference.moves(d, False)) for d in reference.digits()]
+        shuffled = list(range(len(want)))
         rng.shuffle(shuffled)
-        for order in (range(len(digits)), range(len(digits) - 1, -1, -1), shuffled):
+        for order in (range(len(want)), range(len(want) - 1, -1, -1), shuffled):
             profiles = Profiles(game)
             for i in order:
-                assert profiles.has_move(digits[i]) == want[i], (game, digits[i])
+                past = profiles.has_move(i)
+                assert bool(past) == want[i], (game, i)
+                assert not past or i < past <= len(want) and all(want[i:past]), (game, i)
 
 
 def _ranked_directly():
@@ -174,16 +183,30 @@ def _play_by_names(game, profile, v, w):
 
 
 def test_ranks_come_from_the_table_exactly():
+    """reads walks a play only as far as it can still be ranked; its ranks
+    are rank_of's on every profile, and a scan of the profiles whose digit
+    k is 0 skips only profiles whose ranks are the ones read."""
     games = [load_game(f"{name}.json") for name in ("gdis", "fig2", "fig3", "fig4", "fig5")]
     games += [parse_game(json.dumps(LOOP_BACK)), unfold(games[1]), *_ranked_directly()]
     games += [random_game(seed) for seed in range(200)]
     for game in games:
         profiles = Profiles(game)
-        for profile, digits in zip(profiles, profiles.digits()):
-            for k, v in enumerate(profiles.movers):
-                want = [tuple(pref.rank_of(_play_by_names(game, profile, v, w))
-                              for pref in game.preferences) for w in profiles.choices[k]]
-                assert profiles.ranks(digits, k) == want, (profile, v)
+        everything = list(zip(profiles, profiles.digits()))
+        for k, v in enumerate(profiles.movers):
+            every = range(len(profiles.choices[k]))
+            want = [[tuple(pref.rank_of(_play_by_names(game, profile, v, w))
+                           for pref in game.preferences) for w in profiles.choices[k]]
+                    for profile, _ in everything]
+            for i, (profile, _) in enumerate(everything):
+                assert profiles.reads(i, k, every)[0] == want[i], (profile, v)
+            i = 0
+            while i < len(profiles):
+                _, past = profiles.reads(i, k, every)
+                assert i < past <= len(profiles), (game, v, i)
+                assert past == len(profiles) or everything[past][1][k] == 0, (game, v, i)
+                assert all(want[j] == want[i] for j in range(i, past)
+                           if everything[j][1][k] == 0), (game, v, i)
+                i = past
 
 
 def test_moves_build_no_play(monkeypatch):
@@ -199,10 +222,10 @@ def test_moves_build_no_play(monkeypatch):
     monkeypatch.setattr(PreferenceOrder, "rank_of", rank_of)
     for game in games:
         profiles = Profiles(game)
-        for digits in profiles.digits():
+        for i, digits in enumerate(profiles.digits()):
             profiles.moves(digits, False)
             profiles.moves(digits, True)
-            profiles.has_move(digits)
+            profiles.has_move(i)
         for v in game.non_terminals():
             for w1, w2 in itertools.permutations(game.successors(v), 2):
                 is_dominated(game, (v, w1), (v, w2), guard=None)
@@ -231,7 +254,7 @@ def test_history_profiles(fig2):
     for h in hists:
         assert tree.owner[h] == fig2.owner[h[-1]]
         assert tree.successors(h) == tuple(h + (w,) for w in fig2.successors(h[-1]))
-    assert len(list(enumerate_profiles(tree, guard=None))) == profile_count(tree) == 768
+    assert len(list(enumerate_profiles(tree, guard=None))) == len(Profiles(tree)) == 768
 
 
 def test_unfolding_outcome_consistent(fig2):
