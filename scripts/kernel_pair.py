@@ -15,6 +15,8 @@ Task groups (moves, equilibria and rows unless others are named):
   moves pass, improving moves only, over every profile;
 - equilibria: a fresh p1 graph of a 10-vertex ring, then equilibria;
 - rows: a fresh graph of the oscillating 10-vertex ring, then every row;
+- fill: a fresh graph of the converging 10-vertex ring, then every row, as
+  a "terminates" verdict reads them;
 - verdicts: per kind, a fresh graph of the converging 10-vertex ring, then
   find_cycle, find_fair_cycle and equilibria, as one `ring` round asks them;
 - scans: a fresh p1 graph of a 12- and of a 14-vertex ring, named at random
@@ -29,14 +31,11 @@ Task groups (moves, equilibria and rows unless others are named):
 
 import argparse
 import importlib
-import io
 import itertools
 import json
 import pathlib
 import random
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 
@@ -44,6 +43,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
+from revision import export  # noqa: E402
 from tests.generators import game_doc, random_game, ring_doc  # noqa: E402
 
 BASE = "gamedyn_base"
@@ -51,20 +51,7 @@ RING = 10
 SCANNED = (12, 14)
 FAMILIES = ("oscillating", "converging")
 KINDS = ("p1", "bp1", "pc", "bpc")
-GROUPS = ("moves", "equilibria", "rows", "verdicts", "scans", "dominated")
-
-
-def export(rev: str, into: pathlib.Path) -> None:
-    """Write rev's src/gamedyn to into/gamedyn_base."""
-    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src/gamedyn"], cwd=ROOT,
-                         capture_output=True, check=True).stdout
-    prefix = "src/gamedyn/"
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        for member in archive.getmembers():
-            if member.isfile() and member.name.startswith(prefix):
-                target = into / BASE / member.name[len(prefix):]
-                target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_bytes(archive.extractfile(member).read())
+GROUPS = ("moves", "equilibria", "rows", "fill", "verdicts", "scans", "dominated")
 
 
 def tasks(package: str, docs: list, rings: dict) -> dict:
@@ -85,8 +72,8 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
     def equilibria(family):
         return lambda: pkg.equilibria(pkg.build_dynamics(ring[family], "p1"))
 
-    def rows(kind):
-        return lambda: list(pkg.build_dynamics(ring["oscillating"], kind).succ)
+    def rows(kind, family="oscillating"):
+        return lambda: list(pkg.build_dynamics(ring[family], kind).succ)
 
     def verdicts(kind):
         def run():
@@ -117,6 +104,7 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
     out = {f"moves random_game 0..{len(games) - 1}": moves}
     out.update((f"equilibria {family}-{RING}", equilibria(family)) for family in FAMILIES)
     out.update((f"rows {kind} oscillating-{RING}", rows(kind)) for kind in KINDS)
+    out.update((f"fill {kind} converging-{RING}", rows(kind, "converging")) for kind in KINDS)
     out.update((f"verdicts {kind} converging-{RING}", verdicts(kind)) for kind in KINDS)
     out.update((f"scans equilibria {family}-{n}", equilibria(f"{family}-{n}"))
                for n in SCANNED for family in FAMILIES)
@@ -146,7 +134,7 @@ def main(argv=None) -> int:
     rings.update((f"{family}-{n}", json.dumps(ring_doc(n, family, rng=rng)))
                  for n in SCANNED for family in FAMILIES)
     with tempfile.TemporaryDirectory() as tmp:
-        export(args.rev, pathlib.Path(tmp))
+        export(args.rev, pathlib.Path(tmp), "src/gamedyn", BASE)
         sys.path.insert(0, tmp)
         sides = {side: {name: task for name, task in tasks(package, docs, rings).items()
                         if name.split()[0] in groups}

@@ -258,7 +258,7 @@ def build_belief_graph(game: Game, guard: int | None = PROFILE_GUARD) -> BeliefG
     nodes = tuple(BeliefNode(rows) for rows in itertools.product(listed, repeat=n))
     # node i has rows (r_1, ..., r_n) with i = sum of r_j * place[j - 1]
     place = [base ** (n - j) for j in range(1, n + 1)]
-    offsets = [profiles.moves(digits, best_reply=True) for digits in profiles.digits()]
+    offsets = [profiles.moves_at(i, best_reply=True) for i in range(base)]
     own = [profiles.own_part(player) for player in range(1, n + 1)]
     names = profiles.names()
 

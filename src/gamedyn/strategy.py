@@ -4,7 +4,6 @@ and the tree unfolding."""
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 
 from .errors import PROFILE_GUARD, CyclicArena, Frozen, StateSpaceTooLarge, UnknownVertex
 from .game import FinitePlay, Game, Play, PreferenceOrder, canonicalize
@@ -32,14 +31,6 @@ class StrategyProfile(Frozen):
 _LEAF = {}  # the trie below a path that no ranked play goes on from
 
 
-class _Interned(dict):
-    """Gives each new key the next int id."""
-
-    def __missing__(self, key):
-        i = self[key] = len(self)
-        return i
-
-
 class Profiles:
     """A game's positional profiles, numbered, and the improving moves between them.
 
@@ -49,18 +40,14 @@ class Profiles:
     therefore adds (c' - c) * weight[k].  Plays are walked on vertex ids and
     ranked by their key in the game's rank table, without building a play.
 
-    Equal plays share one int id (hash-consing): a terminal's id is fixed, a
-    non-terminal's is the id of (vertex, id of the rest of the play), and a
-    vertex on a loop gets the id of (its rotation of the loop,).  An id
-    depends only on the play, so vertices may get theirs in any order.  The
-    ids of the plays from k's successors fix every play a move at k leads
-    to, so k's improving and best-reply moves are memoised under them, in
-    one memo per non-terminal.
-
-    A play is walked only as far as it can still be ranked, and the walk
-    reports the last digit it read: in a scan over the profiles (has_move,
-    reads), every profile that shares digits 0 to that one with i is
-    answered as i is, so the scan goes on past that block.
+    A play is walked only as far as it can still be ranked, and the digits
+    it reads are all that fix its ranks.  So the moves at non-terminal k are
+    read from a decision tree over the digits that the plays from k's
+    successors read, grown as profiles ask for it: an inner node reads one
+    digit off the index, a leaf holds k's moves per choice of k.  In a scan
+    over the profiles (has_move, reads), every profile that shares digits 0
+    to the last one read with i is answered as i is, so the scan goes on
+    past that block.
     """
 
     def __init__(self, game: Game):
@@ -72,11 +59,11 @@ class Profiles:
         for k in range(len(self.movers) - 2, -1, -1):
             self.weight[k] = self.weight[k + 1] * len(self.choices[k + 1])
         self.count = self.weight[0] * len(self.choices[0]) if self.movers else 1
-        self._pos = [{w: j for j, w in enumerate(s)} for s in self.choices]
-        # per non-terminal: its (vertex, successor) pair per choice, shared by
-        # every profile made here
-        self._pairs = [tuple((v, w) for w in s) for v, s in zip(self.movers, self.choices)]
         self._made = {}  # profile index -> its profile, once read, shared by every result
+        # made on first use, by _edges and index; plain attributes, as reading
+        # an instance's __dict__ (functools.cached_property does) slows every
+        # later attribute read on it under CPython 3.11: has_move ran ~10% slower
+        self._pairs = self._pos = None
         vid = {v: i for i, v in enumerate(game.vertices)}
         self._at = [vid[v] for v in self.movers]
         self._succ = [tuple(vid[w] for w in s) for s in self.choices]
@@ -88,20 +75,19 @@ class Profiles:
             self._digit[x] = k
         self._table, self._bottom = game.rank_table()
         self._next = [-1] * len(game.vertices)  # the walked profile; -1 at terminals
-        self._memo = None  # the moves memo, made by the first moves call
+        # per non-terminal k with a choice: [root, owner's index, weight, radix,
+        # k]; an inner node is [weight, radix] + a child per digit value,
+        # None until grown; a leaf is k's (improving, best) offsets per choice
+        self._trees = [[None, o - 1, w, len(s), k] for k, (s, o, w)
+                       in enumerate(zip(self._succ, self.owner, self.weight)) if len(s) > 1]
 
-    def _moves_memo(self) -> tuple:
-        """The play ids (play key -> id); per vertex id, its play's id if it
-        is a terminal, else -1; and per non-terminal k: k, its memo from the
-        play ids of its successors to (improving, best) offsets per choice
-        of k, the getter of their play ids and its owner's index."""
-        ids = _Interned()
-        terms = self.game.terminals
-        fixed = [ids[x] if v in terms else -1 for x, v in enumerate(self.game.vertices)]
-        keyed = [(k, {}, itemgetter(*s), o - 1)
-                 for k, (s, o) in enumerate(zip(self._succ, self.owner))]
-        self._memo = ids, fixed, keyed
-        return self._memo
+    def _edges(self) -> list[tuple]:
+        """Per non-terminal: the game's own (vertex, successor) edge per
+        choice, shared by every profile made from the game; made on first use."""
+        if self._pairs is None:
+            edge = {e: e for e in self.game.edges}
+            self._pairs = [tuple([edge[v, w] for w in s]) for v, s in zip(self.movers, self.choices)]
+        return self._pairs
 
     def check(self, guard: int | None, rows: int = 1):
         """Refuse more than guard states of rows profiles each; None is no bound."""
@@ -114,7 +100,7 @@ class Profiles:
 
     def __iter__(self):
         """Every profile, in index order."""
-        return map(StrategyProfile, itertools.product(*self._pairs))
+        return map(StrategyProfile, itertools.product(*self._edges()))
 
     def __getitem__(self, i: int) -> StrategyProfile:
         """Profile i, decoded digit by digit the first time it is read;
@@ -125,7 +111,7 @@ class Profiles:
         profile = self._made.get(i)
         if profile is None:
             profile = self._made[i] = StrategyProfile(tuple(
-                [pairs[i // w % len(pairs)] for pairs, w in zip(self._pairs, self.weight)]))
+                [pairs[i // w % len(pairs)] for pairs, w in zip(self._edges(), self.weight)]))
         return profile
 
     def digits(self):
@@ -138,6 +124,8 @@ class Profiles:
         choice = profile.as_dict()
         if len(choice) != len(self.movers):
             raise KeyError(profile)
+        if self._pos is None:
+            self._pos = [{w: j for j, w in enumerate(s)} for s in self.choices]
         return sum(pos[choice[v]] * w for v, pos, w in zip(self.movers, self._pos, self.weight))
 
     def names(self, one_step: bool = False) -> list[str]:
@@ -161,87 +149,28 @@ class Profiles:
         mine = [k for k, o in enumerate(self.owner) if o == player]
         return [sum(digits[k] * self.weight[k] for k in mine) for digits in self.digits()]
 
-    def _walk(self, digits):
-        for x, s, c in zip(self._at, self._succ, digits):
-            self._next[x] = s[c]
-
-    def _rank(self, v, w):
-        """The ranks _read gives, from a walk that is never cut and tracks
-        no digit, for the moves memo, which needs no digit: through _read,
-        kernel_pair.py's moves task (random_game seeds 0..499) took 4-6%
-        longer."""
-        nxt = self._next
-        path, seen = [v], {v: 0}
-        while w not in seen:
-            seen[w] = len(path)
-            path.append(w)
-            w = nxt[w]
-            if w < 0:
-                return self._table.get((tuple(path), -1), self._bottom)
-        return self._table.get((tuple(path), seen[w]), self._bottom)
-
-    def _read(self, prefixes, v, w) -> tuple[tuple, int]:
+    def _read(self, prefixes, v, w) -> tuple[tuple, int, dict]:
         """Ranks of the play from v that steps to w and then follows the
-        walked profile, and the last digit that fixes them (-1 for none).
-        The walk stops at a terminal, at a repeat (v's own digit is never
-        read), or where its path leaves prefixes, the game's rank_prefixes:
-        from there the play ranks bottom, whatever the later digits are."""
+        walked profile, the last digit that fixes them (-1 for none), and
+        the vertices walked, v first, whose digits after v's fix them.  The
+        walk stops at a terminal, at a repeat (v's own digit is never read),
+        or where its path leaves prefixes, the game's rank_prefixes: from
+        there the play ranks bottom, whatever the later digits are."""
         nxt, digit = self._next, self._digit
         node = prefixes.get(v, _LEAF)
         seen, last = {v: 0}, -1  # in walk order: its keys are the path
         while w not in seen:
             node = node.get(w)
             if node is None:
-                return self._bottom, last
+                return self._bottom, last, seen
             seen[w] = len(seen)
             x = nxt[w]
             if x < 0:
-                return self._table.get((tuple(seen), -1), self._bottom), last
+                return self._table.get((tuple(seen), -1), self._bottom), last, seen
             if digit[w] > last:
                 last = digit[w]
             w = x
-        return self._table.get((tuple(seen), seen[w]), self._bottom), last
-
-    def _fill(self, pid, ids):
-        """Give every play under the walked profile its id in pid, where pid
-        has none (-1), from ids; -2 marks the vertices of the open path."""
-        nxt = self._next
-        for x in self._at:
-            if pid[x] != -1:
-                continue
-            path = []
-            while pid[x] == -1:
-                pid[x] = -2
-                path.append(x)
-                x = nxt[x]
-            if pid[x] == -2:  # back on the path: the play closes a loop at x
-                loop = path[path.index(x):]
-                del path[-len(loop):]
-                for j, y in enumerate(loop):
-                    pid[y] = ids[tuple(loop[j:] + loop[:j]),]
-            rest = pid[x]
-            for y in reversed(path):
-                rest = pid[y] = ids[y, rest]
-
-    def _vertex_moves(self, k: int) -> list[tuple]:
-        """Per current choice of non-terminal k under the walked profile: the
-        offsets of its owner's improving moves at k, and of the best of them."""
-        v, step, player = self._at[k], self.weight[k], self.owner[k] - 1
-        ranks = [self._rank(v, w)[player] for w in self._succ[k]]
-        top = min(ranks)  # the best improving moves, wherever some move improves
-        best = [j for j, r in enumerate(ranks) if r == top]
-        return [((), ()) if now == top else
-                (tuple([(j - c) * step for j, r in enumerate(ranks) if r < now]),
-                 tuple([(j - c) * step for j in best]))
-                for c, now in enumerate(ranks)]
-
-    def moves(self, digits, best_reply: bool) -> list[list[int]]:
-        """Per player: the index offsets of its improving one-vertex moves from
-        the profile digits spells.  With best_reply only the best improving
-        moves at a vertex are kept: best replies are judged per state, not
-        per whole strategy."""
-        self._walk(digits)
-        return self._walked_moves(digits, best_reply)
+        return self._table.get((tuple(seen), seen[w]), self._bottom), last, seen
 
     def _decode(self, i: int) -> list[int]:
         """Walk profile i, decoding its digits in the same loop; its digits."""
@@ -253,22 +182,53 @@ class Profiles:
         return digits
 
     def moves_at(self, i: int, best_reply: bool) -> list[list[int]]:
-        """moves of profile i."""
-        return self._walked_moves(self._decode(i), best_reply)
-
-    def _walked_moves(self, digits, best_reply):
-        ids, fixed, keyed = self._memo or self._moves_memo()
-        pid = fixed[:]
-        self._fill(pid, ids)
+        """Per player: the index offsets of its improving one-vertex moves from
+        profile i.  With best_reply only the best improving moves at a vertex
+        are kept: best replies are judged per state, not per whole strategy."""
         which = 1 if best_reply else 0
         by_player = [[] for _ in range(self.game.n_players)]
-        for (k, memo, ids_at, player), c in zip(keyed, digits):
-            key = ids_at(pid)
-            at = memo.get(key)
-            if at is None:
-                at = memo[key] = self._vertex_moves(k)
-            by_player[player].extend(at[c][which])
+        for tree in self._trees:
+            node = tree[0]
+            while node.__class__ is list:
+                node = node[i // node[0] % node[1] + 2]
+            if node is None:
+                node = self._grow(tree, i)
+            by_player[tree[1]] += node[i // tree[2] % tree[3]][which]
         return by_player
+
+    def moves(self, digits, best_reply: bool) -> list[list[int]]:
+        """moves_at of the profile that digits spells."""
+        return self.moves_at(sum(c * w for c, w in zip(digits, self.weight)), best_reply)
+
+    def _grow(self, tree: list, i: int) -> tuple:
+        """The leaf of tree that profile i reaches, hung on the tree: the
+        plays from k's successors are walked under i once, and the digits
+        they read, in order, become the inner nodes down to it."""
+        _, player, step, _, k = tree
+        self._decode(i)
+        v, prefixes, digit = self._at[k], self.game.rank_prefixes(), self._digit
+        path, ranks = {}, []
+        for w in self._succ[k]:
+            r, _, seen = self._read(prefixes, v, w)
+            ranks.append(r[player])
+            path.update(seen)
+        top = min(ranks)  # the best improving moves, wherever some move improves
+        best = [j for j, r in enumerate(ranks) if r == top]
+        leaf = tuple([((), ()) if now == top else
+                      (tuple([(j - c) * step for j, r in enumerate(ranks) if r < now]),
+                       tuple([(j - c) * step for j in best]))
+                      for c, now in enumerate(ranks)])
+        del path[v]  # k's own digit is never read
+        node, at = tree, 0
+        for d in map(digit.__getitem__, path):
+            if d >= 0:  # not a terminal
+                if node[at] is None:
+                    _, _, weight, radix = self._places[d]
+                    node[at] = [weight, radix] + [None] * radix
+                node = node[at]
+                at = i // node[0] % node[1] + 2
+        node[at] = leaf
+        return leaf
 
     def past(self, i: int, last: int) -> int:
         """The first index past profile i's block: the profiles whose digits
@@ -287,7 +247,7 @@ class Profiles:
         v, succ, last, out = self._at[k], self._succ[k], -1, []
         prefixes, read = self.game.rank_prefixes(), self._read
         for j in choices:
-            ranks, p = read(prefixes, v, succ[j])
+            ranks, p, _ = read(prefixes, v, succ[j])
             out.append(ranks)
             last = max(last, p)
         i = self.past(i, last)
@@ -307,10 +267,10 @@ class Profiles:
         for k, (v, succ, owner, c) in enumerate(zip(self._at, self._succ, self.owner, digits)):
             if k >= best:  # a move at k reads digit k: its block is no larger
                 break
-            now, last = read(prefixes, v, succ[c])
+            now, last, _ = read(prefixes, v, succ[c])
             for j, w in enumerate(succ):
                 if j != c:
-                    ranks, p = read(prefixes, v, w)
+                    ranks, p, _ = read(prefixes, v, w)
                     if ranks[owner - 1] < now[owner - 1]:
                         best = min(best, max(k, last, p))
         return self.past(i, best) if best < n else 0

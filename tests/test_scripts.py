@@ -1,5 +1,6 @@
 """The bundled scripts run end to end against the library."""
 
+import json
 import os
 import subprocess
 import sys
@@ -25,3 +26,20 @@ def test_kernel_pair_runs():
     lines = done.stdout.splitlines()
     assert lines[0].split()[-3:] == ["HEAD", "this", "change"]
     assert [line.split()[0] for line in lines[1:]] == ["moves"] + ["equilibria"] * 2 + ["rows"] * 4
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
+def test_bench_pair_runs(tmp_path):
+    done = subprocess.run([sys.executable, "scripts/bench_pair.py", "HEAD", "smoke",
+                           "--workloads", "ring", "--pairs", "1", "--seconds", "0",
+                           "--out", str(tmp_path)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    ring = json.loads((tmp_path / "BENCH_smoke.json").read_text())["workloads"]["ring"]
+    assert ring["correct"] == {"base": True, "change": True}
+    assert ring["first"] == ["base"]
+    for m in ring["metrics"].values():
+        assert m["pairs"] == 1 and 0 <= m["wins"] <= 1
+        for side in ("base", "change"):
+            (value,) = m[side]["values"]
+            assert m[side]["q1"] == m[side]["median"] == m[side]["q3"] == value

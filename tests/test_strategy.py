@@ -27,7 +27,7 @@ from gamedyn.strategy import (
 )
 
 from .conftest import load_game
-from .generators import random_game
+from .generators import random_game, ring_doc
 
 
 def test_profile_count_matches_enumeration(gdis, fig3):
@@ -99,35 +99,47 @@ LOOP_BACK = {
 }
 
 
-def _moves_from_ranks(profiles, i, digits, best_reply):
-    """Profiles.moves of profile i without its memo: every move ranked afresh."""
-    by_player = [[] for _ in range(profiles.game.n_players)]
+def _moves_from_ranks(profiles, i, digits):
+    """Profiles.moves_at(i, False) and (i, True) without the trees: every move
+    ranked afresh."""
+    both = [[[] for _ in range(profiles.game.n_players)] for _ in range(2)]
     for k, (player, c, step) in enumerate(zip(profiles.owner, digits, profiles.weight)):
         every = range(len(profiles.choices[k]))
         ranks = [r[player - 1] for r in profiles.reads(i, k, every)[0]]
         better = [j for j, r in enumerate(ranks) if r < ranks[c]]
-        if best_reply and better:
+        both[0][player - 1] += [(j - c) * step for j in better]
+        if better:
             top = min(ranks[j] for j in better)
             better = [j for j in better if ranks[j] == top]
-        by_player[player - 1] += [(j - c) * step for j in better]
-    return by_player
+        both[1][player - 1] += [(j - c) * step for j in better]
+    return both
 
 
 def test_moves_do_not_depend_on_visiting_order():
+    """Every profile's moves, read from trees grown in one visiting order and
+    then in another, are those ranked afresh: on the fixtures, games that
+    rank what a parsed game cannot, random games, unfolded acyclic ones
+    (deeper trees) and rings of both families."""
     games = [load_game(f"{name}.json") for name in ("gdis", "fig2", "fig3", "fig4", "fig5")]
-    games += [parse_game(json.dumps(LOOP_BACK))] + [random_game(seed) for seed in range(200)]
+    games += [parse_game(json.dumps(LOOP_BACK)), *_ranked_directly()]
+    games += [random_game(seed) for seed in range(300)]
+    games += [unfold(random_game(seed, max_vertices=7, acyclic=True)) for seed in range(100)]
+    games += [parse_game(json.dumps(ring_doc(n, family)))
+              for n in range(8, 13) for family in ("oscillating", "converging")]
     rng = random.Random(0)
     for game in games:
         reference = Profiles(game)
         digits = list(reference.digits())
-        want = [[_moves_from_ranks(reference, i, d, b) for b in (False, True)]
-                for i, d in enumerate(digits)]
+        want = [_moves_from_ranks(reference, i, d) for i, d in enumerate(digits)]
         shuffled = list(range(len(digits)))
         rng.shuffle(shuffled)
-        for order in (range(len(digits)), range(len(digits) - 1, -1, -1), shuffled):
+        orders = [range(len(digits)), range(len(digits) - 1, -1, -1), shuffled]
+        for grown, other in zip(orders, orders[1:] + orders[:1]):
             profiles = Profiles(game)
-            for i in order:
-                assert [profiles.moves(digits[i], b) for b in (False, True)] == want[i]
+            for order in (grown, other):
+                for i in order:
+                    assert [profiles.moves_at(i, b) for b in (False, True)] == want[i], (game, i)
+                    assert [profiles.moves(digits[i], b) for b in (False, True)] == want[i]
 
 
 def test_has_move_is_some_move_in_every_visiting_order():
