@@ -66,8 +66,8 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
     def moves():
         for game in games:
             profiles = Profiles(game)
-            for digits in profiles.digits():
-                profiles.moves(digits, False)
+            for i in range(len(profiles)):
+                profiles.moves_at(i, False)
 
     def equilibria(family):
         return lambda: pkg.equilibria(pkg.build_dynamics(ring[family], "p1"))

@@ -6,7 +6,7 @@ from typing import Mapping, Optional
 
 from .dynamics import BeliefGraph, DynamicsGraph
 from .errors import Frozen
-from .graphs import Digraph, is_nontrivial, shortest_path
+from .graphs import is_nontrivial, shortest_path
 
 
 class CycleWitness(Frozen):
@@ -14,14 +14,6 @@ class CycleWitness(Frozen):
 
     def __init__(self, cycle: tuple):
         self._set(cycle=cycle)
-
-    def validate(self, g: Digraph) -> bool:
-        """True iff the cycle is a closed walk of g; False if a node is not in g."""
-        seq = self.cycle
-        try:
-            return bool(seq) and all(b in g.successors(a) for a, b in zip(seq, seq[1:] + seq[:1]))
-        except KeyError:  # a node g does not have
-            return False
 
 
 SWITCHES = "switches-infinitely-often"

@@ -10,7 +10,7 @@ from .errors import (KINDS, PROFILE_GUARD, Frozen, NonDeterministicBestReply,
                      StateSpaceTooLarge)
 from .game import Game
 from .graphs import Digraph, SccReplay, scc_stream
-from .strategy import Profiles, StrategyProfile, unfold
+from .strategy import Profiles, unfold
 
 
 class Rows(dict):
@@ -84,10 +84,6 @@ class DynamicsGraph(Frozen):
 
     def digraph(self) -> Digraph:
         return Digraph(tuple(self.nodes), tuple(self.succ))
-
-    def successors(self, node):
-        i = self.profiles.index(node)
-        return [(self.nodes[j], c) for j, c in zip(self.succ[i], self.changed[i])]
 
     def label(self, node) -> str:
         return self.names[self.profiles.index(node)]
@@ -192,9 +188,6 @@ class BeliefNode(Frozen):
     def __init__(self, rows: tuple):
         self._set(rows=rows)
 
-    def row(self, player: int) -> StrategyProfile:
-        return self.rows[player - 1]
-
 
 class BeliefGraph(Frozen):
     """Node i is the i-th BeliefNode, whose rows' profile indices, read as
@@ -235,12 +228,6 @@ class BeliefGraph(Frozen):
 
     def label(self, node: BeliefNode) -> str:
         return self.names[self.index(node)]
-
-    def successor(self, node, label):
-        return self.nodes[self.delta[label][self.index(node)]]
-
-    def digraph(self) -> Digraph:
-        return Digraph(self.nodes, self.succ)
 
 
 def build_belief_graph(game: Game, guard: int | None = PROFILE_GUARD) -> BeliefGraph:

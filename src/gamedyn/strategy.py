@@ -196,10 +196,6 @@ class Profiles:
             by_player[tree[1]] += node[i // tree[2] % tree[3]][which]
         return by_player
 
-    def moves(self, digits, best_reply: bool) -> list[list[int]]:
-        """moves_at of the profile that digits spells."""
-        return self.moves_at(sum(c * w for c, w in zip(digits, self.weight)), best_reply)
-
     def _grow(self, tree: list, i: int) -> tuple:
         """The leaf of tree that profile i reaches, hung on the tree: the
         plays from k's successors are walked under i once, and the digits

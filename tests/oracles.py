@@ -57,6 +57,16 @@ def fair_cycle_exists(nodes, edges, players):
     return False
 
 
+def is_closed_walk(nodes, succ, cycle):
+    """Is cycle a non-empty closed walk (last -> first an edge too) of the
+    graph whose node i is nodes[i] and whose row succ[i] lists node i's
+    successor indices?  False if a node of cycle is not among nodes."""
+    pos = {n: i for i, n in enumerate(nodes)}
+    if not cycle or any(n not in pos for n in cycle):
+        return False
+    return all(pos[b] in succ[pos[a]] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+
 def largest_simulation_by_enumeration(small_nodes, small_edges, big_nodes, big_edges):
     """The largest simulation, as the union of every relation R that passes
     the step-matching condition: for each (a, b) in R and each edge a -> a2

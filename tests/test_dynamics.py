@@ -39,11 +39,7 @@ from .test_strategy import LOOP_BACK, _ranked_directly, changed_vertices
 
 
 def edge_set(dg):
-    return {
-        (dg.label(n), dg.label(m), tuple(sorted(ch)))
-        for n in dg.nodes
-        for m, ch in dg.successors(n)
-    }
+    return {(dg.label(n), dg.label(m), tuple(sorted(ch))) for n, m, ch in dg.edges}
 
 
 def test_unilateral_dynamics_gdis(gdis):
@@ -63,10 +59,10 @@ def test_best_reply_moves_gdis(gdis):
     dg = build_dynamics(gdis, "bp1")
     both_stop = StrategyProfile.from_dict({"v1": "vbot", "v2": "vbot"})
     # with v2 stopping, v1's indirect route is available and preferred
-    assert (both_stop.updated("v1", "v2"), frozenset({1})) in dg.successors(both_stop)
+    assert (both_stop, both_stop.updated("v1", "v2"), frozenset({1})) in dg.edges
     both_cont = StrategyProfile.from_dict({"v1": "v2", "v2": "v1"})
     # continuing would close the ring, the worst play for player 2
-    assert (both_cont.updated("v2", "vbot"), frozenset({2})) in dg.successors(both_cont)
+    assert (both_cont, both_cont.updated("v2", "vbot"), frozenset({2})) in dg.edges
 
 
 def test_concurrent_dynamics_gdis(gdis):
@@ -99,17 +95,16 @@ def test_p1_edges_are_strict_improvements():
     for seed in range(25):
         game = random_game(seed)
         dg = build_dynamics(game, "p1", guard=None)
-        for sigma in dg.nodes:
-            for tau, changed in dg.successors(sigma):
-                diff = changed_vertices(sigma, tau)
-                assert len(diff) == 1
-                (v,) = diff
-                player = game.owner[v]
-                assert changed == frozenset({player})
-                cmp = game.preference(player).compare(
-                    outcome(game, tau, v), outcome(game, sigma, v)
-                )
-                assert cmp is Comparison.GREATER
+        for sigma, tau, changed in dg.edges:
+            diff = changed_vertices(sigma, tau)
+            assert len(diff) == 1
+            (v,) = diff
+            player = game.owner[v]
+            assert changed == frozenset({player})
+            cmp = game.preference(player).compare(
+                outcome(game, tau, v), outcome(game, sigma, v)
+            )
+            assert cmp is Comparison.GREATER
 
 
 def test_pc_edges_decompose_into_unilateral_moves():
@@ -117,15 +112,14 @@ def test_pc_edges_decompose_into_unilateral_moves():
         game = random_game(seed)
         p1 = edge_set(build_dynamics(game, "p1", guard=None))
         pc = build_dynamics(game, "pc", guard=None)
-        for sigma in pc.nodes:
-            for tau, changed in pc.successors(sigma):
-                for v in changed_vertices(sigma, tau):
-                    solo = sigma.updated(v, tau.as_dict()[v])
-                    assert (
-                        pc.label(sigma),
-                        pc.label(solo),
-                        (game.owner[v],),
-                    ) in p1
+        for sigma, tau, _ in pc.edges:
+            for v in changed_vertices(sigma, tau):
+                solo = sigma.updated(v, tau.as_dict()[v])
+                assert (
+                    pc.label(sigma),
+                    pc.label(solo),
+                    (game.owner[v],),
+                ) in p1
 
 
 def test_one_step_requires_acyclic(gdis):
@@ -253,11 +247,9 @@ def test_successors_follow_enumeration_order():
     dg = build_dynamics(parse_game(json.dumps(ORDER_TRAP)), "pc")
     assert [dg.label(n) for n in dg.nodes] == [
         "p:qq:p", "p:qq:x'", "p:tq:p", "p:tq:x'", "p:t!q:p", "p:t!q:x'"]
-    pos = {n: i for i, n in enumerate(dg.nodes)}
-    for n in dg.nodes:
-        succ = [pos[m] for m, _ in dg.successors(n)]
-        assert succ == sorted(succ)
-    assert [(dg.label(m), sorted(c)) for m, c in dg.successors(dg.nodes[0])] == [
+    for row in dg.succ:
+        assert list(row) == sorted(row)
+    assert [(dg.names[j], sorted(c)) for j, c in zip(dg.succ[0], dg.changed[0])] == [
         ("p:qq:x'", [2]), ("p:tq:p", [1]), ("p:tq:x'", [1, 2]),
         ("p:t!q:p", [1]), ("p:t!q:x'", [1, 2])]
     # the cycle starts at the least index and leaves it by its first successor
@@ -277,7 +269,7 @@ def test_belief_graph_shape(gdis):
     assert bg.label_set == (0, 1, 2)
     for node in bg.nodes:
         for lbl in bg.label_set:
-            assert bg.successor(node, lbl) in bg.nodes
+            assert 0 <= bg.delta[lbl][bg.index(node)] < len(bg.nodes)
 
 
 def test_belief_names_and_v0_follow_the_rows():
@@ -292,7 +284,7 @@ def test_belief_names_and_v0_follow_the_rows():
         v0 = set()
         for i, node in enumerate(bg.nodes):
             assert bg.label(node) == "|".join(p1.label(row) for row in node.rows)
-            true = {v: node.row(game.owner[v]).as_dict()[v] for v in game.non_terminals()}
+            true = {v: node.rows[game.owner[v] - 1].as_dict()[v] for v in game.non_terminals()}
             if all(row.as_dict() == true for row in node.rows):
                 v0.add(i)
         assert bg.v0 == v0, seed

@@ -43,3 +43,30 @@ def test_bench_pair_runs(tmp_path):
         for side in ("base", "change"):
             (value,) = m[side]["values"]
             assert m[side]["q1"] == m[side]["median"] == m[side]["q3"] == value
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
+def test_bench_pair_runs_a_second_revision(tmp_path):
+    done = subprocess.run([sys.executable, "scripts/bench_pair.py", "HEAD", "smoke",
+                           "--change", "HEAD", "--workloads", "ring", "--pairs", "1",
+                           "--seconds", "0", "--out", str(tmp_path)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert (bench["base"], bench["change"]) == ("HEAD", "HEAD")
+    assert bench["workloads"]["ring"]["correct"] == {"base": True, "change": True}
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
+def test_bench_pair_reports_a_failed_run(tmp_path):
+    """perfbench/run.py refuses an unknown workload; the script names the
+    run that failed, shows its stderr and writes no file."""
+    done = subprocess.run([sys.executable, "scripts/bench_pair.py", "HEAD", "smoke",
+                           "--workloads", "nope", "--pairs", "1", "--seconds", "0",
+                           "--out", str(tmp_path)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1
+    assert "the base run of nope at seed 1 exited with status 2" in done.stderr
+    assert "invalid choice: 'nope'" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not list(tmp_path.iterdir())

@@ -99,13 +99,16 @@ LOOP_BACK = {
 }
 
 
-def _moves_from_ranks(profiles, i, digits):
-    """Profiles.moves_at(i, False) and (i, True) without the trees: every move
-    ranked afresh."""
-    both = [[[] for _ in range(profiles.game.n_players)] for _ in range(2)]
-    for k, (player, c, step) in enumerate(zip(profiles.owner, digits, profiles.weight)):
-        every = range(len(profiles.choices[k]))
-        ranks = [r[player - 1] for r in profiles.reads(i, k, every)[0]]
+def _moves_from_ranks(profiles, profile, digits):
+    """Profiles.moves_at(i, False) and (i, True) for the profile i that digits
+    spells, without the trees or the rank table: every move's play built
+    from vertex names and ranked by rank_of."""
+    game = profiles.game
+    both = [[[] for _ in range(game.n_players)] for _ in range(2)]
+    for k, (v, player, c, step) in enumerate(
+            zip(profiles.movers, profiles.owner, digits, profiles.weight)):
+        pref = game.preference(player)
+        ranks = [pref.rank_of(_play_by_names(game, profile, v, w)) for w in profiles.choices[k]]
         better = [j for j, r in enumerate(ranks) if r < ranks[c]]
         both[0][player - 1] += [(j - c) * step for j in better]
         if better:
@@ -130,7 +133,7 @@ def test_moves_do_not_depend_on_visiting_order():
     for game in games:
         reference = Profiles(game)
         digits = list(reference.digits())
-        want = [_moves_from_ranks(reference, i, d) for i, d in enumerate(digits)]
+        want = [_moves_from_ranks(reference, profile, d) for profile, d in zip(reference, digits)]
         shuffled = list(range(len(digits)))
         rng.shuffle(shuffled)
         orders = [range(len(digits)), range(len(digits) - 1, -1, -1), shuffled]
@@ -139,7 +142,6 @@ def test_moves_do_not_depend_on_visiting_order():
             for order in (grown, other):
                 for i in order:
                     assert [profiles.moves_at(i, b) for b in (False, True)] == want[i], (game, i)
-                    assert [profiles.moves(digits[i], b) for b in (False, True)] == want[i]
 
 
 def test_has_move_is_some_move_in_every_visiting_order():
@@ -153,7 +155,8 @@ def test_has_move_is_some_move_in_every_visiting_order():
     rng = random.Random(0)
     for game in games:
         reference = Profiles(game)
-        want = [any(reference.moves(d, False)) for d in reference.digits()]
+        want = [any(_moves_from_ranks(reference, profile, d)[0])
+                for profile, d in zip(reference, reference.digits())]
         shuffled = list(range(len(want)))
         rng.shuffle(shuffled)
         for order in (range(len(want)), range(len(want) - 1, -1, -1), shuffled):
@@ -234,9 +237,9 @@ def test_moves_build_no_play(monkeypatch):
     monkeypatch.setattr(PreferenceOrder, "rank_of", rank_of)
     for game in games:
         profiles = Profiles(game)
-        for i, digits in enumerate(profiles.digits()):
-            profiles.moves(digits, False)
-            profiles.moves(digits, True)
+        for i in range(len(profiles)):
+            profiles.moves_at(i, False)
+            profiles.moves_at(i, True)
             profiles.has_move(i)
         for v in game.non_terminals():
             for w1, w2 in itertools.permutations(game.successors(v), 2):
