@@ -14,7 +14,9 @@ the file holds every pair's value, the median and the quartiles
 (statistics.quantiles, inclusive), and the pairs the change wins out of N,
 judged by the metric's `better` in BENCHMARK.json; a tie is no win.  It
 also holds each run's host-speed factor, by which run.py scales its times
-to the nominal host.  A run that fails stops the script with status 1 and
+to the nominal host, the revisions as given and the commit each resolved
+to (the checkout's HEAD for the checkout), and "dirty": true when the
+change is the checkout and its tracked files differ from HEAD.  A run that fails stops the script with status 1 and
 no file written: the message names the side, workload and seed and ends
 with the last lines of the run's stderr.
 """
@@ -52,6 +54,11 @@ def run(tree: pathlib.Path, side: str, workload: str, seed: int, seconds: float)
             "metrics": {name: m["value"] for name, m in report["metrics"].items()}}
 
 
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 def summary(values: list) -> dict:
     q1, q2, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
                   else values * 3)
@@ -74,6 +81,9 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     seeds = list(range(args.seed, args.seed + args.pairs))
+    commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
+               for side, rev in (("base", args.rev), ("change", args.change or "HEAD"))}
+    dirty = not args.change and bool(git("status", "--porcelain", "--untracked-files=no"))
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": pathlib.Path(tmp) / "base",
                  "change": pathlib.Path(tmp) / "change" if args.change else ROOT}
@@ -98,8 +108,9 @@ def main(argv=None) -> int:
                 "first": [SIDES[p % 2] for p in range(len(seeds))], "metrics": metrics,
                 "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
                 "host_scale": {side: [r["host_scale"] for r in runs[side]] for side in SIDES}}
-    out = {"base": args.rev, "change": args.change or "checkout", "seeds": seeds,
-           "seconds": args.seconds, "workloads": workloads}
+    out = {"base": args.rev, "change": args.change or "checkout", "commits": commits,
+           **({"dirty": True} if dirty else {}), "seeds": seeds, "seconds": args.seconds,
+           "workloads": workloads}
     target = args.out / f"BENCH_{args.label}.json"
     target.write_text(json.dumps(out, indent=1) + "\n")
     for workload, got in workloads.items():

@@ -26,7 +26,10 @@ Task groups (moves, equilibria and rows unless others are named):
   holds) and the other way round (it fails); and on every ordered pair of
   sibling edges of random_game seeds 0..N-1, on games parsed before the
   timing and, as "fresh", on games parsed in it, so that each builds its
-  rank table and prefixes afresh, as the minors a sweep checks do.
+  rank table and prefixes afresh, as the minors a sweep checks do;
+- delete: every vertex deleted, refusals included, of random_game seeds
+  0..N-1 parsed in the timing, as a sweep's random scripts try them, and of
+  a complete arena of 7 non-terminals with one squeezable vertex.
 """
 
 import argparse
@@ -44,20 +47,22 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from revision import export  # noqa: E402
-from tests.generators import game_doc, random_game, ring_doc  # noqa: E402
+from tests.generators import dense_squeeze_doc, game_doc, random_game, ring_doc  # noqa: E402
 
 BASE = "gamedyn_base"
 RING = 10
 SCANNED = (12, 14)
 FAMILIES = ("oscillating", "converging")
+DENSE = 7
 KINDS = ("p1", "bp1", "pc", "bpc")
-GROUPS = ("moves", "equilibria", "rows", "fill", "verdicts", "scans", "dominated")
+GROUPS = ("moves", "equilibria", "rows", "fill", "verdicts", "scans", "dominated", "delete")
 
 
 def tasks(package: str, docs: list, rings: dict) -> dict:
     """Task name -> a function of no arguments that runs it on package."""
     pkg = importlib.import_module(package)
     Profiles = importlib.import_module(f"{package}.strategy").Profiles
+    NotDeletable = importlib.import_module(f"{package}.errors").NotDeletable
     games = [pkg.parse_game(text) for text in docs]
     ring = {name: pkg.parse_game(text) for name, text in rings.items()}
     siblings = [(game, (v, w1), (v, w2)) for game in games for v in game.non_terminals()
@@ -101,6 +106,17 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
                 for w1, w2 in itertools.permutations(game.successors(v), 2):
                     pkg.is_dominated(game, (v, w1), (v, w2))
 
+    def delete_every_vertex(texts):
+        def run():
+            for text in texts:
+                game = pkg.parse_game(text)
+                for v in sorted(game.vertex_set):
+                    try:
+                        pkg.delete_vertex(game, v)
+                    except NotDeletable:
+                        pass
+        return run
+
     out = {f"moves random_game 0..{len(games) - 1}": moves}
     out.update((f"equilibria {family}-{RING}", equilibria(family)) for family in FAMILIES)
     out.update((f"rows {kind} oscillating-{RING}", rows(kind)) for kind in KINDS)
@@ -113,6 +129,8 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
     out[f"dominated fails {name}"] = dominated(name, False)
     out[f"dominated random_game 0..{len(games) - 1}"] = siblings_dominated
     out[f"dominated random_game 0..{len(games) - 1} fresh"] = fresh_siblings_dominated
+    out[f"delete random_game 0..{len(games) - 1}"] = delete_every_vertex(docs)
+    out[f"delete dense-{DENSE}"] = delete_every_vertex([json.dumps(dense_squeeze_doc(DENSE))])
     return out
 
 

@@ -26,9 +26,10 @@ from .game import (
     LassoPlay,
     Play,
     PreferenceOrder,
+    canonicalize,
     compare_plays,
+    is_positional_from,
     play_is_valid,
-    positional_plays,
 )
 from .strategy import Profiles
 
@@ -152,6 +153,30 @@ def _drop_vertex_from_play(play: Play, v: str, succ: str) -> Play:
     return LassoPlay(tuple(stem), tuple(loop))
 
 
+def _preimages(q: Play, v: str, v2: str, preds: tuple[str, ...]) -> list[Play]:
+    """The walks that dropping v, whose one successor is v2, turns into q.
+    No predecessor of v steps to v2 (else the squeeze is refused first), so
+    a walk has v before exactly those v2 that a predecessor of v precedes,
+    the step that closes a loop included; a q that starts at v2 has one
+    more, that walk with v in front."""
+
+    def put_back(seq):  # v before each v2 but the first vertex of seq
+        out = [seq[0]]
+        for x, y in zip(seq, seq[1:]):
+            if y == v2 and x in preds:
+                out.append(v)
+            out.append(y)
+        return out
+
+    if isinstance(q, FinitePlay):
+        stem, loop = put_back(q.path), None
+    else:  # the v before the loop's first vertex goes with the step into it
+        stem = put_back(q.stem + q.loop[:1])[:-1]
+        loop = put_back(q.loop + q.loop[:1])[:-1]
+    heads = ([], [v]) if q.start == v2 else ([],)
+    return [canonicalize(head + stem, loop) for head in heads]
+
+
 def delete_vertex(game: Game, v: str) -> Game:
     """Remove a vertex: either isolated, or with a unique outgoing edge
     (v, v') such that no predecessor of v already reaches v' directly.
@@ -183,22 +208,18 @@ def delete_vertex(game: Game, v: str) -> Game:
     # cycle, one ranked and one implicitly worst).  A merge only matters
     # where a rewritten ranked play lands on a play whose start vertex the
     # same player still owns afterwards: those are the plays that enter the
-    # player's outcome comparisons in the minor.  Only then are all the
-    # plays that can land there, positional or ranked, scanned.
+    # player's outcome comparisons in the minor.  Only then are the plays
+    # that land there, positional or ranked, put back and ranked.
     owner_after = {u: game.owner.get(u) for u, _ in game.edges if u != v}
     stakes = [(pref, {images[p] for cls in pref.ranks for p in cls
                       if p in images and owner_after.get(images[p].start) == i})
               for i, pref in enumerate(game.preferences, start=1)]
     if any(qs for _, qs in stakes):
-        universe = set().union(*(positional_plays(game, x) for x in game.vertices),
-                               *(pref.mentioned() for pref in game.preferences))
-        landing: dict[Play, list[Play]] = {}
-        for p in universe:
-            q = images[p] if p in images else (
-                _drop_vertex_from_play(p, v, v2) if v in p.vertices() else p)
-            landing.setdefault(q, []).append(p)
+        ranked = set().union(*(pref.mentioned() for pref in game.preferences))
         for pref, qs in stakes:
-            if any(len({pref.rank_of(p) for p in landing[q]}) > 1 for q in qs):
+            if any(len({pref.rank_of(p) for p in _preimages(q, v, v2, preds)
+                        if p in ranked or is_positional_from(game, p.start, p)}) > 1
+                   for q in qs):
                 raise NotDeletable(v, NotDeletable.PREFERENCE_COLLAPSE)
 
     edges = set(game.edges)

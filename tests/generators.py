@@ -41,7 +41,12 @@ def random_game(seed, max_vertices=5, max_players=3, acyclic=False):
     terminals = {v for v in names if not any(u == v for u, _ in edges)}
     n_players = rng.randint(1, max_players)
     owner = {v: rng.randint(1, n_players) for v in names if v not in terminals}
+    return _ranked_game(rng, n_players, vertices, edges, owner)
 
+
+def _ranked_game(rng, n_players, vertices, edges, owner):
+    """The game on the arena, each player ranking a random part of the
+    positional plays from its own vertices in random classes."""
     skeleton = Game(n_players, vertices, frozenset(edges), owner,
                     tuple(() for _ in range(n_players)), {})
     prefs = []
@@ -65,6 +70,45 @@ def random_game(seed, max_vertices=5, max_players=3, acyclic=False):
     game = Game(n_players, vertices, frozenset(edges), owner, tuple(prefs), {})
     validate_game(game)
     return game
+
+
+def random_squeeze_game(seed, max_vertices=5, max_players=2):
+    """A random game, denser than random_game's, in which v0 can be squeezed
+    out: v0 has one successor, which no predecessor of v0 steps to, and
+    every other vertex steps to any of the others.  Few players own many
+    vertices each, so a ranked play through v0 more often closes its loop
+    through v0 or starts at v0 and lands on a play from v0's successor that
+    the same player ranks."""
+    rng = random.Random(seed)
+    n = rng.randint(3, max_vertices)
+    names = [f"v{i}" for i in range(n)]
+    v, v2 = names[0], rng.choice(names[1:])
+    edges = {(v, v2)}
+    for u in names[1:]:
+        pool = [w for w in names if w != u]
+        edges |= {(u, w) for w in rng.sample(pool, rng.randint(0, len(pool)))}
+    edges -= {(u, v2) for u, w in list(edges) if w == v}
+    terminals = {x for x in names if not any(u == x for u, _ in edges)}
+    n_players = rng.randint(1, max_players)
+    owner = {x: rng.randint(1, n_players) for x in names if x not in terminals}
+    return _ranked_game(rng, n_players, tuple(names), edges, owner)
+
+
+def dense_squeeze_doc(n):
+    """A game on a complete arena of n >= 2 non-terminals, with about
+    (n - 1)! positional plays from each, whose vertex v squeezes out at no
+    cost, as a document of the input format: non-terminals a0 .. a(n-1),
+    each with an edge to every other one and to the terminal t, except
+    a1 -> a0, and v with the edges a1 -> v -> a0.  Player 2 owns a1 and v
+    and ranks a1->v->a0->t above a1->t; player 1 owns the other a's and
+    ranks nothing."""
+    a = [f"a{i}" for i in range(n)]
+    edges = [[x, y] for x in a for y in a + ["t"] if x != y and (x, y) != ("a1", "a0")]
+    return {"players": 2, "vertices": a + ["v", "t"],
+            "edges": edges + [["a1", "v"], ["v", "a0"]],
+            "owner": {**{x: 1 for x in a}, "a1": 2, "v": 2},
+            "preferences": {"1": [], "2": [[{"path": ["a1", "v", "a0", "t"]}],
+                                           [{"path": ["a1", "t"]}]]}}
 
 
 def _deletable_vertices(game):

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+import gamedyn.game
+
 from gamedyn import (
     DeletionScript,
     apply_script,
@@ -13,12 +15,19 @@ from gamedyn import (
     find_dis_minor,
 )
 from gamedyn.errors import GameDynError, NotDeletable, ScriptStepError
-from gamedyn.game import LassoPlay, canonicalize, parse_game, positional_plays
-from gamedyn.minors import _drop_vertex_from_play
+from gamedyn.game import FinitePlay, LassoPlay, canonicalize, parse_game, positional_plays
+from gamedyn.minors import _drop_vertex_from_play, _preimages
 
 from . import oracles
 from .conftest import FIXTURES, load_game
-from .generators import game_doc, random_game, random_notg, random_script
+from .generators import (
+    dense_squeeze_doc,
+    game_doc,
+    random_game,
+    random_notg,
+    random_script,
+    random_squeeze_game,
+)
 
 
 def by_library(run):
@@ -80,6 +89,72 @@ def test_deletions_match_the_oracle_on_routing_games():
     for seed in range(150):
         game = random_notg(seed).game
         assert_every_deletion_agrees(game, game_doc(game))
+
+
+def test_deletions_match_the_oracle_on_squeezable_random_games():
+    """Denser games built around a squeezable v0, so that ranked lassos
+    close their loops through v0 and ranked plays start at v0: the two
+    places where a squeezed play has a second preimage or v goes back at a
+    loop's closing step."""
+    minors = collapses = closing = leading = 0
+    for seed in range(500):
+        game = random_squeeze_game(seed)
+        doc = game_doc(game)
+        assert_every_deletion_agrees(game, doc)
+        verdict = by_oracle(lambda: oracles.delete_vertex(doc, "v0"))
+        minors += verdict[0] == "minor"
+        collapses += verdict == ("refused", "PreferenceCollapse")
+        ranked = [p for pref in game.preferences for cls in pref.ranks for p in cls]
+        closing += sum(isinstance(p, LassoPlay) and p.loop[-1] == "v0" for p in ranked)
+        leading += sum(p.start == "v0" for p in ranked)
+    assert minors > 100 and collapses > 100
+    assert closing > 100 and leading > 100
+
+
+def test_preimages_put_v_back_once_per_step_into_v2():
+    """v goes back before each v2 that a predecessor of v (here a and c)
+    precedes: once at a loop's closing step, once more where a stem enters
+    the loop, and never before the first vertex but as the extra preimage
+    of a play from v2."""
+    cases = [
+        (FinitePlay(("a", "b", "t")), ("a",), [("a", "v", "b", "t")]),
+        (FinitePlay(("b", "t")), ("a",), [("b", "t"), ("v", "b", "t")]),
+        (LassoPlay((), ("b", "a")), ("a",), [((), ("b", "a", "v")), ((), ("v", "b", "a"))]),
+        (LassoPlay(("a",), ("b", "c")), ("a",), [(("a", "v"), ("b", "c"))]),
+        (LassoPlay(("a",), ("b", "c")), ("a", "c"), [(("a",), ("v", "b", "c"))]),
+    ]
+    for q, preds, want in cases:
+        want = [canonicalize(*w) if isinstance(w[0], tuple) else FinitePlay(w) for w in want]
+        got = _preimages(q, "v", "b", preds)
+        assert got == want, q
+        assert all(_drop_vertex_from_play(p, "v", "b") == q for p in got), q
+
+
+def test_no_squeeze_lists_positional_plays(monkeypatch):
+    """Deciding a squeeze's PreferenceCollapse reads the preimages of the
+    ranked plays at stake, never a vertex's positional plays: every vertex
+    of the fixtures, of random games and of complete arenas of up to 9
+    non-terminals is deleted with the enumeration made to fail."""
+    games = [load_game(f"{name}.json") for name in ("fig2", "fig3", "fig4", "fig5", "gdis")]
+    games += [random_game(seed) for seed in range(300)]
+    dense = {n: dense_squeeze_doc(n) for n in range(2, 10)}
+    dense_games = {n: parse_game(json.dumps(doc)) for n, doc in dense.items()}
+
+    def refuse(*args):
+        raise AssertionError("listed positional plays")
+
+    monkeypatch.setattr(gamedyn.game, "walk_positional_plays", refuse)
+    for game in games + list(dense_games.values()):
+        for v in game.vertices:
+            by_library(lambda: delete_vertex(game, v))
+    for n, game in dense_games.items():
+        minor = delete_vertex(game, "v")
+        assert ranks_of(minor, 2) == [["a1->a0->t"], ["a1->t"]], n
+    assert_every_deletion_agrees(dense_games[5], dense[5])
+
+
+def ranks_of(game, player):
+    return [sorted(map(str, cls)) for cls in game.preference(player).ranks]
 
 
 def is_canonical(play):

@@ -29,6 +29,16 @@ def test_kernel_pair_runs():
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
+def test_kernel_pair_times_deletions():
+    done = subprocess.run([sys.executable, "scripts/kernel_pair.py", "HEAD", "delete",
+                           "--rounds", "1", "--seeds", "3"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert [line.rsplit(None, 3)[0] for line in done.stdout.splitlines()[1:]] == [
+        "delete random_game 0..2", "delete dense-7"]
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
 def test_bench_pair_runs(tmp_path):
     done = subprocess.run([sys.executable, "scripts/bench_pair.py", "HEAD", "smoke",
                            "--workloads", "ring", "--pairs", "1", "--seconds", "0",
@@ -55,6 +65,28 @@ def test_bench_pair_runs_a_second_revision(tmp_path):
     bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert (bench["base"], bench["change"]) == ("HEAD", "HEAD")
     assert bench["workloads"]["ring"]["correct"] == {"base": True, "change": True}
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
+def test_bench_pair_names_the_commits(tmp_path):
+    """The file names the commit each side resolved to, so that it still
+    says what it measured once HEAD moves, and marks a checkout that
+    differs from its HEAD."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    done = subprocess.run([sys.executable, "scripts/bench_pair.py", "HEAD", "smoke",
+                           "--workloads", "ring", "--pairs", "1", "--seconds", "0",
+                           "--out", str(tmp_path)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    head = git("rev-parse", "HEAD")
+    assert (bench["base"], bench["change"]) == ("HEAD", "checkout")
+    assert bench["commits"] == {"base": head, "change": head}
+    assert bench.get("dirty", False) == bool(git("status", "--porcelain",
+                                                 "--untracked-files=no"))
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
