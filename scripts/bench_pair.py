@@ -16,9 +16,10 @@ judged by the metric's `better` in BENCHMARK.json; a tie is no win.  It
 also holds each run's host-speed factor, by which run.py scales its times
 to the nominal host, the revisions as given and the commit each resolved
 to (the checkout's HEAD for the checkout), and "dirty": true when the
-change is the checkout and its tracked files differ from HEAD.  A run that fails stops the script with status 1 and
-no file written: the message names the side, workload and seed and ends
-with the last lines of the run's stderr.
+change is the checkout and its tracked files differ from HEAD.  A run that
+fails stops the script with status 1 and no file written: the message
+names the side, workload and seed and ends with the last lines of the
+run's stderr.
 """
 
 import argparse

@@ -72,36 +72,35 @@ def _ranked_game(rng, n_players, vertices, edges, owner):
     return game
 
 
-def random_squeeze_game(seed, max_vertices=5, max_players=2):
-    """A random game, denser than random_game's, in which v0 can be squeezed
-    out: v0 has one successor, which no predecessor of v0 steps to, and
-    every other vertex steps to any of the others.  Few players own many
-    vertices each, so a ranked play through v0 more often closes its loop
-    through v0 or starts at v0 and lands on a play from v0's successor that
-    the same player ranks."""
+def random_squeeze_game(seed):
+    """A random game of 3 to 5 vertices and 1 or 2 players, denser than
+    random_game's, in which v0 can be squeezed out: v0 has one successor,
+    which no predecessor of v0 steps to, and every other vertex steps to
+    any of the others.  Few players own many vertices each, so a ranked
+    play through v0 more often closes its loop through v0 or starts at v0
+    and lands on a play from v0's successor that the same player ranks."""
     rng = random.Random(seed)
-    n = rng.randint(3, max_vertices)
-    names = [f"v{i}" for i in range(n)]
+    names = [f"v{i}" for i in range(rng.randint(3, 5))]
     v, v2 = names[0], rng.choice(names[1:])
     edges = {(v, v2)}
     for u in names[1:]:
         pool = [w for w in names if w != u]
         edges |= {(u, w) for w in rng.sample(pool, rng.randint(0, len(pool)))}
-    edges -= {(u, v2) for u, w in list(edges) if w == v}
+    edges -= {(u, v2) for u, w in edges if w == v}
     terminals = {x for x in names if not any(u == x for u, _ in edges)}
-    n_players = rng.randint(1, max_players)
+    n_players = rng.randint(1, 2)
     owner = {x: rng.randint(1, n_players) for x in names if x not in terminals}
     return _ranked_game(rng, n_players, tuple(names), edges, owner)
 
 
 def dense_squeeze_doc(n):
-    """A game on a complete arena of n >= 2 non-terminals, with about
-    (n - 1)! positional plays from each, whose vertex v squeezes out at no
-    cost, as a document of the input format: non-terminals a0 .. a(n-1),
-    each with an edge to every other one and to the terminal t, except
-    a1 -> a0, and v with the edges a1 -> v -> a0.  Player 2 owns a1 and v
-    and ranks a1->v->a0->t above a1->t; player 1 owns the other a's and
-    ranks nothing."""
+    """A game on a complete arena of n >= 2 non-terminals, with on the
+    order of (n - 1)! positional plays from each, whose vertex v squeezes
+    out at no cost, as a document of the input format: non-terminals
+    a0 .. a(n-1), each with an edge to every other one and to the terminal
+    t, except a1 -> a0, and v with the edges a1 -> v -> a0.  Player 2 owns
+    a1 and v and ranks a1->v->a0->t above a1->t; player 1 owns the other
+    a's and ranks nothing."""
     a = [f"a{i}" for i in range(n)]
     edges = [[x, y] for x in a for y in a + ["t"] if x != y and (x, y) != ("a1", "a0")]
     return {"players": 2, "vertices": a + ["v", "t"],
