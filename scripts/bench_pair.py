@@ -5,21 +5,22 @@ revision) in alternating pairs, and write the result to BENCH_<label>.json.
     python scripts/bench_pair.py <rev> <label> [--change REV] \\
         [--workloads ring sweep cli] [--seed S] [--pairs N] [--seconds T]
 
-<rev> (the base) is exported with `git archive` into a temporary directory;
-the change is this checkout as it stands, or with --change another
-revision, exported beside the base.  Each side runs its own
-perfbench/run.py, once per seed S..S+N-1 and workload, the side that goes
-first alternating from pair to pair.  For each workload, metric and side,
-the file holds every pair's value, the median and the quartiles
-(statistics.quantiles, inclusive), and the pairs the change wins out of N,
-judged by the metric's `better` in BENCHMARK.json; a tie is no win.  It
-also holds each run's host-speed factor, by which run.py scales its times
-to the nominal host, the revisions as given and the commit each resolved
-to (the checkout's HEAD for the checkout), and "dirty": true when the
-change is the checkout and its tracked files differ from HEAD.  A run that
-fails stops the script with status 1 and no file written: the message
-names the side, workload and seed and ends with the last lines of the
-run's stderr.
+<rev> (the base) is exported with `git archive` into a temporary directory,
+and the change beside it: --change REV if given, else this checkout as it
+stands (tracked files with their edits, and untracked files that
+.gitignore does not name), so that both sides run from like places.  Each
+side runs its own perfbench/run.py, once per seed S..S+N-1 and workload,
+the side that goes first alternating from pair to pair.  For each
+workload, metric and side, the file holds every pair's value, the median
+and the quartiles (statistics.quantiles, inclusive), and the pairs the
+change wins out of N, judged by the metric's `better` in BENCHMARK.json;
+a tie is no win.  It also holds each run's host-speed factor, by which
+run.py scales its times to the nominal host, the revisions as given and
+the commit each resolved to (the checkout's HEAD for the checkout), and
+"dirty": true when the change is the checkout and its tracked files
+differ from HEAD.  A run that fails stops the script with status 1 and
+no file written: the message names the side, workload and seed and ends
+with the last lines of the run's stderr.
 """
 
 import argparse
@@ -32,7 +33,7 @@ import subprocess
 import sys
 import tempfile
 
-from revision import ROOT, export
+from revision import ROOT, export, working_tree
 
 SIDES = ("base", "change")
 TAIL = 20  # lines of a failed run's stderr to show
@@ -86,11 +87,9 @@ def main(argv=None) -> int:
                for side, rev in (("base", args.rev), ("change", args.change or "HEAD"))}
     dirty = not args.change and bool(git("status", "--porcelain", "--untracked-files=no"))
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"base": pathlib.Path(tmp) / "base",
-                 "change": pathlib.Path(tmp) / "change" if args.change else ROOT}
+        trees = {side: pathlib.Path(tmp) / side for side in SIDES}
         export(args.rev, trees["base"])
-        if args.change:
-            export(args.change, trees["change"])
+        export(args.change or working_tree(), trees["change"])
         workloads = {}
         for workload in args.workloads:
             runs = {side: [] for side in SIDES}

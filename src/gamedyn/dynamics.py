@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 from functools import cached_property
 
 from .errors import (KINDS, PROFILE_GUARD, Frozen, NonDeterministicBestReply,
@@ -97,15 +96,6 @@ class _Players(dict):
         return who
 
 
-def _most_updates(profiles: Profiles, concurrent: bool) -> int:
-    """The most updates one profile can have: every other choice at a
-    vertex, and for concurrent kinds every product over the players."""
-    spare = [0] * profiles.game.n_players
-    for owner, s in zip(profiles.owner, profiles.choices):
-        spare[owner - 1] += len(s) - 1
-    return math.prod(1 + m for m in spare) - 1 if concurrent else sum(spare)
-
-
 def build_dynamics(game: Game, kind: str, guard: int | None = PROFILE_GUARD) -> DynamicsGraph:
     """Dynamics graph over positional profiles for kind in KINDS.
 
@@ -113,9 +103,10 @@ def build_dynamics(game: Game, kind: str, guard: int | None = PROFILE_GUARD) -> 
     unfolding, with profiles labelled by history; its equilibria are the
     subgame perfect equilibria.
 
-    Rows are built when first read.  Only where the profiles could have
-    more than guard updates in all is every row built here, in index
-    order, counting the updates against the guard; guard None is no bound.
+    No row is built here: each is built when first read, and the graph
+    counts the updates of the rows it stores.  A read that would take that
+    count past guard raises StateSpaceTooLarge and stores nothing, so a
+    query answers wherever the rows it reads fit; guard None is no bound.
     """
     kind = kind.lower()
     if kind not in KINDS:
@@ -126,10 +117,14 @@ def build_dynamics(game: Game, kind: str, guard: int | None = PROFILE_GUARD) -> 
     profiles = Profiles(game)
     profiles.check(guard)
     best_reply = kind.startswith("b")
+    limit = float("inf") if guard is None else guard
+    stored = 0
 
     def updates(p: int) -> tuple:
         """Row p of succ: p plus each player's offset, or for concurrent
-        kinds plus each sum of offsets of distinct players."""
+        kinds plus each sum of offsets of distinct players, counted
+        against the guard before it is stored."""
+        nonlocal stored
         by_player = profiles.moves_at(p, best_reply)
         if concurrent:
             out = [p]
@@ -140,6 +135,10 @@ def build_dynamics(game: Game, kind: str, guard: int | None = PROFILE_GUARD) -> 
         else:
             out = [p + d for offsets in by_player for d in offsets]
         out.sort()
+        count = stored + len(out)
+        if count > limit:
+            raise StateSpaceTooLarge(count, guard, f"{kind} dynamics has over {guard} updates")
+        stored = count
         return tuple(out)
 
     groups = _Players()
@@ -166,12 +165,6 @@ def build_dynamics(game: Game, kind: str, guard: int | None = PROFILE_GUARD) -> 
     # changed refers to succ, never the other way round, so a graph is
     # freed as soon as it is dropped
     succ, changed = Rows(profiles.count, updates), Rows(profiles.count, players)
-    if guard is not None and profiles.count * _most_updates(profiles, concurrent) > guard:
-        count = 0
-        for row in succ:
-            count += len(row)
-            if count > guard:
-                raise StateSpaceTooLarge(count, guard, f"{kind} dynamics has over {guard} updates")
     return DynamicsGraph(kind=kind, profiles=profiles, succ=succ, changed=changed)
 
 

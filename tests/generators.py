@@ -111,13 +111,14 @@ def dense_squeeze_doc(n):
 
 
 def _deletable_vertices(game):
-    out = []
+    """Each vertex that delete_vertex accepts, in sorted order, mapped to
+    the minor it leaves."""
+    out = {}
     for v in sorted(game.vertex_set):
         try:
-            delete_vertex(game, v)
+            out[v] = delete_vertex(game, v)
         except NotDeletable:
             continue
-        out.append(v)
     return out
 
 
@@ -143,7 +144,8 @@ def random_script(seed, game, max_steps=2, dominant=False):
                                     for w in siblings):
                 continue
             edge_moves.append(DeleteEdge(u, v))
-        vertex_moves = [DeleteVertex(v) for v in _deletable_vertices(g)]
+        minors = _deletable_vertices(g)
+        vertex_moves = [DeleteVertex(v) for v in minors]
         moves = edge_moves + vertex_moves
         if not moves:
             break
@@ -151,7 +153,7 @@ def random_script(seed, game, max_steps=2, dominant=False):
         if isinstance(step, DeleteEdge):
             g = delete_edge(g, (step.source, step.target))
         else:
-            g = delete_vertex(g, step.vertex)
+            g = minors[step.vertex]
         steps.append(step)
         if not g.edges:
             break

@@ -19,6 +19,7 @@ from gamedyn.cli import (
 )
 
 from .conftest import FIXTURES
+from .generators import ring_doc
 from .golden import ROOT, TRANSCRIPT, run_captured
 
 GDIS = str(FIXTURES / "gdis.json")
@@ -422,3 +423,20 @@ def test_update_guard_counts_concurrent_updates():
                    "(use force to override)\n")
     code, out, err = run("--guard", "12", "--force", *argv)
     assert code in (EXIT_OK, EXIT_UNSAFE) and out.startswith("terminates: ") and err == ""
+
+
+def test_update_guard_lets_a_query_answer_within_it(tmp_path):
+    """The 10-vertex oscillating ring has 1024 profiles and 18,176 pc
+    updates; termination builds 409 of them and equilibria none, so both
+    answer at --guard 5000 as with --force, while dynamics, which reads
+    every row, exits 5."""
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring_doc(10, "oscillating")))
+    for check, exit_code in (("termination", EXIT_UNSAFE), ("equilibria", EXIT_OK)):
+        argv = ["analyze", str(path), "--kind", "pc", "--check", check]
+        forced = run("--force", *argv)
+        assert forced[0] == exit_code and forced[2] == ""
+        assert run("--guard", "5000", *argv) == forced
+    assert run("--guard", "5000", "dynamics", str(path), "--kind", "pc") == (
+        EXIT_ERROR, "",
+        "error: pc dynamics has over 5000 updates, guard is 5000 (use force to override)\n")

@@ -415,31 +415,43 @@ def test_equilibria_walk_only_the_plays_they_read(kind, moves_calls, monkeypatch
     assert len(asked) == len(set(asked)) < 1024 / 8
 
 
-def _most_updates(game, kind):
-    """The most updates a profile of game can have under kind."""
-    spare = {p: 0 for p in range(1, game.n_players + 1)}
-    for v in game.non_terminals():
-        spare[game.owner[v]] += len(game.successors(v)) - 1
-    if kind in ("p1", "bp1"):
-        return sum(spare.values())
-    most = 1
-    for m in spare.values():
-        most *= 1 + m
-    return most - 1
-
-
 @pytest.mark.parametrize("kind", ["p1", "bp1", "pc", "bpc"])
 def test_update_guard_at_its_edge(fig5, kind, moves_calls):
+    """The guard builds no row: a graph counts the updates of the rows it
+    stores, and the read that would take the count past the guard raises.
+    So a query answers wherever the rows it builds fit."""
     count = Profiles(fig5).count
-    limit = count * _most_updates(fig5, kind)
-    lazy = build_dynamics(fig5, kind, guard=limit)
-    assert moves_calls == []
-    updates = sum(map(len, lazy.succ))
-    assert updates < limit
+    rows = list(build_dynamics(fig5, kind, guard=None).succ)
+    total = sum(map(len, rows))
     del moves_calls[:]
-    eager = build_dynamics(fig5, kind, guard=limit - 1)
-    assert len(moves_calls) == count
-    assert list(eager.succ) == list(lazy.succ) and len(moves_calls) == count
+    for guard in range(count, total + 2):
+        build_dynamics(fig5, kind, guard=guard)
+    assert moves_calls == []
+    assert list(build_dynamics(fig5, kind, guard=total).succ) == rows
+    with pytest.raises(StateSpaceTooLarge, match=f"^{kind} dynamics has over {total - 1} "):
+        list(build_dynamics(fig5, kind, guard=total - 1).succ)
+    dg = build_dynamics(fig5, kind, guard=None)
+    witness = find_cycle(dg)
+    built = sum(map(len, dict.values(dg.succ)))
+    assert find_cycle(build_dynamics(fig5, kind, guard=built)) == witness
+    with pytest.raises(StateSpaceTooLarge):
+        find_cycle(build_dynamics(fig5, kind, guard=built - 1))
+    if kind == "pc":
+        assert (witness is None, built, total) == (False, 28, 44)
+
+
+def test_a_tripped_guard_leaves_no_verdict_and_a_bounded_graph():
+    """A read that trips the guard stores nothing past it, and a search that
+    raised raises again rather than answer from the half pass it left;
+    equilibria, which need no row, still answer.  The ring has 64 profiles
+    and a cycle that find_cycle reaches after building 121 updates."""
+    game = ring_game(6, "oscillating")
+    dg = build_dynamics(game, "pc", guard=100)
+    for search in (find_cycle, find_cycle, lambda dg: find_fair_cycle(dg, players=(1, 2, 3))):
+        with pytest.raises(StateSpaceTooLarge, match="^pc dynamics has over 100 updates"):
+            search(dg)
+    assert equilibria(dg) == equilibria(build_dynamics(game, "pc", guard=None))
+    assert 0 < sum(map(len, dict.values(dg.succ))) <= 100
 
 
 def test_digraph_holds_every_row(fig5):

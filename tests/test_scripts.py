@@ -102,3 +102,42 @@ def test_bench_pair_reports_a_failed_run(tmp_path):
     assert "invalid choice: 'nope'" in done.stderr
     assert "Traceback" not in done.stderr
     assert not list(tmp_path.iterdir())
+
+
+def test_working_tree_exports_the_files_as_they_stand(tmp_path, monkeypatch):
+    """bench_pair.py exports the checkout through working_tree: edited and
+    new files go in, deleted and ignored ones do not, and the repository's
+    own index is left as it was."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from revision import export, working_tree
+
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                               "-c", "commit.gpgsign=false", *args], cwd=repo,
+                              capture_output=True, text=True, check=True).stdout
+
+    files = {".gitignore": "ignored.txt\n", "a.txt": "a", "b.txt": "b", "sub/c.txt": "c"}
+    for name, text in files.items():
+        (repo / name).parent.mkdir(exist_ok=True)
+        (repo / name).write_text(text)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "a.txt").write_text("staged")
+    git("add", "a.txt")
+    (repo / "b.txt").write_text("edited")
+    (repo / "sub" / "c.txt").unlink()
+    (repo / "new.txt").write_text("new")
+    (repo / "ignored.txt").write_text("ignored")
+    status = git("status", "--porcelain")
+    index = (repo / ".git" / "index").read_bytes()
+
+    export(working_tree(repo), tmp_path / "out", root=repo)
+    assert (repo / ".git" / "index").read_bytes() == index
+    assert git("status", "--porcelain") == status
+    out = tmp_path / "out"
+    assert {str(p.relative_to(out)): p.read_text() for p in out.rglob("*") if p.is_file()} == {
+        ".gitignore": "ignored.txt\n", "a.txt": "staged", "b.txt": "edited", "new.txt": "new"}
