@@ -29,7 +29,10 @@ Task groups (moves, equilibria and rows unless others are named):
   rank table and prefixes afresh, as the minors a sweep checks do;
 - delete: every vertex deleted, refusals included, of random_game seeds
   0..N-1 parsed in the timing, as a sweep's random scripts try them, and of
-  a complete arena of 7 non-terminals with one squeezable vertex.
+  a complete arena of 7 non-terminals with one squeezable vertex;
+- belief: a fresh belief graph of an n-vertex ring with n players, for n = 3
+  and 4, then sinks, check_diamond and find_lfair_cycle, as one `ring`
+  round asks them of its 3-vertex rings.
 """
 
 import argparse
@@ -54,8 +57,10 @@ RING = 10
 SCANNED = (12, 14)
 FAMILIES = ("oscillating", "converging")
 DENSE = 7
+BELIEF = (3, 4)
 KINDS = ("p1", "bp1", "pc", "bpc")
-GROUPS = ("moves", "equilibria", "rows", "fill", "verdicts", "scans", "dominated", "delete")
+GROUPS = ("moves", "equilibria", "rows", "fill", "verdicts", "scans", "dominated", "delete",
+          "belief")
 
 
 def tasks(package: str, docs: list, rings: dict) -> dict:
@@ -85,6 +90,12 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
             dg = pkg.build_dynamics(ring["converging"], kind)
             return (pkg.find_cycle(dg), pkg.find_fair_cycle(dg, players=(1, 2, 3)),
                     pkg.equilibria(dg))
+        return run
+
+    def belief(name):
+        def run():
+            bg = pkg.build_belief_graph(ring[name])
+            return pkg.sinks(bg), pkg.check_diamond(bg), pkg.find_lfair_cycle(bg)
         return run
 
     def dominated(name, holds):
@@ -131,6 +142,8 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
     out[f"dominated random_game 0..{len(games) - 1} fresh"] = fresh_siblings_dominated
     out[f"delete random_game 0..{len(games) - 1}"] = delete_every_vertex(docs)
     out[f"delete dense-{DENSE}"] = delete_every_vertex([json.dumps(dense_squeeze_doc(DENSE))])
+    out.update((f"belief {family}-{n}, {n} players", belief(f"{family}-{n}x{n}"))
+               for n in BELIEF for family in FAMILIES)
     return out
 
 
@@ -151,6 +164,8 @@ def main(argv=None) -> int:
     rng = random.Random(0)
     rings.update((f"{family}-{n}", json.dumps(ring_doc(n, family, rng=rng)))
                  for n in SCANNED for family in FAMILIES)
+    rings.update((f"{family}-{n}x{n}", json.dumps(ring_doc(n, family, players=n)))
+                 for n in BELIEF for family in FAMILIES)
     with tempfile.TemporaryDirectory() as tmp:
         export(args.rev, pathlib.Path(tmp), "src/gamedyn", BASE)
         sys.path.insert(0, tmp)

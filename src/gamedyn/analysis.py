@@ -142,58 +142,87 @@ def _closed_walk(g, scc, edges, nodes=()) -> list:
 # Labelled belief-graph analyses
 
 
+def _sinks(lg: BeliefGraph) -> list:
+    """The indices of the sinks, ascending: label 0's targets whose every
+    edge is a self loop."""
+    succ = lg.succ
+    return [v for v in sorted(set(lg.delta[0])) if succ[v] == (v,)]
+
+
 def sinks(lg: BeliefGraph) -> frozenset:
     """Nodes whose every outgoing edge is a self loop."""
-    return frozenset(lg.nodes[v] for v, out in enumerate(lg.succ) if out == (v,))
+    return frozenset(map(lg.nodes.__getitem__, _sinks(lg)))
 
 
 def _bottom_reach(lg: BeliefGraph) -> tuple[list, list]:
-    """Tarjan's components of lg, and per node the frozenset of positions of
-    the bottom components it reaches.
+    """The bottom components of lg, in Tarjan's completion order, and per
+    node a bit mask of those it reaches, bit k for the k-th.
 
     Components complete in reverse topological order, so each one's
     successors are done before it.  Two nodes reach a common node iff they
     reach a common bottom component.
     """
-    g, sccs = lg.succ, lg.sccs
-    comp = [0] * len(g)
-    for c, scc in enumerate(sccs):
+    g = lg.succ
+    comp, reach, bottoms = [0] * len(g), [], []
+    for c, scc in enumerate(lg.sccs):
         for v in scc:
             comp[v] = c
-    reach = []
-    for c, scc in enumerate(sccs):
-        out = {comp[w] for v in scc for w in g[v]} - {c}
-        reach.append(frozenset().union(*(reach[d] for d in out)) if out else frozenset((c,)))
-    return sccs, [reach[c] for c in comp]
+        mask = 0
+        for v in scc:
+            for w in g[v]:
+                if comp[w] != c:
+                    mask |= reach[comp[w]]
+        if not mask:
+            mask = 1 << len(bottoms)
+            bottoms.append(scc)
+        reach.append(mask)
+    return bottoms, [reach[c] for c in comp]
 
 
 def reachable_two_sinks(lg: BeliefGraph):
     """Some (node, sink1, sink2) with two distinct sinks reachable, if any."""
-    sccs, reach = _bottom_reach(lg)
-    for v, bottoms in enumerate(reach):
-        found = sorted(w for c in bottoms if len(sccs[c]) == 1 for w in sccs[c])
-        if len(found) >= 2:
+    if len(_sinks(lg)) < 2:
+        return None
+    bottoms, reach = _bottom_reach(lg)
+    sink_bits = sum(1 << k for k, scc in enumerate(bottoms) if len(scc) == 1)
+    for v, mask in enumerate(reach):
+        mask &= sink_bits
+        if mask.bit_count() >= 2:
+            found = sorted(w for k, scc in enumerate(bottoms) if mask >> k & 1 for w in scc)
             return (lg.nodes[v], lg.nodes[found[0]], lg.nodes[found[1]])
     return None
+
+
+def _label_edges(lg: BeliefGraph, scc: frozenset) -> dict:
+    """Per label that some edge inside scc carries, the first such edge
+    (n, m), its source least."""
+    delta, per_label = lg.delta, {}
+    for n in sorted(scc):
+        for a in lg.label_set:
+            m = delta[a][n]
+            if m in scc and a not in per_label:
+                per_label[a] = (n, m)
+    return per_label
 
 
 def find_lfair_cycle(lg: BeliefGraph) -> Optional[CycleWitness]:
     """A non-constant cycle whose edge labels cover every label, if one exists.
 
     Exists iff some SCC with >= 2 nodes contains, for every label, an
-    internal edge carrying that label.
+    internal edge carrying that label.  Such an SCC lies in the closure of
+    label 0's targets, so where the closure holds none the answer is read
+    there; otherwise the components are taken in scc_stream's order over
+    the whole graph, and the first that has a cycle gives it.
     """
-    delta = lg.delta
+    every = len(lg.label_set)
+    if not any(len(scc) > 1 and len(_label_edges(lg, scc)) == every
+               for scc in lg.closure):
+        return None
     for scc in lg.sccs:
         if len(scc) < 2:
             continue
-        per_label = {}
-        for n in sorted(scc):
-            for a in lg.label_set:
-                m = delta[a][n]
-                if m in scc and a not in per_label:
-                    per_label[a] = (n, m)
-        if len(per_label) < len(lg.label_set):
+        per_label = _label_edges(lg, scc)
+        if len(per_label) < every:
             continue
         walk = _closed_walk(lg.succ, scc, [per_label[a] for a in sorted(per_label)])
         if len(walk) < 2:
@@ -204,13 +233,22 @@ def find_lfair_cycle(lg: BeliefGraph) -> Optional[CycleWitness]:
 
 def check_diamond(lg: BeliefGraph):
     """For all nodes v and labels a, b: some common node is reachable from
-    delta(v, a) and from delta(v, ba).  Returns (True, None) or (False, (v, a, b))."""
+    delta(v, a) and from delta(v, ba).  Returns (True, None) or (False, (v, a, b)).
+
+    Every bottom component lies in the closure of label 0's targets; where
+    that closure holds just one, every node reaches it and the property
+    holds.  Otherwise each (v, a, b) is checked in turn.
+    """
+    succ = lg.succ
+    bottoms = [scc for scc in lg.closure if all(w in scc for v in scc for w in succ[v])]
+    if len(bottoms) == 1:
+        return (True, None)
     _, reach = _bottom_reach(lg)
     delta, labels = lg.delta, lg.label_set
     for v in range(len(lg.nodes)):
         for a in labels:
             via_a = reach[delta[a][v]]
             for b in labels:
-                if via_a.isdisjoint(reach[delta[a][delta[b][v]]]):
+                if not via_a & reach[delta[a][delta[b][v]]]:
                     return (False, (lg.nodes[v], a, b))
     return (True, None)

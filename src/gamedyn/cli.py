@@ -59,8 +59,8 @@ def _cmd_dynamics(args) -> int:
 
         sys.stdout.write(export_dot(dg))
         return EXIT_OK
+    updates = sum(map(len, dg.succ))  # builds every row, so equilibria reads them
     eq = sorted(dg.label(n) for n in analysis.equilibria(dg))
-    updates = sum(map(len, dg.succ))
     record = {
         "kind": dg.kind,
         "nodes": len(dg.nodes),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 
 from .errors import (KINDS, PROFILE_GUARD, Frozen, NonDeterministicBestReply,
@@ -182,16 +181,38 @@ class BeliefNode(Frozen):
         self._set(rows=rows)
 
 
+class Listed(Rows):
+    """Rows that compare, hash and print as the tuple of all their rows, so
+    that a value holding them does; doing so builds every row."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, Listed)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __ne__(self, other):  # dict's own would compare the rows built so far
+        same = self.__eq__(other)
+        return same if same is NotImplemented else not same
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 class BeliefGraph(Frozen):
     """Node i is the i-th BeliefNode, whose rows' profile indices, read as
     digits of base profiles.count, spell i; delta[a][i] is the index node i
     steps to under label a."""
 
     _fields = ("nodes", "n_players", "delta", "names", "v0")
-    __slots__ = _fields + ("profiles", "__dict__")  # the __dict__ holds succ and sccs
+    __slots__ = _fields + ("profiles", "__dict__")  # the __dict__ holds succ, sccs and closure
 
-    def __init__(self, nodes: tuple, n_players: int, delta: tuple, names: tuple,
-                 v0: frozenset, profiles: Profiles):
+    def __init__(self, nodes, n_players: int, delta: tuple, names, v0: frozenset,
+                 profiles: Profiles):
         # delta: per label, a target index per node; names: a display name
         # per index; v0: the indices of the nodes whose rows all equal the
         # true profile
@@ -203,14 +224,39 @@ class BeliefGraph(Frozen):
         return tuple(range(self.n_players + 1))
 
     @cached_property
-    def succ(self) -> tuple:
-        """Per index, the distinct targets of its edges, ascending."""
-        return tuple(tuple(sorted(set(ts))) for ts in zip(*self.delta))
+    def succ(self) -> Rows:
+        """Per index, the distinct targets of its edges, ascending, each
+        worked out when first read."""
+        delta = self.delta
+        return Rows(len(self.nodes), lambda i: tuple(sorted({row[i] for row in delta})))
 
     @cached_property
-    def sccs(self) -> list:
-        """Tarjan's components of succ, in completion order."""
-        return list(scc_stream(self.succ))
+    def sccs(self) -> SccReplay:
+        """Tarjan's components of succ, in completion order, from one pass
+        that every reader shares and that goes only as far as one has read."""
+        return SccReplay(self.succ)
+
+    @cached_property
+    def closure(self) -> list:
+        """Tarjan's components of R, the closure of label 0's targets under
+        every label, in scc_stream's order over R's nodes ascending.
+
+        Every node has a label-0 edge into R, and R is closed, so every sink
+        lies among label 0's targets, and every bottom component, and every
+        component with an internal label-0 edge, lies in R.
+        """
+        succ = self.succ
+        seen = set(self.delta[0])
+        todo = list(seen)
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        order = sorted(seen)
+        pos = {v: k for k, v in enumerate(order)}
+        local = [tuple(map(pos.__getitem__, succ[v])) for v in order]
+        return [frozenset(map(order.__getitem__, c)) for c in scc_stream(local)]
 
     def index(self, node: BeliefNode) -> int:
         """The node's index, from its rows' profile indices."""
@@ -229,35 +275,50 @@ def build_belief_graph(game: Game, guard: int | None = PROFILE_GUARD) -> BeliefG
     Label 0 is the global knowledge update; label i applies player i's unique
     strictly-improving best-reply one-state update under i's current belief,
     or stutters when no improving move exists.
+
+    Label 0's row is built here, from the owners' digits alone; the rows of
+    the other labels, the nodes and their names are Listed, each built when
+    first read.
     """
     n = game.n_players
     profiles = Profiles(game)
     profiles.check(guard, rows=n)
     base = profiles.count
-    listed = tuple(profiles)
-    nodes = tuple(BeliefNode(rows) for rows in itertools.product(listed, repeat=n))
+    size = base ** n
     # node i has rows (r_1, ..., r_n) with i = sum of r_j * place[j - 1]
     place = [base ** (n - j) for j in range(1, n + 1)]
-    offsets = [profiles.moves_at(i, best_reply=True) for i in range(base)]
-    own = [profiles.own_part(player) for player in range(1, n + 1)]
-    names = profiles.names()
-
-    def player_update(r: int, player: int) -> int:
-        targets = offsets[r][player - 1]
+    diag = sum(place)
+    moves = [profiles.moves_at(r, best_reply=True) for r in range(base)]
+    # per player, per profile: what its update adds to a node's index; the
+    # pairs are checked in the order a walk of the nodes first meets them
+    step = [[0] * base for _ in range(n)]
+    first = [(0, player) for player in range(1, n + 1)]
+    for r, player in first + [(r, p) for p in range(n, 0, -1) for r in range(1, base)]:
+        targets = moves[r][player - 1]
         if len(targets) > 1:
             raise NonDeterministicBestReply(
-                player, sorted((listed[r + d] for d in targets), key=repr))
-        return r + targets[0] if targets else r
+                player, sorted((profiles[r + d] for d in targets), key=repr))
+        if targets:
+            step[player - 1][r] = targets[0] * place[player - 1]
 
-    delta = [[] for _ in range(n + 1)]
-    v0, labels = [], []
-    for i, rows in enumerate(itertools.product(range(base), repeat=n)):
-        true = sum(part[r] for part, r in zip(own, rows))
-        if all(r == true for r in rows):
-            v0.append(i)
-        delta[0].append(true * sum(place))
-        for player, r in enumerate(rows, start=1):
-            delta[player].append(i + (player_update(r, player) - r) * place[player - 1])
-        labels.append("|".join(names[r] for r in rows))
-    return BeliefGraph(nodes=nodes, n_players=n, delta=tuple(map(tuple, delta)),
-                       names=tuple(labels), v0=frozenset(v0), profiles=profiles)
+    # label 0 sends node i to the node all of whose rows are its true
+    # profile, the sum of each owner's part of its own row
+    to_true = [0]
+    for player in range(1, n + 1):
+        part = [t * diag for t in profiles.own_part(player)]
+        to_true = [t + d for t in to_true for d in part]
+
+    def update(player: int) -> Listed:
+        moved, at = step[player - 1], place[player - 1]
+        return Listed(size, lambda i: i + moved[i // at % base])
+
+    def rows(i: int) -> list:
+        return [i // at % base for at in place]
+
+    shown = profiles.names()
+    nodes = Listed(size, lambda i: BeliefNode(tuple(map(profiles.__getitem__, rows(i)))))
+    names = Listed(size, lambda i: "|".join(shown[r] for r in rows(i)))
+    delta = (tuple(to_true),) + tuple(update(player) for player in range(1, n + 1))
+    v0 = frozenset(t for t in set(to_true) if to_true[t] == t)
+    return BeliefGraph(nodes=nodes, n_players=n, delta=delta, names=names, v0=v0,
+                       profiles=profiles)

@@ -1,6 +1,9 @@
 """Termination, cycle witnesses, fairness, and belief-graph analyses."""
 
+import json
 import random
+
+import pytest
 
 from gamedyn import (
     BeliefGraph,
@@ -11,6 +14,7 @@ from gamedyn import (
     find_cycle,
     find_fair_cycle,
     find_lfair_cycle,
+    parse_game,
     reachable_two_sinks,
     sinks,
     terminates,
@@ -19,7 +23,7 @@ from gamedyn.analysis import CANNOT_SWITCH, NON_SWITCHER, SWITCHES
 from gamedyn.errors import NonDeterministicBestReply
 
 from .conftest import load_game
-from .generators import random_game
+from .generators import random_game, ring_doc
 from .oracles import belief_analyses_by_enumeration, fair_cycle_exists, is_closed_walk
 
 
@@ -190,3 +194,59 @@ def test_labelled_graph_analyses_match_enumeration():
         bg = BeliefGraph(nodes=tuple(f"n{i}" for i in range(n)), n_players=labels - 1,
                          delta=delta, names=(), v0=frozenset(), profiles=None)
         _check_against_enumeration(bg, f"seed {seed}")
+
+
+def _bottom_count(bg):
+    """How many bottom components the graph has, by brute force: the
+    distinct reach sets of the nodes that every node they reach reaches."""
+    n = len(bg.nodes)
+    reach = []
+    for v in range(n):
+        seen, todo = {v}, [v]
+        while todo:
+            u = todo.pop()
+            for row in bg.delta:
+                if row[u] not in seen:
+                    seen.add(row[u])
+                    todo.append(row[u])
+        reach.append(frozenset(seen))
+    return len({reach[v] for v in range(n) if all(v in reach[w] for w in reach[v])})
+
+
+def test_closure_analyses_match_enumeration():
+    """The four analyses answer as the oracle does on 2- and 3-player games
+    whose closure of label 0's targets holds one bottom component, where
+    check_diamond answers there, and several, where it checks every node."""
+    kinds = set()
+    for seed in range(300):
+        game = random_game(seed, max_vertices=4, max_players=3)
+        if game.n_players < 2:
+            continue
+        try:
+            bg = build_belief_graph(game, guard=None)
+        except NonDeterministicBestReply:
+            continue
+        _check_against_enumeration(bg, f"seed {seed}")
+        kinds.add((game.n_players, min(_bottom_count(bg), 2)))
+    assert kinds == {(2, 1), (2, 2), (3, 1), (3, 2)}
+
+
+@pytest.mark.parametrize("family", ["oscillating", "converging"])
+def test_closure_analyses_build_few_rows(family):
+    """On a 4-player 4-vertex ring (65,536 nodes) sinks, find_lfair_cycle
+    and, on the converging ring, check_diamond read the rows of the closure
+    of label 0's targets, 81 or 82 nodes, and make a BeliefNode only for
+    the nodes they return.  The oscillating ring has two sinks, so its
+    diamond check reads every row, and is left out."""
+    bg = build_belief_graph(parse_game(json.dumps(ring_doc(4, family, players=4))))
+    assert len(bg.nodes) == 65536
+    found, cycle = sinks(bg), find_lfair_cycle(bg)
+    if family == "oscillating":
+        assert len(found) == 2 and cycle is not None
+        walk = tuple(map(bg.index, cycle.cycle))
+        assert is_closed_walk(range(len(bg.nodes)), bg.succ, walk) and len(set(walk)) > 1
+    else:
+        assert len(found) == 1 and cycle is None
+        assert check_diamond(bg) == (True, None)
+    assert dict.__len__(bg.succ) <= 100
+    assert dict.__len__(bg.nodes) == len(found | set(cycle.cycle if cycle else ()))

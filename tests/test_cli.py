@@ -440,3 +440,21 @@ def test_update_guard_lets_a_query_answer_within_it(tmp_path):
     assert run("--guard", "5000", "dynamics", str(path), "--kind", "pc") == (
         EXIT_ERROR, "",
         "error: pc dynamics has over 5000 updates, guard is 5000 (use force to override)\n")
+
+
+def test_dynamics_reads_equilibria_off_the_built_rows(monkeypatch):
+    """dynamics builds every row to count the updates before it asks for
+    the equilibria, so no profile is probed for a move: fig5 prints its
+    golden bytes with has_move refusing every call."""
+    from gamedyn.strategy import Profiles
+
+    def refuse(self, i):
+        raise AssertionError(f"has_move({i}) called")
+
+    monkeypatch.setattr(Profiles, "has_move", refuse)
+    monkeypatch.chdir(ROOT)
+    entries = [e for e in GOLDEN if e["id"].startswith("fig5-dynamics-")]
+    assert len(entries) == 15
+    for entry in entries:
+        expected = {k: v for k, v in entry.items() if k not in ("id", "argv")}
+        assert run_captured(entry["argv"]) == expected, entry["id"]
