@@ -26,7 +26,7 @@ Task groups (moves, equilibria and rows unless others are named):
   holds) and the other way round (it fails); and on every ordered pair of
   sibling edges of random_game seeds 0..N-1, on games parsed before the
   timing and, as "fresh", on games parsed in it, so that each builds its
-  rank table and prefixes afresh, as the minors a sweep checks do;
+  rank table afresh, as the minors a sweep checks do;
 - delete: every vertex deleted, refusals included, of random_game seeds
   0..N-1 parsed in the timing, as a sweep's random scripts try them, and of
   a complete arena of 7 non-terminals with one squeezable vertex;

@@ -163,10 +163,7 @@ class PreferenceOrder(Frozen):
         return Comparison.EQUAL
 
     def mentioned(self):
-        out = set()
-        for cls in self.ranks:
-            out |= set(cls)
-        return out
+        return set(self._rank)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +172,7 @@ class PreferenceOrder(Frozen):
 
 class Game(Frozen):
     _fields = ("n_players", "vertices", "edges", "owner", "preferences", "edge_labels")
-    __slots__ = _fields + ("vertex_set", "terminals", "_succ", "_pred", "_ranked", "_prefixes")
+    __slots__ = _fields + ("vertex_set", "terminals", "_succ", "_pred", "_ranked")
 
     def __init__(self, n_players: int, vertices: tuple[str, ...],
                  edges: frozenset[tuple[str, str]], owner: Mapping[str, int],
@@ -210,46 +207,34 @@ class Game(Frozen):
         return tuple(v for v in sorted(self.owner) if self.owner[v] == player)
 
     def rank_table(self) -> tuple[dict, tuple[int, ...]]:
-        """Every ranked play's ranks, one per player, keyed by the indices in
-        vertices of its path (or stem + loop) and -1 (or len(stem)), a play
-        in two classes of one player taking the first, as in rank_of; and
-        the ranks of an unranked play.  A walk that visits each vertex once
-        takes FinitePlay(path) or LassoPlay(path[:i], path[i:]), so its key
-        finds its ranks.  Built on first use and kept outside the fields."""
+        """A trie of the ranked plays' paths (stem + loop) over vertex
+        indices, per index the trie of the paths that go on from it; and
+        the ranks of an unranked play.  The node a path ends at holds the
+        play's ranks, one per player, under -1 for a finite play and
+        -2 - len(stem) for a lasso: keys no index takes.  A play in two
+        classes of one player takes the first, as in rank_of.  A walk that
+        leaves the trie is no ranked play, wherever it goes on.  Built on
+        first use and kept outside the fields."""
         try:
             return self._ranked
         except AttributeError:
             pass
         vid = {v: i for i, v in enumerate(self.vertices)}
         bottom = tuple(len(pref.ranks) for pref in self.preferences)
-        table: dict[tuple, list[int]] = {}
+        root: dict = {}
         for player, pref in enumerate(self.preferences):
             for r, cls in reversed(list(enumerate(pref.ranks))):  # the first is written last
                 for play in cls:
-                    seq, i = ((play.path, -1) if isinstance(play, FinitePlay)
-                              else (play.stem + play.loop, len(play.stem)))
+                    seq, end = ((play.path, -1) if isinstance(play, FinitePlay)
+                                else (play.stem + play.loop, -2 - len(play.stem)))
                     if all(x in vid for x in seq):  # else it is never a walk
-                        key = (tuple([vid[x] for x in seq]), i)
-                        table.setdefault(key, list(bottom))[player] = r
-        object.__setattr__(self, "_ranked", ({k: tuple(r) for k, r in table.items()}, bottom))
+                        node = root
+                        for x in seq:
+                            node = node.setdefault(vid[x], {})
+                        ranks = node.get(end, bottom)
+                        node[end] = ranks[:player] + (r,) + ranks[player + 1:]
+        object.__setattr__(self, "_ranked", (root, bottom))
         return self._ranked
-
-    def rank_prefixes(self) -> dict:
-        """The paths of rank_table's keys as a trie: per vertex index, the
-        trie of the paths that go on from it.  A walk whose path leaves the
-        trie is no ranked play, wherever it goes on.  Built on first use,
-        apart from the table, and kept outside the fields."""
-        try:
-            return self._prefixes
-        except AttributeError:
-            pass
-        root: dict = {}
-        for path, _ in self.rank_table()[0]:
-            node = root
-            for x in path:
-                node = node.setdefault(x, {})
-        object.__setattr__(self, "_prefixes", root)
-        return root
 
 
 def compare_plays(game: Game, player: int, p1: Play, p2: Play) -> Comparison:

@@ -592,6 +592,8 @@ def parse_spp(text: str, *, complete_suffixes: bool = False) -> OneTargetGame:
         u, v = (str(x) for x in rec)
         if u not in vertices or v not in vertices:
             raise GameFormatError(f"extra edge ({u},{v}) uses unknown vertices")
+        if u == origin:  # the origin is owned by no one and must stay terminal
+            raise GameFormatError(f"extra edge ({u},{v}) leaves the origin")
         edges.add((u, v))
     owner = {node: i + 1 for i, node in enumerate(players)}
     prefs = []

@@ -37,8 +37,9 @@ class Profiles:
     Profile i is a mixed-radix number whose digit k is the choice index at
     the k-th non-terminal (sorted), among its sorted successors, the last
     digit varying fastest.  Moving non-terminal k from choice c to c'
-    therefore adds (c' - c) * weight[k].  Plays are walked on vertex ids and
-    ranked by their key in the game's rank table, without building a play.
+    therefore adds (c' - c) * weight[k].  Plays are walked on vertex ids
+    down the game's rank trie and ranked at the node they stop at, without
+    building a play.
 
     A play is walked only as far as it can still be ranked, and the digits
     it reads are all that fix its ranks.  So the moves at non-terminal k are
@@ -73,7 +74,7 @@ class Profiles:
         self._digit = [-1] * len(game.vertices)  # per vertex id: its digit; -1 at terminals
         for k, x in enumerate(self._at):
             self._digit[x] = k
-        self._table, self._bottom = game.rank_table()
+        self._trie, self._bottom = game.rank_table()
         self._next = [-1] * len(game.vertices)  # the walked profile; -1 at terminals
         # per non-terminal k with a choice: [root, owner's index, weight, radix,
         # k]; an inner node is [weight, radix] + a child per digit value,
@@ -149,15 +150,16 @@ class Profiles:
         mine = [k for k, o in enumerate(self.owner) if o == player]
         return [sum(digits[k] * self.weight[k] for k in mine) for digits in self.digits()]
 
-    def _read(self, prefixes, v, w) -> tuple[tuple, int, dict]:
+    def _read(self, v, w) -> tuple[tuple, int, dict]:
         """Ranks of the play from v that steps to w and then follows the
         walked profile, the last digit that fixes them (-1 for none), and
         the vertices walked, v first, whose digits after v's fix them.  The
-        walk stops at a terminal, at a repeat (v's own digit is never read),
-        or where its path leaves prefixes, the game's rank_prefixes: from
-        there the play ranks bottom, whatever the later digits are."""
+        walk goes down the game's rank trie and stops at a terminal or at a
+        repeat (v's own digit is never read), where the node holds the
+        play's ranks, or where its path leaves the trie: from there the
+        play ranks bottom, whatever the later digits are."""
         nxt, digit = self._next, self._digit
-        node = prefixes.get(v, _LEAF)
+        node = self._trie.get(v, _LEAF)
         seen, last = {v: 0}, -1  # in walk order: its keys are the path
         while w not in seen:
             node = node.get(w)
@@ -166,11 +168,11 @@ class Profiles:
             seen[w] = len(seen)
             x = nxt[w]
             if x < 0:
-                return self._table.get((tuple(seen), -1), self._bottom), last, seen
+                return node.get(-1, self._bottom), last, seen
             if digit[w] > last:
                 last = digit[w]
             w = x
-        return self._table.get((tuple(seen), seen[w]), self._bottom), last, seen
+        return node.get(-2 - seen[w], self._bottom), last, seen
 
     def _decode(self, i: int) -> list[int]:
         """Walk profile i, decoding its digits in the same loop; its digits."""
@@ -202,10 +204,10 @@ class Profiles:
         they read, in order, become the inner nodes down to it."""
         _, player, step, _, k = tree
         self._decode(i)
-        v, prefixes, digit = self._at[k], self.game.rank_prefixes(), self._digit
+        v, digit = self._at[k], self._digit
         path, ranks = {}, []
         for w in self._succ[k]:
-            r, _, seen = self._read(prefixes, v, w)
+            r, _, seen = self._read(v, w)
             ranks.append(r[player])
             path.update(seen)
         top = min(ranks)  # the best improving moves, wherever some move improves
@@ -241,9 +243,8 @@ class Profiles:
         with digit k at 0 gives: k's own digit is never read."""
         self._decode(i)
         v, succ, last, out = self._at[k], self._succ[k], -1, []
-        prefixes, read = self.game.rank_prefixes(), self._read
         for j in choices:
-            ranks, p, _ = read(prefixes, v, succ[j])
+            ranks, p, _ = self._read(v, succ[j])
             out.append(ranks)
             last = max(last, p)
         i = self.past(i, last)
@@ -258,15 +259,14 @@ class Profiles:
         reads (its current play and the improving one): every profile of
         the block has that move."""
         digits, read = self._decode(i), self._read
-        prefixes = self.game.rank_prefixes()
         best = n = len(digits)
         for k, (v, succ, owner, c) in enumerate(zip(self._at, self._succ, self.owner, digits)):
             if k >= best:  # a move at k reads digit k: its block is no larger
                 break
-            now, last, _ = read(prefixes, v, succ[c])
+            now, last, _ = read(v, succ[c])
             for j, w in enumerate(succ):
                 if j != c:
-                    ranks, p, _ = read(prefixes, v, w)
+                    ranks, p, _ = read(v, w)
                     if ranks[owner - 1] < now[owner - 1]:
                         best = min(best, max(k, last, p))
         return self.past(i, best) if best < n else 0

@@ -361,6 +361,8 @@ MALFORMED_SPP = {
     "extra-edges-not-a-list": {**GDIS_SPP_DOC, "extra_edges": 5},
     "extra-edge-not-a-list": {**GDIS_SPP_DOC, "extra_edges": [5]},
     "extra-edge-one-node": {**GDIS_SPP_DOC, "extra_edges": [["a"]]},
+    # the origin would become a non-terminal that no player owns
+    "extra-edge-from-origin": {**GDIS_SPP_DOC, "extra_edges": [["vbot", "v1"]]},
 }
 
 
@@ -368,9 +370,10 @@ MALFORMED_SPP = {
 def test_malformed_spp_exits_5(tmp_path, name):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(MALFORMED_SPP[name]))
-    code, _, err = run("spp", "validate", str(path))
-    assert code == EXIT_ERROR
-    assert err.startswith("error:") and "Traceback" not in err
+    for argv in (["validate"], ["safety", "--mode", "both"]):
+        code, _, err = run("spp", *argv, str(path))
+        assert code == EXIT_ERROR, argv
+        assert err.startswith("error:") and "Traceback" not in err, argv
 
 
 def test_dis_minor_deep_search_stops_at_the_budget(tmp_path):

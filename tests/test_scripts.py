@@ -49,14 +49,22 @@ def test_kernel_pair_times_belief_analyses():
         for family in ("oscillating", "converging")]
 
 
-@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
-def test_bench_pair_runs(tmp_path):
+@pytest.fixture(scope="module")
+def smoke_bench(tmp_path_factory):
+    """One pair on ring, the checkout as the change: run once, read by the
+    two tests below."""
+    out = tmp_path_factory.mktemp("smoke")
     done = subprocess.run([sys.executable, "scripts/bench_pair.py", "HEAD", "smoke",
                            "--workloads", "ring", "--pairs", "1", "--seconds", "0",
-                           "--out", str(tmp_path)],
+                           "--out", str(out)],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    ring = json.loads((tmp_path / "BENCH_smoke.json").read_text())["workloads"]["ring"]
+    return json.loads((out / "BENCH_smoke.json").read_text())
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
+def test_bench_pair_runs(smoke_bench):
+    ring = smoke_bench["workloads"]["ring"]
     assert ring["correct"] == {"base": True, "change": True}
     assert ring["first"] == ["base"]
     for m in ring["metrics"].values():
@@ -64,6 +72,22 @@ def test_bench_pair_runs(tmp_path):
         for side in ("base", "change"):
             (value,) = m[side]["values"]
             assert m[side]["q1"] == m[side]["median"] == m[side]["q3"] == value
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
+def test_bench_pair_names_the_commits(smoke_bench):
+    """The file names the commit each side resolved to, so that it still
+    says what it measured once HEAD moves, and marks a checkout that
+    differs from its HEAD."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    head = git("rev-parse", "HEAD")
+    assert (smoke_bench["base"], smoke_bench["change"]) == ("HEAD", "checkout")
+    assert smoke_bench["commits"] == {"base": head, "change": head}
+    assert smoke_bench.get("dirty", False) == bool(git("status", "--porcelain",
+                                                       "--untracked-files=no"))
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
@@ -76,28 +100,6 @@ def test_bench_pair_runs_a_second_revision(tmp_path):
     bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert (bench["base"], bench["change"]) == ("HEAD", "HEAD")
     assert bench["workloads"]["ring"]["correct"] == {"base": True, "change": True}
-
-
-@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
-def test_bench_pair_names_the_commits(tmp_path):
-    """The file names the commit each side resolved to, so that it still
-    says what it measured once HEAD moves, and marks a checkout that
-    differs from its HEAD."""
-    def git(*args):
-        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
-                              check=True).stdout.strip()
-
-    done = subprocess.run([sys.executable, "scripts/bench_pair.py", "HEAD", "smoke",
-                           "--workloads", "ring", "--pairs", "1", "--seconds", "0",
-                           "--out", str(tmp_path)],
-                          cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    head = git("rev-parse", "HEAD")
-    assert (bench["base"], bench["change"]) == ("HEAD", "checkout")
-    assert bench["commits"] == {"base": head, "change": head}
-    assert bench.get("dirty", False) == bool(git("status", "--porcelain",
-                                                 "--untracked-files=no"))
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")

@@ -170,7 +170,9 @@ def test_has_move_is_some_move_in_every_visiting_order():
 def _ranked_directly():
     """Games built without validation, ranking what a parsed game cannot:
     a play in two classes of one player, a lasso through a vertex twice, a
-    play through a vertex outside the arena, and one play for two players."""
+    play through a vertex outside the arena, and one play for two players;
+    and with a self-loop at b, the lassos (a b)* and a (b)*, one path with
+    two loop starts, ranked apart."""
     a_t, b_t, b_a_t = FinitePlay(("a", "t")), FinitePlay(("b", "t")), FinitePlay(("b", "a", "t"))
     loop = LassoPlay((), ("a", "b"))
     edges = frozenset({("a", "b"), ("a", "t"), ("b", "a"), ("b", "t")})
@@ -182,6 +184,11 @@ def _ranked_directly():
     yield Game(2, ("a", "b", "t"), edges, {"a": 1, "b": 2}, (first, second), {})
     yield Game(2, ("a", "b", "t"), edges, {"a": 2, "b": 1}, (second, first), {})
     yield Game(1, ("a", "b", "t"), edges, {"a": 1, "b": 1}, (second,), {})
+    third = PreferenceOrder((frozenset({LassoPlay(("a",), ("b",))}), frozenset({loop, a_t}),
+                             frozenset({LassoPlay((), ("b", "a"))})))
+    fourth = PreferenceOrder((frozenset({LassoPlay((), ("b",))}), frozenset({b_t}),
+                              frozenset({LassoPlay((), ("b", "a")), loop})))
+    yield Game(2, ("a", "b", "t"), edges | {("b", "b")}, {"a": 1, "b": 2}, (third, fourth), {})
 
 
 def _play_by_names(game, profile, v, w):
