@@ -32,7 +32,10 @@ Task groups (moves, equilibria and rows unless others are named):
   a complete arena of 7 non-terminals with one squeezable vertex;
 - belief: a fresh belief graph of an n-vertex ring with n players, for n = 3
   and 4, then sinks, check_diamond and find_lfair_cycle, as one `ring`
-  round asks them of its 3-vertex rings.
+  round asks them of its 3-vertex rings;
+- label: a fresh pc graph of the 14-vertex oscillating ring named at
+  random, then find_cycle and a label of every node of its witness, as
+  `analyze --check termination` prints it.
 """
 
 import argparse
@@ -60,7 +63,7 @@ DENSE = 7
 BELIEF = (3, 4)
 KINDS = ("p1", "bp1", "pc", "bpc")
 GROUPS = ("moves", "equilibria", "rows", "fill", "verdicts", "scans", "dominated", "delete",
-          "belief")
+          "belief", "label")
 
 
 def tasks(package: str, docs: list, rings: dict) -> dict:
@@ -96,6 +99,12 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
         def run():
             bg = pkg.build_belief_graph(ring[name])
             return pkg.sinks(bg), pkg.check_diamond(bg), pkg.find_lfair_cycle(bg)
+        return run
+
+    def label(name):
+        def run():
+            dg = pkg.build_dynamics(ring[name], "pc")
+            return [dg.label(node) for node in pkg.find_cycle(dg).cycle]
         return run
 
     def dominated(name, holds):
@@ -144,6 +153,8 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
     out[f"delete dense-{DENSE}"] = delete_every_vertex([json.dumps(dense_squeeze_doc(DENSE))])
     out.update((f"belief {family}-{n}, {n} players", belief(f"{family}-{n}x{n}"))
                for n in BELIEF for family in FAMILIES)
+    name = f"oscillating-{SCANNED[1]}"
+    out[f"label pc {name}"] = label(name)
     return out
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
 from .dynamics import BeliefGraph, DynamicsGraph
 from .errors import Frozen
@@ -12,9 +12,6 @@ from .graphs import is_nontrivial, shortest_path
 class CycleWitness(Frozen):
     __slots__ = _fields = ("cycle",)  # a non-empty closed walk: last -> first is an edge
 
-    def __init__(self, cycle: tuple):
-        self._set(cycle=cycle)
-
 
 SWITCHES = "switches-infinitely-often"
 CANNOT_SWITCH = "recurrently-cannot-switch"
@@ -22,12 +19,9 @@ NON_SWITCHER = "enabled-non-switcher"
 
 
 class FairnessReport(Frozen):
-    __slots__ = _fields = ("fair", "witness", "per_player")
+    """fair: True iff an infinite fair path exists."""
 
-    def __init__(self, fair: bool, witness: Optional[CycleWitness],
-                 per_player: Mapping[int, str]):
-        """fair: True iff an infinite fair path exists."""
-        self._set(fair=fair, witness=witness, per_player=per_player)
+    __slots__ = _fields = ("fair", "witness", "per_player")
 
     def describe(self, dg: DynamicsGraph) -> str:
         lines = ["fair cycle found" if self.fair else "no fair cycle"]

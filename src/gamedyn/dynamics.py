@@ -39,6 +39,28 @@ class Rows(dict):
         return map(self.__getitem__, range(self.n))
 
 
+class Listed(Rows):
+    """Rows that compare, hash and print as the tuple of all their rows, so
+    that a value holding them does; doing so builds every row."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, Listed)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __ne__(self, other):  # dict's own would compare the rows built so far
+        same = self.__eq__(other)
+        return same if same is NotImplemented else not same
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 class DynamicsGraph(Frozen):
     """Update dynamics over positional profiles.
 
@@ -63,9 +85,10 @@ class DynamicsGraph(Frozen):
                 f"succ={self.succ!r}, changed={self.changed!r})")
 
     @cached_property
-    def names(self) -> tuple:
-        """Compact display name per index."""
-        return tuple(self.profiles.names(one_step=self.kind == "1"))
+    def names(self) -> Listed:
+        """Compact display name per index, each made when first read."""
+        profiles, one_step = self.profiles, self.kind == "1"  # no cycle through the graph
+        return Listed(profiles.count, lambda i: profiles.name(i, one_step))
 
     @cached_property
     def sccs(self) -> SccReplay:
@@ -176,31 +199,6 @@ class BeliefNode(Frozen):
     component being player j's actual strategy."""
 
     __slots__ = _fields = ("rows",)  # one StrategyProfile per player, index j-1
-
-    def __init__(self, rows: tuple):
-        self._set(rows=rows)
-
-
-class Listed(Rows):
-    """Rows that compare, hash and print as the tuple of all their rows, so
-    that a value holding them does; doing so builds every row."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, Listed)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __ne__(self, other):  # dict's own would compare the rows built so far
-        same = self.__eq__(other)
-        return same if same is NotImplemented else not same
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self):
-        return repr(tuple(self))
 
 
 class BeliefGraph(Frozen):
@@ -315,9 +313,9 @@ def build_belief_graph(game: Game, guard: int | None = PROFILE_GUARD) -> BeliefG
     def rows(i: int) -> list:
         return [i // at % base for at in place]
 
-    shown = profiles.names()
+    shown = Rows(base, profiles.name)
     nodes = Listed(size, lambda i: BeliefNode(tuple(map(profiles.__getitem__, rows(i)))))
-    names = Listed(size, lambda i: "|".join(shown[r] for r in rows(i)))
+    names = Listed(size, lambda i: "|".join(map(shown.__getitem__, rows(i))))
     delta = (tuple(to_true),) + tuple(update(player) for player in range(1, n + 1))
     v0 = frozenset(t for t in set(to_true) if to_true[t] == t)
     return BeliefGraph(nodes=nodes, n_players=n, delta=delta, names=names, v0=v0,

@@ -11,30 +11,40 @@ SEARCH_BUDGET = 10 ** 5
 class Frozen:
     """A read-only value.  A subclass names in _fields the fields that its
     repr shows, that its equality compares and that it hashes as a tuple,
-    as a frozen dataclass does; its __init__ sets them, and any other
-    slots, through _set.  A class that sets __eq__ itself keeps it."""
+    as a frozen dataclass does; its constructor takes them in _fields order,
+    positionally or by name.  A class that defines __init__ itself sets its
+    fields, and any other slots, through _set; one that sets __eq__ keeps it
+    and its __hash__."""
 
     __slots__ = ()
     _fields = ()
 
     def __init_subclass__(cls, **kwargs):
-        # compiles __eq__ and __hash__ for the class's own fields, as a
-        # dataclass does: reading each field by name is about twice as fast
-        # as a generic read, and plays and profiles are compared and hashed
-        # in every search
+        # compiles __init__, __eq__ and __hash__ for the class's own fields,
+        # as a dataclass does: reading each field by name is about twice as
+        # fast as a generic read, and plays and profiles are compared and
+        # hashed in every search; __init__ sets each field directly, as a
+        # keyword call to _set doubles the cost of building a play
         super().__init_subclass__(**kwargs)
-        if "__eq__" in cls.__dict__:
-            return
-        same = " and ".join(f"self.{f} == other.{f}" for f in cls._fields)
-        fields = "".join(f"self.{f}, " for f in cls._fields)
+        source = ""
+        if "__init__" not in cls.__dict__:
+            source += f"def __init__(self, {', '.join(cls._fields)}):\n" + "".join(
+                f"    object.__setattr__(self, {f!r}, {f})\n" for f in cls._fields)
+        if "__eq__" not in cls.__dict__:
+            same = " and ".join(f"self.{f} == other.{f}" for f in cls._fields)
+            fields = "".join(f"self.{f}, " for f in cls._fields)
+            source += (f"def __eq__(self, other):\n"
+                       f"    if other.__class__ is self.__class__:\n"
+                       f"        return {same}\n"
+                       f"    return NotImplemented\n"
+                       f"def __hash__(self):\n"
+                       f"    return hash(({fields}))\n")
         made = {}
-        exec(f"def __eq__(self, other):\n"
-             f"    if other.__class__ is self.__class__:\n"
-             f"        return {same}\n"
-             f"    return NotImplemented\n"
-             f"def __hash__(self):\n"
-             f"    return hash(({fields}))\n", made)
-        cls.__eq__, cls.__hash__ = made["__eq__"], made["__hash__"]
+        exec(source, made)
+        for name in ("__init__", "__eq__", "__hash__"):
+            if name in made:
+                made[name].__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, made[name])
 
     def _set(self, **values):
         for name, value in values.items():

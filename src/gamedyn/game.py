@@ -24,11 +24,6 @@ class FinitePlay(Frozen):
 
     __slots__ = _fields = ("path",)
 
-    def __init__(self, path: tuple[str, ...]):
-        # set directly, not through _set: plays are built in every search,
-        # and the keyword call doubles the cost of building one
-        object.__setattr__(self, "path", path)
-
     @property
     def start(self):
         return self.path[0]
@@ -52,10 +47,6 @@ class LassoPlay(Frozen):
     """
 
     __slots__ = _fields = ("stem", "loop")
-
-    def __init__(self, stem: tuple[str, ...], loop: tuple[str, ...]):
-        object.__setattr__(self, "stem", stem)  # directly, as in FinitePlay
-        object.__setattr__(self, "loop", loop)
 
     @property
     def start(self):
@@ -137,9 +128,6 @@ class PreferenceOrder(Frozen):
 
     _fields = ("ranks",)
     __slots__ = _fields + ("__dict__",)  # the __dict__ holds _rank
-
-    def __init__(self, ranks: tuple[frozenset[Play], ...]):
-        self._set(ranks=ranks)
 
     @cached_property
     def _rank(self) -> dict:

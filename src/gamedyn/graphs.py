@@ -17,9 +17,6 @@ class Digraph(Frozen):
     _fields = ("nodes", "succ")
     __slots__ = _fields + ("__dict__",)  # the __dict__ holds _pos
 
-    def __init__(self, nodes: tuple, succ: tuple):
-        self._set(nodes=nodes, succ=succ)
-
     @classmethod
     def from_edges(cls, nodes, edges) -> Digraph:
         """The graph of (u, v) pairs; each node's successors follow node order."""

@@ -37,18 +37,12 @@ from .strategy import Profiles
 class DeleteEdge(Frozen):
     __slots__ = _fields = ("source", "target")
 
-    def __init__(self, source: str, target: str):
-        self._set(source=source, target=target)
-
     def __str__(self):
         return f"edge ({self.source},{self.target})"
 
 
 class DeleteVertex(Frozen):
     __slots__ = _fields = ("vertex",)
-
-    def __init__(self, vertex: str):
-        self._set(vertex=vertex)
 
     def __str__(self):
         return f"vertex {self.vertex}"
@@ -59,9 +53,6 @@ DeletionStep = Union[DeleteEdge, DeleteVertex]
 
 class DeletionScript(Frozen):
     __slots__ = _fields = ("steps",)
-
-    def __init__(self, steps: tuple[DeletionStep, ...]):
-        self._set(steps=steps)
 
     def to_json(self):
         out = []

@@ -15,9 +15,6 @@ class Relation(Frozen):
 
     __slots__ = _fields = ("pairs",)  # a frozenset of (node of small, node of big)
 
-    def __init__(self, pairs: frozenset):
-        self._set(pairs=pairs)
-
     @property
     def domain(self) -> frozenset:
         return frozenset(a for a, _ in self.pairs)

@@ -41,9 +41,6 @@ from .game import (
 class OneTargetGame(Frozen):
     __slots__ = _fields = ("game", "permitted")
 
-    def __init__(self, game: Game, permitted: Mapping[int, frozenset[FinitePlay]]):
-        self._set(game=game, permitted=permitted)
-
     def player_vertex(self, player: int) -> str:
         (v,) = self.game.owned_by(player)
         return v
@@ -66,10 +63,6 @@ class DisputeWheel(Frozen):
     """
 
     __slots__ = _fields = ("pivots", "direct", "links")
-
-    def __init__(self, pivots: tuple[str, ...], direct: tuple[FinitePlay, ...],
-                 links: tuple[tuple[str, ...], ...]):
-        self._set(pivots=pivots, direct=direct, links=links)
 
     @property
     def k(self) -> int:
@@ -108,9 +101,6 @@ class SafetyStatus(enum.Enum):
 
 class SafetyVerdict(Frozen):
     __slots__ = _fields = ("status", "evidence", "method")
-
-    def __init__(self, status: SafetyStatus, evidence: object, method: str):
-        self._set(status=status, evidence=evidence, method=method)
 
 
 # ---------------------------------------------------------------------------

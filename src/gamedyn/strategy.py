@@ -14,9 +14,6 @@ class StrategyProfile(Frozen):
 
     __slots__ = _fields = ("items",)  # sorted (vertex, successor) pairs
 
-    def __init__(self, items: tuple[tuple[str, str], ...]):
-        object.__setattr__(self, "items", items)  # directly, as in FinitePlay
-
     @classmethod
     def from_dict(cls, choice):
         return cls(tuple(sorted(choice.items())))
@@ -65,6 +62,7 @@ class Profiles:
         # an instance's __dict__ (functools.cached_property does) slows every
         # later attribute read on it under CPython 3.11: has_move ran ~10% slower
         self._pairs = self._pos = None
+        self._shown = {}  # one_step -> what name reads, made on first use
         vid = {v: i for i, v in enumerate(game.vertices)}
         self._at = [vid[v] for v in self.movers]
         self._succ = [tuple(vid[w] for w in s) for s in self.choices]
@@ -129,20 +127,19 @@ class Profiles:
             self._pos = [{w: j for j, w in enumerate(s)} for s in self.choices]
         return sum(pos[choice[v]] * w for v, pos, w in zip(self.movers, self._pos, self.weight))
 
-    def names(self, one_step: bool = False) -> list[str]:
-        """Every profile's display name, in index order: the edge labels of
-        its choices at non-forced vertices; one_step names each history's
-        choice as kind 1 labels do."""
-        if one_step:
-            parts = [[f"{'.'.join(h)}:{c[-1]}" for c in s]
-                     for h, s in zip(self.movers, self.choices)]
-            return [",".join(p[c] for p, c in zip(parts, digits)) for digits in self.digits()]
-        labels = self.game.edge_labels
-        parts = [[labels.get((v, w), f"{v}:{w}") for w in s]
-                 for v, s in zip(self.movers, self.choices)]
-        shown = [k for k, p in enumerate(parts) if len(p) > 1]
-        return ["".join(parts[k][digits[k]] for k in shown) or "<only>"
-                for digits in self.digits()]
+    def name(self, i: int, one_step: bool = False) -> str:
+        """Profile i's display name: the edge labels of its choices at
+        non-forced vertices; one_step names each history's choice as kind 1
+        labels do."""
+        shown = self._shown.get(one_step)
+        if shown is None:  # per named digit: its labels per choice and its weight
+            labels = self.game.edge_labels
+            shown = self._shown[one_step] = [
+                ([f"{'.'.join(v)}:{w[-1]}" if one_step else labels.get((v, w), f"{v}:{w}")
+                  for w in s], k) for v, s, k in zip(self.movers, self.choices, self.weight)
+                if one_step or len(s) > 1]
+        parts = [p[i // k % len(p)] for p, k in shown]
+        return ",".join(parts) if one_step else "".join(parts) or "<only>"
 
     def own_part(self, player: int) -> list[int]:
         """Per profile index: the part of the index spelled by the digits at

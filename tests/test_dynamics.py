@@ -489,12 +489,22 @@ def test_a_dropped_graph_is_freed_at_once(fig5):
     try:
         dg = build_dynamics(fig5, "pc")
         find_cycle(dg)
-        dg.changed[3]
+        dg.changed[3], dg.names[3]
         profiles = weakref.ref(dg.profiles)
         del dg
         assert profiles() is None
     finally:
         gc.enable()
+
+
+def test_a_label_makes_one_name():
+    """Labelling a witness names its nodes and no other profile."""
+    dg = build_dynamics(ring_game(12, "oscillating"), "pc")
+    witness = find_cycle(dg).cycle
+    labels = [dg.label(node) for node in witness]
+    assert dict.__len__(dg.names) == len(set(witness))
+    every = list(build_dynamics(ring_game(12, "oscillating"), "pc").names)
+    assert labels == [every[dg.profiles.index(node)] for node in witness]
 
 
 @pytest.fixture

@@ -40,13 +40,13 @@ def test_kernel_pair_times_deletions():
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
 def test_kernel_pair_times_belief_analyses():
-    done = subprocess.run([sys.executable, "scripts/kernel_pair.py", "HEAD", "belief",
+    done = subprocess.run([sys.executable, "scripts/kernel_pair.py", "HEAD", "belief", "label",
                            "--rounds", "1", "--seeds", "1"],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert [line.rsplit(None, 3)[0] for line in done.stdout.splitlines()[1:]] == [
         f"belief {family}-{n}, {n} players" for n in (3, 4)
-        for family in ("oscillating", "converging")]
+        for family in ("oscillating", "converging")] + ["label pc oscillating-14"]
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
-"""The library's value classes: repr, equality, hash and read-only fields, as
-frozen dataclasses had them (the repr orders witnesses and wheels, and the
-hash orders sets, so both are pinned)."""
+"""The library's value classes: constructor, repr, equality, hash and
+read-only fields, as frozen dataclasses had them (the repr orders witnesses
+and wheels, and the hash orders sets, so both are pinned)."""
 
 import pytest
 
@@ -120,6 +120,13 @@ def test_value_class_behaves_as_a_frozen_dataclass(name):
     assert x != twin and twin != x
     assert all(x != other() for key, (other, _, _) in CASES.items() if key != name)
     assert x != tuple(getattr(x, f) for f in fields)
+
+    # the constructor takes the fields in order, positionally or by name
+    if name != "BeliefGraph":  # which takes its profiles too
+        values = [getattr(x, f) for f in fields]
+        assert cls(*values) == x == cls(**dict(zip(fields, values)))
+        with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) missing 1 required"):
+            cls(*values[:-1])
 
     for attr in fields + ("extra",):
         with pytest.raises(AttributeError):
