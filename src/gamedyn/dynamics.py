@@ -39,28 +39,6 @@ class Rows(dict):
         return map(self.__getitem__, range(self.n))
 
 
-class Listed(Rows):
-    """Rows that compare, hash and print as the tuple of all their rows, so
-    that a value holding them does; doing so builds every row."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, Listed)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __ne__(self, other):  # dict's own would compare the rows built so far
-        same = self.__eq__(other)
-        return same if same is NotImplemented else not same
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self):
-        return repr(tuple(self))
-
-
 class DynamicsGraph(Frozen):
     """Update dynamics over positional profiles.
 
@@ -85,10 +63,10 @@ class DynamicsGraph(Frozen):
                 f"succ={self.succ!r}, changed={self.changed!r})")
 
     @cached_property
-    def names(self) -> Listed:
+    def names(self) -> Rows:
         """Compact display name per index, each made when first read."""
         profiles, one_step = self.profiles, self.kind == "1"  # no cycle through the graph
-        return Listed(profiles.count, lambda i: profiles.name(i, one_step))
+        return Rows(profiles.count, lambda i: profiles.name(i, one_step))
 
     @cached_property
     def sccs(self) -> SccReplay:
@@ -204,10 +182,11 @@ class BeliefNode(Frozen):
 class BeliefGraph(Frozen):
     """Node i is the i-th BeliefNode, whose rows' profile indices, read as
     digits of base profiles.count, spell i; delta[a][i] is the index node i
-    steps to under label a."""
+    steps to under label a.  Graphs are equal only to themselves."""
 
     _fields = ("nodes", "n_players", "delta", "names", "v0")
     __slots__ = _fields + ("profiles", "__dict__")  # the __dict__ holds succ, sccs and closure
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, nodes, n_players: int, delta: tuple, names, v0: frozenset,
                  profiles: Profiles):
@@ -275,7 +254,7 @@ def build_belief_graph(game: Game, guard: int | None = PROFILE_GUARD) -> BeliefG
     or stutters when no improving move exists.
 
     Label 0's row is built here, from the owners' digits alone; the rows of
-    the other labels, the nodes and their names are Listed, each built when
+    the other labels, the nodes and their names are Rows, each built when
     first read.
     """
     n = game.n_players
@@ -306,16 +285,16 @@ def build_belief_graph(game: Game, guard: int | None = PROFILE_GUARD) -> BeliefG
         part = [t * diag for t in profiles.own_part(player)]
         to_true = [t + d for t in to_true for d in part]
 
-    def update(player: int) -> Listed:
+    def update(player: int) -> Rows:
         moved, at = step[player - 1], place[player - 1]
-        return Listed(size, lambda i: i + moved[i // at % base])
+        return Rows(size, lambda i: i + moved[i // at % base])
 
     def rows(i: int) -> list:
         return [i // at % base for at in place]
 
     shown = Rows(base, profiles.name)
-    nodes = Listed(size, lambda i: BeliefNode(tuple(map(profiles.__getitem__, rows(i)))))
-    names = Listed(size, lambda i: "|".join(map(shown.__getitem__, rows(i))))
+    nodes = Rows(size, lambda i: BeliefNode(tuple(map(profiles.__getitem__, rows(i)))))
+    names = Rows(size, lambda i: "|".join(map(shown.__getitem__, rows(i))))
     delta = (tuple(to_true),) + tuple(update(player) for player in range(1, n + 1))
     v0 = frozenset(t for t in set(to_true) if to_true[t] == t)
     return BeliefGraph(nodes=nodes, n_players=n, delta=delta, names=names, v0=v0,

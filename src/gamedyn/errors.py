@@ -27,11 +27,11 @@ class Frozen:
         # keyword call to _set doubles the cost of building a play
         super().__init_subclass__(**kwargs)
         source = ""
-        if "__init__" not in cls.__dict__:
+        if cls._fields and "__init__" not in cls.__dict__:
             source += f"def __init__(self, {', '.join(cls._fields)}):\n" + "".join(
                 f"    object.__setattr__(self, {f!r}, {f})\n" for f in cls._fields)
         if "__eq__" not in cls.__dict__:
-            same = " and ".join(f"self.{f} == other.{f}" for f in cls._fields)
+            same = " and ".join(f"self.{f} == other.{f}" for f in cls._fields) or "True"
             fields = "".join(f"self.{f}, " for f in cls._fields)
             source += (f"def __eq__(self, other):\n"
                        f"    if other.__class__ is self.__class__:\n"

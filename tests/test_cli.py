@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from gamedyn import export_dot, parse_game
 from gamedyn.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -19,7 +20,7 @@ from gamedyn.cli import (
 )
 
 from .conftest import FIXTURES
-from .generators import ring_doc
+from .generators import game_doc, random_game, ring_doc
 from .golden import ROOT, TRANSCRIPT, run_captured
 
 GDIS = str(FIXTURES / "gdis.json")
@@ -67,6 +68,25 @@ def test_dynamics_dot_output():
     assert out.count("->") == 4
 
 
+def test_arena_dot_output(fig2):
+    out = export_dot(fig2)
+    assert out == "".join(line + "\n" for line in [
+        "digraph arena {",
+        *(f'  "{v}" [label="{v} (p1)"];' for v in ("v1", "v2", "v3", "v4", "v5")),
+        '  "vbot" [shape=doublecircle];',
+        *(f'  "{u}" -> "{v}";' for u, v in [
+            ("v1", "v2"), ("v1", "v3"), ("v1", "v4"), ("v2", "v4"), ("v3", "v4"),
+            ("v3", "vbot"), ("v4", "v5"), ("v4", "vbot"), ("v5", "vbot")]),
+        "}",
+    ])
+    # edges are sorted whatever the document's order, and a label is quoted
+    doc = json.loads(FIXTURES.joinpath("fig2.json").read_text())
+    doc["edges"] = [e + ['say "hi"'] if e == ["v4", "v5"] else e
+                    for e in reversed(doc["edges"])]
+    assert export_dot(parse_game(json.dumps(doc))) == out.replace(
+        '"v4" -> "v5";', '"v4" -> "v5" [label="say \\"hi\\""];')
+
+
 def test_spp_safety_exit_codes():
     code, out, _ = run("spp", "safety", GDIS_SPP, "--mode", "both")
     assert code == EXIT_UNSAFE
@@ -75,6 +95,32 @@ def test_spp_safety_exit_codes():
     code, out, _ = run("spp", "safety", SAFE_SPP)
     assert code == EXIT_OK
     assert "SafeNoDW" in out
+
+
+def test_spp_structural_several_stable_states(tmp_path):
+    # DISAGREE with a detour via c, whose preferences are not next-hop only:
+    # a and b each prefer the other's direct path, so both are stable
+    doc = {
+        "origin": "d",
+        "nodes": {
+            "a": {"paths": [["a", "b", "d"], ["a", "d"], ["a", "b", "c", "d"]]},
+            "b": {"paths": [["b", "a", "d"], ["b", "d"], ["b", "c", "d"]]},
+            "c": {"paths": [["c", "d"]]},
+        },
+    }
+    path = tmp_path / "disagree.spp.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run("spp", "validate", str(path))
+    assert code == EXIT_OK
+    assert out == "valid: true\nnext-hop-only preferences: false\n"
+    several = "several stable states, so updates cannot always converge to one of them"
+    for mode, verdict, method in [
+        ("structural", "UnsafeMultiEquilibria", several),
+        ("both", "UnsafeMultiEquilibria", several + "; confirmed by model checking"),
+        ("exact", "UnsafeModelChecked", "fair oscillation found by model checking"),
+    ]:
+        code, out, _ = run("spp", "safety", str(path), "--mode", mode)
+        assert (code, out) == (EXIT_UNSAFE, f"verdict: {verdict}\nmethod: {method}\n"), mode
 
 
 def test_spp_structural_unknown(tmp_path):
@@ -137,6 +183,16 @@ def test_belief_command():
     assert "diamond property: true" in out
     assert "label-fair cycle" in out
     assert code == EXIT_UNSAFE  # two reachable sinks: outcome is ambiguous
+
+
+def test_belief_command_reports_a_diamond_counterexample(tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game_doc(random_game(3, max_vertices=4, max_players=2))))
+    code, out, _ = run("--output", "json", "belief", str(path))
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["diamond"] is False
+    assert record["diamond_counterexample"] == ["v1:v2v2:v1|v1:v0v2:v0", 0, 1]
 
 
 def test_dis_minor_command():
@@ -325,14 +381,27 @@ def test_malformed_game_exits_5(tmp_path, name):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("script", [[{"edge": ["v1"]}], [{"edge": 5}], 5],
-                         ids=["edge-one-vertex", "edge-not-a-list", "not-a-list"])
-def test_malformed_script_exits_5(tmp_path, script):
-    path = tmp_path / "script.json"
-    path.write_text(json.dumps(script))
-    code, _, err = run("minor", GDIS, "--script", str(path))
-    assert code == EXIT_ERROR
-    assert err.startswith("error:") and "Traceback" not in err
+# an edit, in a deletion script that minor reads or on dominated's command
+# line, and the error it gets
+MALFORMED_EDITS = {
+    "edge-one-vertex": ([{"edge": ["v1"]}], "script step 0: 'edge' must be [source, target]"),
+    "edge-not-a-list": ([{"edge": 5}], "script step 0: 'edge' must be [source, target]"),
+    "not-a-list": (5, "a deletion script must be a list of steps"),
+    "dominated-edge-one-vertex": (["v1", "v1,vbot"], "edge 'v1' must be 'source,target'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_EDITS))
+def test_malformed_script_exits_5(tmp_path, name):
+    edit, message = MALFORMED_EDITS[name]
+    if name.startswith("dominated"):
+        argv = ["dominated", str(FIXTURES / "fig5.json"), "--edges", *edit]
+    else:
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(edit))
+        argv = ["minor", GDIS, "--script", str(path)]
+    code, out, err = run(*argv)
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n")
 
 
 def test_one_step_guard_counts_history_profiles():

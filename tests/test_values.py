@@ -24,6 +24,7 @@ from gamedyn import (
     build_belief_graph,
     build_dynamics,
 )
+from gamedyn.errors import Frozen
 from gamedyn.graphs import Digraph
 
 PLAY = FinitePlay(("a", "t"))
@@ -54,11 +55,6 @@ CASES = {
                 "Digraph(nodes=('a', 't'), succ=((1,), ()))", ("nodes", "succ")),
     "BeliefNode": (lambda: BeliefNode((PROFILE,)),
                    "BeliefNode(rows=(StrategyProfile(items=(('a', 't'),)),))", ("rows",)),
-    "BeliefGraph": (lambda: build_belief_graph(tiny_game()),
-                    "BeliefGraph(nodes=(BeliefNode(rows=(StrategyProfile(items=(('a', 't'),)),"
-                    ")),), n_players=1, delta=((0,), (0,)), names=('<only>',), "
-                    "v0=frozenset({0}))",
-                    ("nodes", "n_players", "delta", "names", "v0")),
     "CycleWitness": (lambda: CycleWitness((PROFILE,)),
                      "CycleWitness(cycle=(StrategyProfile(items=(('a', 't'),)),))", ("cycle",)),
     "FairnessReport": (lambda: FairnessReport(False, None, {1: "x"}),
@@ -122,11 +118,10 @@ def test_value_class_behaves_as_a_frozen_dataclass(name):
     assert x != tuple(getattr(x, f) for f in fields)
 
     # the constructor takes the fields in order, positionally or by name
-    if name != "BeliefGraph":  # which takes its profiles too
-        values = [getattr(x, f) for f in fields]
-        assert cls(*values) == x == cls(**dict(zip(fields, values)))
-        with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) missing 1 required"):
-            cls(*values[:-1])
+    values = [getattr(x, f) for f in fields]
+    assert cls(*values) == x == cls(**dict(zip(fields, values)))
+    with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) missing 1 required"):
+        cls(*values[:-1])
 
     for attr in fields + ("extra",):
         with pytest.raises(AttributeError):
@@ -135,11 +130,27 @@ def test_value_class_behaves_as_a_frozen_dataclass(name):
 
 
 def test_dynamics_graph_is_equal_only_to_itself():
-    dg, again = (build_dynamics(tiny_game(), "p1") for _ in range(2))
-    assert repr(dg) == ("DynamicsGraph(kind='p1', nodes=(StrategyProfile(items=(('a', 't'),)),), "
-                        "succ={}, changed={})")
-    assert dg == dg and dg != again
-    assert hash(dg) == object.__hash__(dg)
-    with pytest.raises(AttributeError):
-        dg.kind = "pc"
-    assert dg.names == ("<only>",) and dg.names is dg.names  # cached on first read
+    # and so is a belief graph; comparing, hashing or printing either builds
+    # no row
+    for build, text in [
+        (lambda game: build_dynamics(game, "p1"),
+         "DynamicsGraph(kind='p1', nodes=(StrategyProfile(items=(('a', 't'),)),), "
+         "succ={}, changed={})"),
+        (build_belief_graph,
+         "BeliefGraph(nodes={}, n_players=1, delta=((0,), {}), names={}, v0=frozenset({0}))"),
+    ]:
+        g, again = build(tiny_game()), build(tiny_game())
+        assert g == g and g != again
+        assert hash(g) == object.__hash__(g)
+        assert repr(g) == text
+        with pytest.raises(AttributeError):
+            g.nodes = ()
+        assert tuple(g.names) == ("<only>",) and g.names is g.names  # cached on first read
+
+
+def test_a_value_class_may_have_no_fields():
+    class Empty(Frozen):
+        pass
+
+    assert Empty() == Empty() and not Empty() != Empty()
+    assert hash(Empty()) == hash(())
