@@ -97,13 +97,32 @@ def copy_as(cls, x, fields, **changed):
     return y
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+# value classes that compare and hash by identity, as a frozen dataclass
+# declared with eq=False does; printing one builds no row
+BY_IDENTITY = {
+    "BeliefGraph": (lambda: build_belief_graph(tiny_game()),
+                    "BeliefGraph(nodes={}, n_players=1, delta=((0,), {}), names={}, "
+                    "v0=frozenset({0}))",
+                    ("nodes", "n_players", "delta", "names", "v0")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(BY_IDENTITY))
 def test_value_class_behaves_as_a_frozen_dataclass(name):
-    make, text, fields = CASES[name]
+    make, text, fields = CASES.get(name) or BY_IDENTITY[name]
     x, y = make(), make()
     cls = type(x)
     assert cls.__name__ == name
     assert repr(x) == text
+    for attr in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, None)
+    assert repr(x) == text
+    if name in BY_IDENTITY:
+        assert x == x and x != y and not x == y
+        assert hash(x) == object.__hash__(x)
+        return
+
     assert x == y and not x != y
     assert hash_or_error(x) == hash_or_error(tuple(getattr(x, f) for f in fields))
 
@@ -122,11 +141,6 @@ def test_value_class_behaves_as_a_frozen_dataclass(name):
     assert cls(*values) == x == cls(**dict(zip(fields, values)))
     with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) missing 1 required"):
         cls(*values[:-1])
-
-    for attr in fields + ("extra",):
-        with pytest.raises(AttributeError):
-            setattr(x, attr, None)
-    assert repr(x) == text
 
 
 def test_dynamics_graph_is_equal_only_to_itself():
