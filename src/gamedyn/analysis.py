@@ -67,9 +67,7 @@ def equilibria(dg: DynamicsGraph) -> frozenset:
 def _cycle_through(g, scc: frozenset, start) -> list:
     """A closed walk in the component from start: one edge out, then back."""
     first = next(w for w in g[start] if w in scc)
-    if first == start:
-        return [start]
-    return [start] + shortest_path(g, first, {start}, within=scc)[:-1]
+    return [start] + shortest_path(g, first, start, within=scc)[:-1]
 
 
 def find_fair_cycle(dg: DynamicsGraph, players) -> FairnessReport:
@@ -123,12 +121,12 @@ def _closed_walk(g, scc, edges, nodes=()) -> list:
     that never leaves its start comes back empty."""
     walk = [edges[0][0] if edges else (nodes[0] if nodes else min(scc))]
     for u, v in edges:
-        walk += shortest_path(g, walk[-1], {u}, within=scc)[1:]
+        walk += shortest_path(g, walk[-1], u, within=scc)[1:]
         if v != u:
             walk.append(v)
     for n in nodes:
-        walk += shortest_path(g, walk[-1], {n}, within=scc)[1:]
-    walk += shortest_path(g, walk[-1], {walk[0]}, within=scc)[1:]
+        walk += shortest_path(g, walk[-1], n, within=scc)[1:]
+    walk += shortest_path(g, walk[-1], walk[0], within=scc)[1:]
     return walk[:-1]
 
 
@@ -205,8 +203,8 @@ def find_lfair_cycle(lg: BeliefGraph) -> Optional[CycleWitness]:
     Exists iff some SCC with >= 2 nodes contains, for every label, an
     internal edge carrying that label.  Such an SCC lies in the closure of
     label 0's targets, so where the closure holds none the answer is read
-    there; otherwise the components are taken in scc_stream's order over
-    the whole graph, and the first that has a cycle gives it.
+    there.  Otherwise one lies among the graph's components too, taken in
+    scc_stream's order over the whole graph, and the first gives the cycle.
     """
     every = len(lg.label_set)
     if not any(len(scc) > 1 and len(_label_edges(lg, scc)) == every
@@ -218,11 +216,9 @@ def find_lfair_cycle(lg: BeliefGraph) -> Optional[CycleWitness]:
         per_label = _label_edges(lg, scc)
         if len(per_label) < every:
             continue
+        # the least member's edge to another member is here: the walk is not constant
         walk = _closed_walk(lg.succ, scc, [per_label[a] for a in sorted(per_label)])
-        if len(walk) < 2:
-            continue  # constant cycles are excluded
         return CycleWitness(cycle=tuple(lg.nodes[n] for n in walk))
-    return None
 
 
 def check_diamond(lg: BeliefGraph):

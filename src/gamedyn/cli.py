@@ -117,7 +117,7 @@ def _cmd_minor(args) -> int:
     minor = minors.apply_script(game, minors.DeletionScript.from_json(data))
     small, big = (dynamics.build_dynamics(g, args.kind, guard=args.guard)
                   for g in (minor, game))
-    _, full = relations.largest_simulation(small, big)
+    full = all(relations.simulators(small.succ, big.succ))
     record = {
         "vertices": sorted(minor.vertices),
         "edges": sorted(list(e) for e in minor.edges),

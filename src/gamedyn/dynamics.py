@@ -58,10 +58,6 @@ class DynamicsGraph(Frozen):
         # changed: per index, a frozenset of players per successor
         self._set(kind=kind, profiles=profiles, nodes=profiles, succ=succ, changed=changed)
 
-    def __repr__(self):
-        return (f"DynamicsGraph(kind={self.kind!r}, nodes={tuple(self.nodes)!r}, "
-                f"succ={self.succ!r}, changed={self.changed!r})")
-
     @cached_property
     def names(self) -> Rows:
         """Compact display name per index, each made when first read."""
@@ -215,25 +211,14 @@ class BeliefGraph(Frozen):
 
     @cached_property
     def closure(self) -> list:
-        """Tarjan's components of R, the closure of label 0's targets under
-        every label, in scc_stream's order over R's nodes ascending.
+        """Tarjan's components of R, the nodes that D, label 0's targets,
+        reach, in scc_stream's order from D ascending.
 
-        Every node has a label-0 edge into R, and R is closed, so every sink
-        lies among label 0's targets, and every bottom component, and every
-        component with an internal label-0 edge, lies in R.
+        Every node has a label-0 edge into D, and R is closed, so every sink
+        lies in D, and every bottom component, and every component with an
+        internal label-0 edge, lies in R and is a component of the graph.
         """
-        succ = self.succ
-        seen = set(self.delta[0])
-        todo = list(seen)
-        while todo:
-            for w in succ[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        order = sorted(seen)
-        pos = {v: k for k, v in enumerate(order)}
-        local = [tuple(map(pos.__getitem__, succ[v])) for v in order]
-        return [frozenset(map(order.__getitem__, c)) for c in scc_stream(local)]
+        return list(scc_stream(self.succ, sorted(set(self.delta[0]))))
 
     def index(self, node: BeliefNode) -> int:
         """The node's index, from its rows' profile indices."""

@@ -41,20 +41,20 @@ class Digraph(Frozen):
         return tuple(nodes[j] for j in self.succ[self._pos[u]])
 
 
-def scc_stream(g):
+def scc_stream(g, roots=None):
     """Tarjan's algorithm, iterative, over an int graph (g[i] lists node i's
-    successors): yields each component as a frozenset as soon as it
-    completes, in reverse topological order.
+    successors): yields each component of the nodes that roots reach as a
+    frozenset as soon as it completes, in reverse topological order.
 
-    Roots and successors are taken in index order, and g[i] is read only
-    when node i is first reached, so a caller that stops early reads only
-    the rows its answer needed.
+    Roots are taken as given, by default every node in index order, and
+    successors in index order; g[i] is read only when node i is first
+    reached, so a caller that stops early reads only the rows it needed.
     """
     n = len(g)
     index, low, on_stack, stack = [-1] * n, [0] * n, bytearray(n), []
     work = []  # (node, iterator over its remaining successors)
     count = 0
-    for root in range(n):
+    for root in range(n) if roots is None else roots:
         if index[root] >= 0:
             continue
         index[root] = low[root] = count
@@ -131,11 +131,10 @@ def is_nontrivial(g, scc: frozenset) -> bool:
     return node in g[node]
 
 
-def shortest_path(g, source: int, targets, within) -> list | None:
-    """BFS path from source to any node in targets whose every node after
-    source lies in `within`."""
-    targets = set(targets)
-    if source in targets:
+def shortest_path(g, source: int, target: int, within) -> list | None:
+    """BFS path from source to target whose every node after source lies in
+    `within`."""
+    if source == target:
         return [source]
     prev = {source: None}
     todo = [source]
@@ -146,7 +145,7 @@ def shortest_path(g, source: int, targets, within) -> list | None:
                 if w in prev or w not in within:
                     continue
                 prev[w] = u
-                if w in targets:
+                if w == target:
                     path = [w]
                     while prev[path[-1]] is not None:
                         path.append(prev[path[-1]])
@@ -200,16 +199,7 @@ def simple_cycles(g) -> Iterator[list[int]]:
 
 def transitive_closure(g) -> Digraph:
     """Edge (a, b) iff a non-empty path a -> ... -> b exists in g, a graph of
-    nodes and succ."""
+    nodes and succ: row a holds the components that a's successors reach."""
     succ = g.succ
-    closure = []
-    for js in succ:
-        seen = set()
-        todo = list(js)
-        while todo:
-            w = todo.pop()
-            if w not in seen:
-                seen.add(w)
-                todo.extend(succ[w])
-        closure.append(tuple(sorted(seen)))
-    return Digraph(g.nodes, tuple(closure))
+    return Digraph(g.nodes, tuple(tuple(sorted(frozenset().union(*scc_stream(succ, js))))
+                                  for js in succ))

@@ -70,15 +70,10 @@ def is_bisimulation(small, big, rel: Relation):
     return is_simulation(big, small, rel.inverse())
 
 
-def largest_simulation(small, big):
-    """Greatest fixpoint on the graphs' indices: start from all pairs, drop
-    pairs that fail the step-matching condition until stable.
-
-    Returns (relation, full_domain) where full_domain is True iff every node
-    of `small` is simulated by some node of `big` — i.e. `big` simulates
-    `small`.
-    """
-    succ_s, succ_b = small.succ, big.succ
+def simulators(succ_s, succ_b) -> list:
+    """Greatest fixpoint on two int graphs' rows: per node a of the small
+    graph, the set of big nodes that simulate it.  Start from all pairs and
+    drop those that fail the step-matching condition until stable."""
     sim = [set(range(len(succ_b))) for _ in succ_s]
     changed = True
     while changed:
@@ -88,6 +83,14 @@ def largest_simulation(small, big):
             if len(kept) < len(sim[a]):
                 sim[a] = kept
                 changed = True
+    return sim
+
+
+def largest_simulation(small, big):
+    """(relation, full_domain): the largest simulation of small by big, by
+    node name, and True iff every node of small is simulated by some node of
+    big, i.e. big simulates small."""
+    sim = simulators(small.succ, big.succ)
     nodes_s, nodes_b = tuple(small.nodes), tuple(big.nodes)
     rel = Relation(frozenset((nodes_s[a], nodes_b[b]) for a, bs in enumerate(sim) for b in bs))
     return rel, all(sim)

@@ -97,6 +97,9 @@ class Profiles:
     def __len__(self):
         return self.count
 
+    def __repr__(self):
+        return repr(self._made)
+
     def __iter__(self):
         """Every profile, in index order."""
         return map(StrategyProfile, itertools.product(*self._edges()))

@@ -169,6 +169,22 @@ def test_minor_command_bad_script(tmp_path):
     assert code == EXIT_ERROR and err.startswith("error:")
 
 
+def test_minor_builds_no_relation(monkeypatch):
+    # the verdict reads only whether every node is simulated
+    from gamedyn import relations
+
+    argv = ("minor", GDIS, "--script", str(ROOT / "tests" / "data" / "gdis-script.json"))
+    want = run(*argv)
+
+    def refuse(pairs):
+        raise AssertionError("a relation was built")
+
+    monkeypatch.setattr(relations, "Relation", refuse)
+    assert run(*argv) == want and want == (
+        EXIT_OK, "minor: 3 vertices, 3 edges\n"
+        "dynamics of the original simulate the minor's (p1): true\n", "")
+
+
 def test_dominated_command():
     code, out, _ = run(
         "dominated", str(FIXTURES / "fig5.json"), "--edges", "v1,vbot", "v1,v4"
@@ -357,28 +373,70 @@ def test_a_command_loads_only_the_modules_it_runs(argv, unused):
 
 GDIS_DOC = json.loads((FIXTURES / "gdis.json").read_text())
 FIG2_DOC = json.loads((FIXTURES / "fig2.json").read_text())
+GDIS_P1 = GDIS_DOC["preferences"]["1"]
+
+
+def gdis_player_1(classes):
+    """gdis with player 1's rank classes replaced."""
+    return {**GDIS_DOC, "preferences": {**GDIS_DOC["preferences"], "1": classes}}
+
+
+# a game document and the error it gets
 MALFORMED_GAMES = {
-    "edges-not-a-list": {**GDIS_DOC, "edges": 5},
-    "owner-is-a-list": {**GDIS_DOC, "owner": [1, 2]},
-    "preferences-is-a-list": {**GDIS_DOC, "preferences": [[]]},
-    "non-string-vertex": {**GDIS_DOC, "vertices": GDIS_DOC["vertices"] + [7]},
-    "rank-class-not-a-list": {**GDIS_DOC, "preferences": {"1": [5]}},
-    "lasso-stem-not-a-list": {**GDIS_DOC, "preferences": {
-        "1": [[{"lasso": {"stem": 5, "loop": ["v1", "v2"]}}]]}},
-    "edge-label-not-a-string": {**GDIS_DOC,
-                                "edges": [["v1", "v2", 5]] + GDIS_DOC["edges"][1:]},
-    "players-is-a-bool": {**FIG2_DOC, "players": True},
-    "owner-is-a-bool": {**FIG2_DOC, "owner": {**FIG2_DOC["owner"], "v1": True}},
+    "edges-not-a-list": ({**GDIS_DOC, "edges": 5}, "'edges' must be a list"),
+    "owner-is-a-list": ({**GDIS_DOC, "owner": [1, 2]}, "'owner' must be an object"),
+    "preferences-is-a-list": ({**GDIS_DOC, "preferences": [[]]},
+                              "'preferences' must be an object"),
+    "non-string-vertex": ({**GDIS_DOC, "vertices": GDIS_DOC["vertices"] + [7]},
+                          "'vertices' must be a list of unique id strings"),
+    "rank-class-not-a-list": ({**GDIS_DOC, "preferences": {"1": [5]}},
+                              "preferences[1] must be a list of rank classes (lists)"),
+    "lasso-stem-not-a-list": (
+        {**GDIS_DOC, "preferences": {"1": [[{"lasso": {"stem": 5, "loop": ["v1", "v2"]}}]]}},
+        "preferences[1][0]: 'stem' and 'loop' must be lists of vertex ids"),
+    "edge-label-not-a-string": (
+        {**GDIS_DOC, "edges": [["v1", "v2", 5]] + GDIS_DOC["edges"][1:]},
+        "edge ['v1', 'v2', 5] must be [from, to] or [from, to, label]"),
+    "players-is-a-bool": ({**FIG2_DOC, "players": True}, "'players' must be a positive integer"),
+    "owner-is-a-bool": ({**FIG2_DOC, "owner": {**FIG2_DOC["owner"], "v1": True}},
+                        "owner of 'v1' must be a player in 1..1"),
+    "top-level-a-list": ([GDIS_DOC], "top level must be an object"),
+    "no-owner": ({k: v for k, v in GDIS_DOC.items() if k != "owner"},
+                 "missing fields ['owner']"),
+    "play-path-and-lasso": (
+        gdis_player_1([[{"path": ["v1", "vbot"], "lasso": {"stem": [], "loop": ["v1", "v2"]}}]]
+                      + GDIS_P1[1:]),
+        "preferences[1][0]: a play is {'path': [...]} or {'lasso': {...}}"),
+    "empty-path": (gdis_player_1([[{"path": []}]] + GDIS_P1[1:]),
+                   "preferences[1][0]: 'path' must be a non-empty list of vertex ids"),
+    "lasso-third-key": (
+        gdis_player_1(GDIS_P1[:2] + [[{"lasso": {"stem": [], "loop": ["v1", "v2"], "tail": []}}]]),
+        "preferences[1][2]: 'lasso' must have exactly 'stem' and 'loop'"),
+    "unknown-play-form": (gdis_player_1([[{"walk": ["v1", "v2", "vbot"]}]] + GDIS_P1[1:]),
+                          "preferences[1][0]: unknown play form ['walk']"),
+    "duplicate-edge": ({**GDIS_DOC, "edges": GDIS_DOC["edges"] + [["v1", "v2"]]},
+                       "duplicate edge ['v1', 'v2']"),
+    "owner-unknown-vertex": ({**GDIS_DOC, "owner": {**GDIS_DOC["owner"], "zz": 1}},
+                             "unknown vertex 'zz' in owner map"),
+    "play-unknown-vertex": (gdis_player_1([[{"path": ["v1", "zz", "vbot"]}]] + GDIS_P1[1:]),
+                            "unknown vertex 'zz' in preferences[1][0]"),
+    "preferences-unknown-player": (
+        {**GDIS_DOC, "preferences": {**GDIS_DOC["preferences"], "9": []}},
+        "preferences for unknown players ['9']"),
+    "invalid-play": (gdis_player_1([[{"path": ["vbot", "v1"]}]] + GDIS_P1[1:]),
+                     "InvalidPlay(player 1, vbot->v1)"),
+    "duplicate-play": (gdis_player_1(GDIS_P1 + [[{"path": ["v1", "v2", "vbot"]}]]),
+                       "DuplicatePlay(player 1, v1->v2->vbot)"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_GAMES))
 def test_malformed_game_exits_5(tmp_path, name):
+    doc, message = MALFORMED_GAMES[name]
     path = tmp_path / "game.json"
-    path.write_text(json.dumps(MALFORMED_GAMES[name]))
-    code, _, err = run("analyze", str(path), "--kind", "p1", "--check", "termination")
-    assert code == EXIT_ERROR
-    assert err.startswith("error:") and "Traceback" not in err
+    path.write_text(json.dumps(doc))
+    code, out, err = run("analyze", str(path), "--kind", "p1", "--check", "termination")
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n")
 
 
 # an edit, in a deletion script that minor reads or on dominated's command
@@ -388,6 +446,9 @@ MALFORMED_EDITS = {
     "edge-not-a-list": ([{"edge": 5}], "script step 0: 'edge' must be [source, target]"),
     "not-a-list": (5, "a deletion script must be a list of steps"),
     "dominated-edge-one-vertex": (["v1", "v1,vbot"], "edge 'v1' must be 'source,target'"),
+    "two-keys": ([{"edge": ["v1", "vbot"], "vertex": "v1"}],
+                 "script step 0: expected one-key record"),
+    "unknown-kind": ([{"vertexx": "v1"}], "script step 0: unknown kind {'vertexx'}"),
 }
 
 
@@ -422,27 +483,54 @@ def test_belief_guard_counts_belief_nodes(fmt):
 
 
 GDIS_SPP_DOC = json.loads((FIXTURES / "gdis.spp.json").read_text())
+GDIS_SPP_NODES = GDIS_SPP_DOC["nodes"]
+V1_PATHS = GDIS_SPP_NODES["v1"]["paths"]
+
+
+def gdis_spp_v1(paths):
+    """gdis.spp with v1's ranked paths replaced."""
+    return {**GDIS_SPP_DOC, "nodes": {**GDIS_SPP_NODES, "v1": {"paths": paths}}}
+
+
+# an instance document and the error it gets
 MALFORMED_SPP = {
-    "paths-not-a-list": {**GDIS_SPP_DOC, "nodes": {
-        **GDIS_SPP_DOC["nodes"], "v1": {"paths": 5}}},
-    "path-not-a-list": {**GDIS_SPP_DOC, "nodes": {
-        **GDIS_SPP_DOC["nodes"], "v1": {"paths": [5]}}},
-    "extra-edges-not-a-list": {**GDIS_SPP_DOC, "extra_edges": 5},
-    "extra-edge-not-a-list": {**GDIS_SPP_DOC, "extra_edges": [5]},
-    "extra-edge-one-node": {**GDIS_SPP_DOC, "extra_edges": [["a"]]},
+    "paths-not-a-list": ({**GDIS_SPP_DOC, "nodes": {**GDIS_SPP_NODES, "v1": {"paths": 5}}},
+                         "v1: node v1: expected a paths list"),
+    "path-not-a-list": (gdis_spp_v1([5]), "v1: node v1: path 5 must be a list"),
+    "extra-edges-not-a-list": ({**GDIS_SPP_DOC, "extra_edges": 5},
+                               "'extra_edges' must be a list of [from, to] pairs"),
+    "extra-edge-not-a-list": ({**GDIS_SPP_DOC, "extra_edges": [5]},
+                              "'extra_edges' must be a list of [from, to] pairs"),
+    "extra-edge-one-node": ({**GDIS_SPP_DOC, "extra_edges": [["a"]]},
+                            "'extra_edges' must be a list of [from, to] pairs"),
     # the origin would become a non-terminal that no player owns
-    "extra-edge-from-origin": {**GDIS_SPP_DOC, "extra_edges": [["vbot", "v1"]]},
+    "extra-edge-from-origin": ({**GDIS_SPP_DOC, "extra_edges": [["vbot", "v1"]]},
+                               "extra edge (vbot,v1) leaves the origin"),
+    "top-level-a-list": ([GDIS_SPP_DOC], "top level must be an object"),
+    "unknown-field": ({**GDIS_SPP_DOC, "paths": []}, "unknown fields: ['paths']"),
+    "no-origin": ({"nodes": GDIS_SPP_NODES}, "need an origin id and a non-empty nodes table"),
+    "origin-ranks-paths": (
+        {**GDIS_SPP_DOC, "nodes": {**GDIS_SPP_NODES, "vbot": {"paths": [["vbot"]]}}},
+        "the origin cannot rank paths"),
+    "path-not-from-its-node": (gdis_spp_v1([["vbot", "v1"]] + V1_PATHS),
+                               "v1: node v1: path ['vbot', 'v1'] must run from v1 to vbot"),
+    "duplicate-path": (gdis_spp_v1(V1_PATHS + [["v1", "vbot"]]),
+                       "v1: node v1: duplicate path ['v1', 'vbot']"),
+    "path-unknown-node": (gdis_spp_v1([["v1", "zz", "vbot"]] + V1_PATHS),
+                          "path ['v1', 'zz', 'vbot'] passes through unknown node zz"),
+    "extra-edge-unknown-node": ({**GDIS_SPP_DOC, "extra_edges": [["v1", "zz"]]},
+                                "extra edge (v1,zz) uses unknown vertices"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_SPP))
 def test_malformed_spp_exits_5(tmp_path, name):
+    doc, message = MALFORMED_SPP[name]
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(MALFORMED_SPP[name]))
+    path.write_text(json.dumps(doc))
     for argv in (["validate"], ["safety", "--mode", "both"]):
-        code, _, err = run("spp", *argv, str(path))
-        assert code == EXIT_ERROR, argv
-        assert err.startswith("error:") and "Traceback" not in err, argv
+        code, out, err = run("spp", *argv, str(path))
+        assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n"), argv
 
 
 def test_dis_minor_deep_search_stops_at_the_budget(tmp_path):

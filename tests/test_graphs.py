@@ -75,6 +75,23 @@ def test_scc_stream_matches_reference_tarjan():
             assert [frozenset(g.nodes[i] for i in c) for c in stopped] == want[:k]
 
 
+def test_scc_stream_from_roots_gives_the_components_they_reach():
+    for seed in range(60):
+        g = random_digraph(seed, n=10, p=0.15, loops=True)
+        n = len(g.nodes)
+        assert list(scc_stream(g.succ, range(n))) == list(scc_stream(g.succ))
+        whole = set(scc_stream(g.succ))
+        closure = closure_by_matrix_powers(g.nodes, g.edges)
+        roots = random.Random(seed).sample(range(n), seed % 4)
+        got = list(scc_stream(g.succ, roots))
+        reached = {v for r in roots for v in range(n)
+                   if v == r or (g.nodes[r], g.nodes[v]) in closure}
+        assert set().union(*got) == reached and len(got) == len(set(got))
+        assert all(c in whole for c in got)
+        pos = {v: k for k, c in enumerate(got) for v in c}
+        assert all(pos[u] >= pos[v] for u in pos for v in g.succ[u])
+
+
 class FailsOnce(list):
     """An int graph whose row k raises the first time it is read."""
 
@@ -126,11 +143,11 @@ def test_transitive_closure_matches_oracle():
         )
 
 
-def named_shortest_path(g, source, targets, within=None):
+def named_shortest_path(g, source, target, within=None):
     """shortest_path on g.succ, from and to node names; within defaults to
     every node."""
     pos = g.nodes.index
-    path = shortest_path(g.succ, pos(source), set(map(pos, targets)),
+    path = shortest_path(g.succ, pos(source), pos(target),
                          within=set(map(pos, g.nodes if within is None else within)))
     return None if path is None else [g.nodes[i] for i in path]
 
@@ -138,14 +155,13 @@ def named_shortest_path(g, source, targets, within=None):
 def test_shortest_path_valid_and_minimal():
     for seed in range(60):
         g = random_digraph(seed)
-        targets = {g.nodes[-1]}
-        path = named_shortest_path(g, g.nodes[0], targets)
+        path = named_shortest_path(g, g.nodes[0], g.nodes[-1])
         closure = closure_by_matrix_powers(g.nodes, g.edges)
         if path is None:
             assert g.nodes[0] != g.nodes[-1]
             assert (g.nodes[0], g.nodes[-1]) not in closure
             continue
-        assert path[0] == g.nodes[0] and path[-1] in targets
+        assert path[0] == g.nodes[0] and path[-1] == g.nodes[-1]
         for a, b in zip(path, path[1:]):
             assert (a, b) in g.edges
         # minimality via BFS layer count
@@ -166,7 +182,7 @@ def test_shortest_path_stays_within():
         rng = random.Random(seed + 10_000)
         within = {n for n in g.nodes if rng.random() < 0.6} | {g.nodes[0]}
         inside = {(u, v) for u, v in g.edges if u in within and v in within}
-        path = named_shortest_path(g, g.nodes[0], {g.nodes[-1]}, within=within)
+        path = named_shortest_path(g, g.nodes[0], g.nodes[-1], within=within)
         if path is None:
             assert (g.nodes[0], g.nodes[-1]) not in closure_by_matrix_powers(within, inside)
             continue
@@ -176,8 +192,8 @@ def test_shortest_path_stays_within():
 
 def test_shortest_path_within_refuses_a_path_outside():
     g = Digraph.from_edges(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
-    assert named_shortest_path(g, "a", {"c"}) == ["a", "b", "c"]
-    assert named_shortest_path(g, "a", {"c"}, within={"a", "c"}) is None
+    assert named_shortest_path(g, "a", "c") == ["a", "b", "c"]
+    assert named_shortest_path(g, "a", "c", within={"a", "c"}) is None
 
 
 def test_simple_cycles_match_brute_force():

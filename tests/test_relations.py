@@ -35,6 +35,26 @@ def test_empty_relation_is_partial_simulation():
     assert ok
 
 
+def test_failed_checks_name_their_counterexample():
+    xy = Digraph.from_edges(("x", "y"), frozenset())
+    x_to_y = Digraph.from_edges(("x", "y"), frozenset({("x", "y")}))
+    pq = Digraph.from_edges(("p", "q"), frozenset())
+    # a pair naming a node of neither graph
+    assert is_partial_simulation(G_SMALL, G_SMALL, Relation(frozenset({("x", "q")}))) == (
+        False, ("x", "q", None))
+    # p has no edge to match x -> y; is_simulation passes the failure through
+    matched = Relation(frozenset({("x", "p"), ("y", "q")}))
+    assert is_simulation(x_to_y, pq, matched) == (False, ("x", "y", "p"))
+    # y unrelated; then the reverse direction fails on y -> x
+    assert is_bisimulation(xy, xy, Relation(frozenset({("x", "x")}))) == (
+        False, ("y", None, None))
+    y_to_x = Digraph.from_edges(("x", "y"), frozenset({("y", "x")}))
+    ident = Relation(frozenset({("x", "x"), ("y", "y")}))
+    assert is_simulation(xy, y_to_x, ident) == (True, None)
+    assert is_bisimulation(xy, y_to_x, ident) == (False, ("y", "x", "y"))
+    assert ("x", "x") in ident and ("x", "y") not in ident
+
+
 def test_largest_simulation_two_edge_example():
     rel, full = largest_simulation(G_BRANCH, G_SMALL)
     # the terminal v2' is vacuously simulable, so the fixpoint covers V'

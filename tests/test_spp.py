@@ -33,7 +33,8 @@ from gamedyn import (
     validate_otg,
 )
 from gamedyn.cli import EXIT_ERROR, run_cli
-from gamedyn.errors import InvalidSDW, SearchBudgetExceeded, SuffixClosureRepairNeeded
+from gamedyn.errors import (GameDynError, InvalidSDW, SearchBudgetExceeded,
+                            SuffixClosureRepairNeeded)
 from gamedyn.graphs import simple_cycles
 from gamedyn.minors import SEARCH_BUDGET
 from gamedyn import spp
@@ -105,6 +106,20 @@ def test_dispute_wheel_gdis(gdis_otg):
     assert all(len(link) == 1 for link in dw.links)
     assert sdw_violations(gdis_otg, dw) == []
     assert find_sdw(gdis_otg) is not None
+
+
+def test_wheel_check_reports_a_broken_wheel(gdis_otg):
+    dw = find_dispute_wheel(gdis_otg)
+    assert dw == DisputeWheel(("v1", "v2"), (FinitePlay(("v1", "vbot")),
+                                             FinitePlay(("v2", "vbot"))), (("v1",), ("v2",)))
+    assert sdw_violations(gdis_otg, DisputeWheel(dw.pivots, dw.direct, (("v2",), ("v2",)))) == [
+        "link 0 does not start at v1", "indirect path v2->v2->vbot of v1 not permitted"]
+    assert sdw_violations(gdis_otg, DisputeWheel(dw.pivots, dw.direct, ((), ("v2",)))) == [
+        "link 0 is empty"]
+    same = DisputeWheel(dw.pivots, (FinitePlay(("v1", "v2", "vbot")), dw.direct[1]), dw.links)
+    assert sdw_violations(gdis_otg, same) == [
+        "v1 does not strictly prefer v1->v2->vbot over v1->v2->vbot",
+        "indirect path v2->v1->v2->vbot of v2 not permitted"]
 
 
 def test_dispute_wheel_absent_when_direct_preferred():
@@ -226,6 +241,11 @@ def test_safety_fig3(fig3):
     assert safety_verdict(otg, "structural").status is SafetyStatus.UNKNOWN_STRUCTURAL
     exact = safety_verdict(otg, "exact")
     assert exact.status is SafetyStatus.SAFE_MODEL_CHECKED
+
+
+def test_safety_refuses_an_unknown_mode(gdis_otg):
+    with pytest.raises(GameDynError, match="^unknown safety mode 'bogus'$"):
+        safety_verdict(gdis_otg, "bogus")
 
 
 def test_safety_safe_instance():
