@@ -244,9 +244,10 @@ def build_belief_graph(game: Game, guard: int | None = PROFILE_GUARD) -> BeliefG
     """
     n = game.n_players
     profiles = Profiles(game)
-    profiles.check(guard, rows=n)
     base = profiles.count
     size = base ** n
+    if guard is not None and size > guard:
+        raise StateSpaceTooLarge(size, guard)
     # node i has rows (r_1, ..., r_n) with i = sum of r_j * place[j - 1]
     place = [base ** (n - j) for j in range(1, n + 1)]
     diag = sum(place)

@@ -160,29 +160,26 @@ class PreferenceOrder(Frozen):
 
 class Game(Frozen):
     _fields = ("n_players", "vertices", "edges", "owner", "preferences", "edge_labels")
-    __slots__ = _fields + ("vertex_set", "terminals", "_succ", "_pred", "_ranked")
+    __slots__ = _fields + ("vertex_set", "terminals", "_succ", "_ranked")
 
     def __init__(self, n_players: int, vertices: tuple[str, ...],
                  edges: frozenset[tuple[str, str]], owner: Mapping[str, int],
                  preferences: tuple[PreferenceOrder, ...],
                  edge_labels: Mapping[tuple[str, str], str]):
         succ: dict[str, list[str]] = {}
-        pred: dict[str, list[str]] = {}
         for u, w in edges:
             succ.setdefault(u, []).append(w)
-            pred.setdefault(w, []).append(u)
         self._set(n_players=n_players, vertices=vertices, edges=edges, owner=owner,
                   preferences=preferences, edge_labels=edge_labels,
                   vertex_set=frozenset(vertices),
                   terminals=frozenset(v for v in vertices if v not in succ),
-                  _succ={u: tuple(sorted(ws)) for u, ws in succ.items()},
-                  _pred={w: tuple(sorted(us)) for w, us in pred.items()})
+                  _succ={u: tuple(sorted(ws)) for u, ws in succ.items()})
 
     def successors(self, v: str) -> tuple[str, ...]:
         return self._succ.get(v, ())
 
     def predecessors(self, v: str) -> tuple[str, ...]:
-        return self._pred.get(v, ())
+        return tuple(sorted(u for u, w in self.edges if w == v))
 
     def non_terminals(self) -> tuple[str, ...]:
         terms = self.terminals

@@ -5,7 +5,7 @@ pattern as a minor."""
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     PROFILE_GUARD,
@@ -46,9 +46,6 @@ class DeleteVertex(Frozen):
 
     def __str__(self):
         return f"vertex {self.vertex}"
-
-
-DeletionStep = Union[DeleteEdge, DeleteVertex]
 
 
 class DeletionScript(Frozen):
@@ -178,7 +175,7 @@ def delete_vertex(game: Game, v: str) -> Game:
     if v not in game.vertex_set:
         raise UnknownVertex(v)
     succs = game.successors(v)
-    preds = game.predecessors(v)
+    preds = game.predecessors(v) if len(succs) < 2 else ()  # two successors refuse v anyway
     if not succs and not preds:
         vertices = tuple(x for x in game.vertices if x != v)
         return _reduced(game, vertices, game.edges, dict(game.edge_labels))
@@ -226,7 +223,7 @@ def delete_vertex(game: Game, v: str) -> Game:
     return _reduced(game, vertices, edges, labels, squeeze=(v, images))
 
 
-def apply_step(game: Game, step: DeletionStep) -> Game:
+def apply_step(game: Game, step: DeleteEdge | DeleteVertex) -> Game:
     if isinstance(step, DeleteEdge):
         return delete_edge(game, (step.source, step.target))
     return delete_vertex(game, step.vertex)
@@ -375,7 +372,7 @@ def find_dis_minor(game: Game, *, budget: int = SEARCH_BUDGET) -> Optional[Delet
     # path its untried moves; steps[i] leads from stack[i] to stack[i + 1]
     visited = {key(game)}
     spent = 0
-    steps: list[DeletionStep] = []
+    steps: list[DeleteEdge | DeleteVertex] = []
     stack = []
     g = game
     while g is not None:

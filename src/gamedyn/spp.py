@@ -422,19 +422,16 @@ def _sdw_bpc_oscillation(otg: OneTargetGame, sdw: DisputeWheel):
         link = sdw.links[i]
         ring[u] = link[1] if len(link) > 1 else sdw.pivots[(i + 1) % sdw.k]
         direct[u] = sdw.direct[i].path[1]
-    if ring == direct:
-        return None
     s1 = StrategyProfile.from_dict({**best, **hop, **ring})
     s2 = StrategyProfile.from_dict({**best, **hop, **direct})
     profiles = Profiles(game)
     i1, i2 = profiles.index(s1), profiles.index(s2)
     dev1, dev2 = (profiles.moves_at(i, best_reply=True) for i in (i1, i2))
-    switching = set()
+    # a next-hop instance ranks a pivot's direct and indirect paths apart only
+    # through their next hops, so these differ and every pivot switches
+    switching = {game.owner[u] - 1 for u in sdw.pivots}
     for u in sdw.pivots:
-        if ring[u] == direct[u]:
-            continue
         i = game.owner[u] - 1
-        switching.add(i)
         step = profiles.index(s1.updated(u, direct[u])) - i1
         if step not in dev1[i] or -step not in dev2[i]:
             return None

@@ -88,11 +88,10 @@ class Profiles:
             self._pairs = [tuple([edge[v, w] for w in s]) for v, s in zip(self.movers, self.choices)]
         return self._pairs
 
-    def check(self, guard: int | None, rows: int = 1):
-        """Refuse more than guard states of rows profiles each; None is no bound."""
-        count = self.count ** rows
-        if guard is not None and count > guard:
-            raise StateSpaceTooLarge(count, guard)
+    def check(self, guard: int | None):
+        """Refuse more than guard profiles; None is no bound."""
+        if guard is not None and self.count > guard:
+            raise StateSpaceTooLarge(self.count, guard)
 
     def __len__(self):
         return self.count
@@ -115,10 +114,6 @@ class Profiles:
             profile = self._made[i] = StrategyProfile(tuple(
                 [pairs[i // w % len(pairs)] for pairs, w in zip(self._edges(), self.weight)]))
         return profile
-
-    def digits(self):
-        """Every profile's choice indices, in index order."""
-        return itertools.product(*map(range, map(len, self.choices)))
 
     def index(self, profile: StrategyProfile) -> int:
         """The profile's index; KeyError unless it chooses a successor at
@@ -147,8 +142,8 @@ class Profiles:
     def own_part(self, player: int) -> list[int]:
         """Per profile index: the part of the index spelled by the digits at
         player's own non-terminals."""
-        mine = [k for k, o in enumerate(self.owner) if o == player]
-        return [sum(digits[k] * self.weight[k] for k in mine) for digits in self.digits()]
+        mine = [(w, r) for (_, _, w, r), o in zip(self._places, self.owner) if o == player]
+        return [sum(i // w % r * w for w, r in mine) for i in range(self.count)]
 
     def _read(self, v, w) -> tuple[tuple, int, dict]:
         """Ranks of the play from v that steps to w and then follows the

@@ -4,7 +4,9 @@ import pathlib
 
 import pytest
 
-from gamedyn import parse_game, parse_spp
+from gamedyn import FinitePlay, parse_game, parse_spp
+
+from .oracles import positional_dynamics_by_enumeration
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -15,6 +17,29 @@ def load_game(name):
 
 def load_spp(name, **kw):
     return parse_spp((FIXTURES / name).read_text(), **kw)
+
+
+def play_ranks(game):
+    """Per player, {play: rank} in the oracles' play keys; a play listed in
+    two classes takes the first, as rank_of does."""
+    def key(play):
+        return play.path if isinstance(play, FinitePlay) else (play.stem, play.loop)
+
+    ranks = {}
+    for i, pref in enumerate(game.preferences, start=1):
+        ranks[i] = {}
+        for r, cls in enumerate(pref.ranks):
+            for play in cls:
+                ranks[i].setdefault(key(play), r)
+    return ranks
+
+
+def positional_oracle(game, kind):
+    """positional_dynamics_by_enumeration on game."""
+    edges = [(u, v, game.edge_labels[u, v]) if (u, v) in game.edge_labels else (u, v)
+             for u, v in game.edges]
+    return positional_dynamics_by_enumeration(game.vertices, edges, game.owner,
+                                              play_ranks(game), kind)
 
 
 @pytest.fixture(scope="session")

@@ -68,7 +68,8 @@ def _ranked_game(rng, n_players, vertices, edges, owner):
             classes.append(tuple(current))
         prefs.append(PreferenceOrder(tuple(classes)))
     game = Game(n_players, vertices, frozenset(edges), owner, tuple(prefs), {})
-    validate_game(game)
+    if problems := validate_game(game):
+        raise ValueError(f"generated an invalid game: {problems}")
     return game
 
 

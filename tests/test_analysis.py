@@ -67,6 +67,15 @@ def test_fair_cycle_gdis(gdis):
     assert report.per_player == {1: SWITCHES, 2: SWITCHES}
 
 
+def test_fair_cycle_over_no_players_is_the_first_cycle(gdis):
+    """With no player to be fair to, every nontrivial component is fair, and
+    the witness is the cycle find_cycle finds."""
+    pc = build_dynamics(gdis, "pc")
+    report = find_fair_cycle(pc, players=())
+    assert (report.fair, report.per_player) == (True, {})
+    assert report.witness == find_cycle(pc)
+
+
 def test_fair_cycle_fig3(fig3):
     pc = build_dynamics(fig3, "pc")
     report = find_fair_cycle(pc, players=(1, 2))

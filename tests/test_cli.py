@@ -8,8 +8,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gamedyn import export_dot, parse_game
+from gamedyn import KINDS, export_dot, parse_game
 from gamedyn.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -275,6 +276,16 @@ def test_witnesses_do_not_depend_on_hash_seed(argv):
     assert len(outs) == 1 and "cycle" in outs.pop()
 
 
+def test_debug_logging_leaves_the_output_alone():
+    argv = [sys.executable, "-m", "gamedyn.cli", "analyze", "fixtures/gdis.json",
+            "--kind", "pc", "--check", "fair-termination"]
+    quiet, debug = (subprocess.run(argv, cwd=ROOT, env=_subprocess_env(**extra),
+                                   capture_output=True, text=True, timeout=120)
+                    for extra in ({}, {"GAMEDYN_LOG": "debug"}))
+    assert (debug.returncode, debug.stdout) == (quiet.returncode, quiet.stdout)
+    assert quiet.returncode == EXIT_UNSAFE and "fair cycle found" in quiet.stdout
+
+
 def _modules_added(statements):
     """The modules that running statements adds to a fresh interpreter's."""
     probe = ("import sys; before = set(sys.modules); " + statements
@@ -427,6 +438,8 @@ MALFORMED_GAMES = {
                      "InvalidPlay(player 1, vbot->v1)"),
     "duplicate-play": (gdis_player_1(GDIS_P1 + [[{"path": ["v1", "v2", "vbot"]}]]),
                        "DuplicatePlay(player 1, v1->v2->vbot)"),
+    "empty-lasso-loop": (gdis_player_1(GDIS_P1 + [[{"lasso": {"stem": ["v1"], "loop": []}}]]),
+                         "empty lasso loop"),
 }
 
 
@@ -446,6 +459,7 @@ MALFORMED_EDITS = {
     "edge-not-a-list": ([{"edge": 5}], "script step 0: 'edge' must be [source, target]"),
     "not-a-list": (5, "a deletion script must be a list of steps"),
     "dominated-edge-one-vertex": (["v1", "v1,vbot"], "edge 'v1' must be 'source,target'"),
+    "dominated-unknown-edge": (["v1,zz", "v1,vbot"], "edge ('v1', 'zz') is not in the arena"),
     "two-keys": ([{"edge": ["v1", "vbot"], "vertex": "v1"}],
                  "script step 0: expected one-key record"),
     "unknown-kind": ([{"vertexx": "v1"}], "script step 0: unknown kind {'vertexx'}"),
@@ -618,3 +632,121 @@ def test_dynamics_reads_equilibria_off_the_built_rows(monkeypatch):
     for entry in entries:
         expected = {k: v for k, v in entry.items() if k not in ("id", "argv")}
         assert run_captured(entry["argv"]) == expected, entry["id"]
+
+
+# ---------------------------------------------------------------------------
+# input contract: generated documents get an exit code, never a traceback
+
+NAMES = ("v1", "v2", "v3", "t")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4) | st.sampled_from(NAMES),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(NAMES + ("path", "lasso", "stem", "loop")), kids,
+                      max_size=3),
+    max_leaves=6)
+
+
+def _corrupted(draw, doc):
+    """doc, or doc with one field dropped or replaced by any JSON value."""
+    how = draw(st.sampled_from(("keep", "keep", "drop", "replace")))
+    if how != "keep" and isinstance(doc, dict) and doc:
+        key = draw(st.sampled_from(sorted(doc)))
+        doc = {k: v for k, v in doc.items() if k != key}
+        if how == "replace":
+            doc[key] = draw(json_values)
+    return doc
+
+
+@st.composite
+def _plays(draw, vertices, succ):
+    """A play as the game format writes it: a walk to a terminal, a lasso at
+    its first repeat, or a path cut short."""
+    path = [draw(st.sampled_from(vertices))]
+    while succ.get(path[-1]) and len(path) < 5:
+        w = draw(st.sampled_from(succ[path[-1]]))
+        if w in path:
+            i = path.index(w)
+            return {"lasso": {"stem": path[:i], "loop": path[i:]}}
+        path.append(w)
+    return {"path": path}
+
+
+@st.composite
+def game_docs(draw):
+    vertices = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    vertex = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(vertex, vertex), unique=True, max_size=6))
+    succ = {}
+    for u, v in edges:
+        succ.setdefault(u, []).append(v)
+    players = draw(st.integers(1, 3))
+    ranked = draw(st.lists(_plays(vertices, succ), max_size=4, unique_by=json.dumps))
+    preferences = {}
+    for play in ranked:  # each in a new class or in the last one
+        classes = preferences.setdefault(str(draw(st.integers(1, players))), [])
+        if not classes or draw(st.booleans()):
+            classes.append([])
+        classes[-1].append(play)
+    doc = {"players": players, "vertices": vertices, "edges": [list(e) for e in edges],
+           "owner": {u: draw(st.integers(1, players)) for u in sorted(succ)},
+           "preferences": preferences}
+    return _corrupted(draw, doc)
+
+
+@st.composite
+def routing_docs(draw):
+    origin, *names = draw(st.permutations(NAMES))
+    names = names[:draw(st.integers(1, len(names)))]
+
+    def routes(v):
+        """Paths from v to the origin, through the other nodes."""
+        middles = st.lists(st.sampled_from([w for w in names if w != v]), unique=True,
+                           max_size=2) if len(names) > 1 else st.just([])
+        return st.lists(middles.map(lambda m: [v, *m, origin]), min_size=1, max_size=3,
+                        unique_by=tuple)
+
+    nodes = {v: {"paths": draw(routes(v))} for v in names}
+    return _corrupted(draw, {"origin": origin, "nodes": nodes})
+
+
+@st.composite
+def script_docs(draw):
+    vertex = st.sampled_from(("v1", "v2", "v3", "vbot", "zz"))
+    step = st.one_of(st.lists(vertex, min_size=2, max_size=2).map(lambda e: {"edge": e}),
+                     vertex.map(lambda v: {"vertex": v}))
+    return _corrupted(draw, draw(st.lists(step, max_size=3)))
+
+
+def _commands(draw, fmt, path):
+    kind = st.sampled_from(KINDS)
+    if fmt == "game":
+        command = draw(st.sampled_from(("analyze", "belief", "dis-minor", "dynamics")))
+        argv = [command, path]
+        if command in ("analyze", "dynamics"):
+            argv += ["--kind", draw(kind)]
+        if command == "analyze":
+            argv += ["--check", draw(st.sampled_from(
+                ("termination", "fair-termination", "equilibria")))]
+        return argv
+    if fmt == "routing":
+        argv = ["spp", draw(st.sampled_from(("validate", "dw", "sdw", "safety"))), path,
+                "--mode", draw(st.sampled_from(("structural", "exact", "both")))]
+        return argv + ["--complete-suffixes"] * draw(st.booleans())
+    game = draw(st.sampled_from((GDIS, FIG3, str(FIXTURES / "fig5.json"))))
+    return ["minor", game, "--script", path, "--kind", draw(kind)]
+
+
+DOCS = {"game": game_docs(), "routing": routing_docs(), "script": script_docs()}
+
+
+@pytest.mark.parametrize("fmt", sorted(DOCS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_generated_input_gets_an_exit_code(tmp_path_factory, fmt, data):
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{fmt}.json"
+    path.write_text(json.dumps(data.draw(DOCS[fmt])))
+    argv = ["--output", data.draw(st.sampled_from(("text", "json"))),
+            *_commands(data.draw, fmt, str(path))]
+    code, _, err = run("--guard", "5000", *argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNSAFE, EXIT_UNKNOWN, EXIT_ERROR)
+    assert "Traceback" not in err

@@ -27,13 +27,12 @@ from gamedyn.errors import CyclicArena, NonDeterministicBestReply, StateSpaceToo
 from gamedyn.strategy import PROFILE_GUARD, Profiles, enumerate_profiles, outcome
 from gamedyn.game import Comparison, FinitePlay, Game, PreferenceOrder
 
-from .conftest import load_game
+from .conftest import load_game, play_ranks, positional_oracle
 from .generators import random_game, ring_doc
 from .oracles import (
     belief_delta_by_enumeration,
     equilibria_by_enumeration,
     one_step_by_enumeration,
-    positional_dynamics_by_enumeration,
 )
 from .test_strategy import LOOP_BACK, _ranked_directly, changed_vertices
 
@@ -150,21 +149,6 @@ def test_one_step_matches_enumeration(fig2):
         assert {(dg.label(u), dg.label(v), tuple(sorted(c))) for u, v, c in dg.edges} == updates
 
 
-def _play_ranks(game):
-    """Per player, {play: rank} in the oracles' play keys; a play listed in
-    two classes takes the first, as rank_of does."""
-    def key(play):
-        return play.path if isinstance(play, FinitePlay) else (play.stem, play.loop)
-
-    ranks = {}
-    for i, pref in enumerate(game.preferences, start=1):
-        ranks[i] = {}
-        for r, cls in enumerate(pref.ranks):
-            for play in cls:
-                ranks[i].setdefault(key(play), r)
-    return ranks
-
-
 def _listed_twice():
     """LOOP_BACK with a->t also in player 1's first class, which only a game
     built without validation can hold."""
@@ -175,13 +159,6 @@ def _listed_twice():
                 game.edge_labels)
 
 
-def _positional_oracle(game, kind):
-    edges = [(u, v, game.edge_labels[u, v]) if (u, v) in game.edge_labels else (u, v)
-             for u, v in game.edges]
-    return positional_dynamics_by_enumeration(game.vertices, edges, game.owner,
-                                              _play_ranks(game), kind)
-
-
 FIXTURE_GAMES = ("gdis.json", "fig2.json", "fig3.json", "fig4.json", "fig5.json")
 
 
@@ -190,7 +167,7 @@ def test_positional_dynamics_match_enumeration(kind):
     games = [load_game(name) for name in FIXTURE_GAMES] + [_listed_twice()]
     for game in games + [random_game(seed) for seed in range(200)]:
         dg = build_dynamics(game, kind, guard=None)
-        labels, updates = _positional_oracle(game, kind)
+        labels, updates = positional_oracle(game, kind)
         assert [dg.label(n) for n in dg.nodes] == labels
         assert {(dg.label(u), dg.label(v), tuple(sorted(c))) for u, v, c in dg.edges} == updates
 
@@ -217,10 +194,10 @@ def test_equilibria_match_enumeration():
     for game in scanned_games():
         edges = [(u, v, game.edge_labels[u, v]) if (u, v) in game.edge_labels else (u, v)
                  for u, v in game.edges]
-        want = equilibria_by_enumeration(game.vertices, edges, game.owner, _play_ranks(game))
+        want = equilibria_by_enumeration(game.vertices, edges, game.owner, play_ranks(game))
         for kind in ("p1", "bp1", "pc", "bpc"):
             if len(Profiles(game)) <= 256:
-                labels, updates = _positional_oracle(game, kind)
+                labels, updates = positional_oracle(game, kind)
                 moved = {u for u, _, _ in updates}
                 assert [label for label in labels if label not in moved] == want
             dg = build_dynamics(game, kind, guard=None)
@@ -299,7 +276,7 @@ def test_belief_delta_matches_enumeration():
         if Profiles(game).count ** game.n_players > PROFILE_GUARD:
             continue
         want, clash = belief_delta_by_enumeration(game.vertices, game.edges, game.owner,
-                                                  _play_ranks(game))
+                                                  play_ranks(game))
         try:
             bg = build_belief_graph(game)
         except NonDeterministicBestReply as exc:

@@ -40,7 +40,7 @@ from gamedyn.minors import SEARCH_BUDGET
 from gamedyn import spp
 from gamedyn.spp import DisputeWheel, _dispute_digraph, _wheels, sdw_violations
 
-from .conftest import load_spp
+from .conftest import load_spp, positional_oracle
 from .generators import game_doc, random_notg
 from .golden import ROOT
 
@@ -234,6 +234,35 @@ def test_safety_gdis(gdis_otg):
     verdict = safety_verdict(gdis_otg, "both")
     assert verdict.status is SafetyStatus.UNSAFE_SDW
     assert verdict.status.safe is False
+
+
+def _oracle_label(game, profile):
+    """profile's label as positional_dynamics_by_enumeration writes it."""
+    return "".join(game.edge_labels.get((v, w), f"{v}:{w}") for v, w in profile.items
+                   if len(game.successors(v)) > 1) or "<only>"
+
+
+def test_strong_wheel_evidence_oscillates_fairly_by_enumeration():
+    """Every UNSAFE_SDW verdict's two profiles, checked on the brute-force
+    bpc dynamics: each updates to the other, and every player moves in that
+    update or has no update from one of the two."""
+    otgs = [random_notg(seed) for seed in range(200)] + [load_spp("gdis.spp.json")]
+    checked = 0
+    for otg in otgs:
+        verdict = safety_verdict(otg, "structural", guard=None)
+        if verdict.status is not SafetyStatus.UNSAFE_SDW:
+            continue
+        game, (_, pair) = otg.game, verdict.evidence
+        _, updates = positional_oracle(game, "bpc")
+        l1, l2 = (_oracle_label(game, s) for s in pair)
+        moved = {(a, b): set(c) for a, b, c in updates}
+        assert (l1, l2) in moved and (l2, l1) in moved, otg
+        idle = set(range(1, game.n_players + 1)) - moved[l1, l2]
+        for label in (l1, l2):
+            idle &= set().union(*(c for (a, _), c in moved.items() if a == label))
+        assert not idle, otg  # each could always move, but never does
+        checked += 1
+    assert checked == 21
 
 
 def test_safety_fig3(fig3):
