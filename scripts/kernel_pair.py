@@ -35,7 +35,10 @@ Task groups (moves, equilibria and rows unless others are named):
   round asks them of its 3-vertex rings;
 - label: a fresh pc graph of the 14-vertex oscillating ring named at
   random, then find_cycle and a label of every node of its witness, as
-  `analyze --check termination` prints it.
+  `analyze --check termination` prints it;
+- routing: the structural safety verdict and find_dis_minor of each
+  random_notg seed 0..N-1 (--seeds), its game parsed and made a one-target
+  game before the timing.
 """
 
 import argparse
@@ -53,7 +56,8 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from revision import export  # noqa: E402
-from tests.generators import dense_squeeze_doc, game_doc, random_game, ring_doc  # noqa: E402
+from tests.generators import (dense_squeeze_doc, game_doc, random_game, random_notg,  # noqa: E402
+                              ring_doc)
 
 BASE = "gamedyn_base"
 RING = 10
@@ -63,16 +67,17 @@ DENSE = 7
 BELIEF = (3, 4)
 KINDS = ("p1", "bp1", "pc", "bpc")
 GROUPS = ("moves", "equilibria", "rows", "fill", "verdicts", "scans", "dominated", "delete",
-          "belief", "label")
+          "belief", "label", "routing")
 
 
-def tasks(package: str, docs: list, rings: dict) -> dict:
+def tasks(package: str, docs: list, rings: dict, routes: list) -> dict:
     """Task name -> a function of no arguments that runs it on package."""
     pkg = importlib.import_module(package)
     Profiles = importlib.import_module(f"{package}.strategy").Profiles
     NotDeletable = importlib.import_module(f"{package}.errors").NotDeletable
     games = [pkg.parse_game(text) for text in docs]
     ring = {name: pkg.parse_game(text) for name, text in rings.items()}
+    otgs = [pkg.otg_from_game(pkg.parse_game(text)) for text in routes]
     siblings = [(game, (v, w1), (v, w2)) for game in games for v in game.non_terminals()
                 for w1, w2 in itertools.permutations(game.successors(v), 2)]
 
@@ -106,6 +111,11 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
             dg = pkg.build_dynamics(ring[name], "pc")
             return [dg.label(node) for node in pkg.find_cycle(dg).cycle]
         return run
+
+    def routing():
+        for otg in otgs:
+            pkg.safety_verdict(otg, "structural")
+            pkg.find_dis_minor(otg.game)
 
     def dominated(name, holds):
         game = ring[name]
@@ -155,6 +165,7 @@ def tasks(package: str, docs: list, rings: dict) -> dict:
                for n in BELIEF for family in FAMILIES)
     name = f"oscillating-{SCANNED[1]}"
     out[f"label pc {name}"] = label(name)
+    out[f"routing random_notg 0..{len(otgs) - 1}"] = routing
     return out
 
 
@@ -165,12 +176,14 @@ def main(argv=None) -> int:
                     help=f"a task group to time, of {', '.join(GROUPS)} "
                          f"(default: {' '.join(GROUPS[:3])})")
     ap.add_argument("--rounds", type=int, default=30, help="rounds per side (best of)")
-    ap.add_argument("--seeds", type=int, default=500, help="random_game seeds 0..N-1")
+    ap.add_argument("--seeds", type=int, default=500,
+                    help="random_game and random_notg seeds 0..N-1")
     args = ap.parse_args(argv)
     groups = args.groups or GROUPS[:3]
     if set(groups) - set(GROUPS):
         ap.error(f"unknown task group among {groups}; choose from {', '.join(GROUPS)}")
     docs = [json.dumps(game_doc(random_game(seed))) for seed in range(args.seeds)]
+    routes = [json.dumps(game_doc(random_notg(seed).game)) for seed in range(args.seeds)]
     rings = {family: json.dumps(ring_doc(RING, family)) for family in FAMILIES}
     rng = random.Random(0)
     rings.update((f"{family}-{n}", json.dumps(ring_doc(n, family, rng=rng)))
@@ -180,7 +193,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         export(args.rev, pathlib.Path(tmp), "src/gamedyn", BASE)
         sys.path.insert(0, tmp)
-        sides = {side: {name: task for name, task in tasks(package, docs, rings).items()
+        sides = {side: {name: task for name, task in tasks(package, docs, rings, routes).items()
                         if name.split()[0] in groups}
                  for side, package in ((args.rev, BASE), ("this", "gamedyn"))}
         best = {side: dict.fromkeys(run, float("inf")) for side, run in sides.items()}

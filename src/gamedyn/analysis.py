@@ -41,7 +41,7 @@ def find_cycle(dg: DynamicsGraph) -> Optional[CycleWitness]:
     g = dg.succ
     for scc in dg.sccs:
         if is_nontrivial(g, scc):
-            cycle = _cycle_through(g, scc, min(scc))
+            cycle = _closed_walk(g, scc, [])
             return CycleWitness(cycle=tuple(dg.nodes[n] for n in cycle))
     return None
 
@@ -51,7 +51,7 @@ def equilibria(dg: DynamicsGraph) -> frozenset:
     only asked whether some player has a move, and its row stays unbuilt;
     a move rules out the block of profiles that share it, and only the
     equilibria are made into profiles."""
-    get, has_move, count = dg.succ.get, dg.profiles.has_move, len(dg.profiles)
+    get, has_move, count = dg.succ.get, dg.nodes.has_move, len(dg.nodes)
     found, i = [], 0
     while i < count:
         row = get(i)
@@ -62,12 +62,6 @@ def equilibria(dg: DynamicsGraph) -> frozenset:
             found.append(i)
         i += 1
     return frozenset(map(dg.nodes.__getitem__, found))
-
-
-def _cycle_through(g, scc: frozenset, start) -> list:
-    """A closed walk in the component from start: one edge out, then back."""
-    first = next(w for w in g[start] if w in scc)
-    return [start] + shortest_path(g, first, start, within=scc)[:-1]
 
 
 def find_fair_cycle(dg: DynamicsGraph, players) -> FairnessReport:
@@ -105,8 +99,7 @@ def find_fair_cycle(dg: DynamicsGraph, players) -> FairnessReport:
                             for i in players if clauses[i] == SWITCHES]
             node_targets = [next(n for n in members if i not in can_switch(n))
                             for i in players if clauses[i] == CANNOT_SWITCH]
-            walk = (_closed_walk(g, scc, edge_targets, node_targets)
-                    or _cycle_through(g, scc, (node_targets or [min(scc)])[0]))
+            walk = _closed_walk(g, scc, edge_targets, node_targets)
             witness = CycleWitness(cycle=tuple(dg.nodes[n] for n in walk))
             return FairnessReport(fair=True, witness=witness, per_player=clauses)
         # no fair SCC: report the first nontrivial one
@@ -117,8 +110,9 @@ def find_fair_cycle(dg: DynamicsGraph, players) -> FairnessReport:
 def _closed_walk(g, scc, edges, nodes=()) -> list:
     """A closed walk in the SCC through every edge of edges, then every node
     of nodes, in order, without its last step back to the start (a
-    CycleWitness leaves it implicit).  A self-loop adds no step, so a walk
-    that never leaves its start comes back empty."""
+    CycleWitness leaves it implicit).  A self-loop adds no step; a walk
+    that would never leave its start takes the start's first edge into the
+    SCC and comes back."""
     walk = [edges[0][0] if edges else (nodes[0] if nodes else min(scc))]
     for u, v in edges:
         walk += shortest_path(g, walk[-1], u, within=scc)[1:]
@@ -126,6 +120,8 @@ def _closed_walk(g, scc, edges, nodes=()) -> list:
             walk.append(v)
     for n in nodes:
         walk += shortest_path(g, walk[-1], n, within=scc)[1:]
+    if len(walk) == 1:
+        walk.append(next(w for w in g[walk[0]] if w in scc))
     walk += shortest_path(g, walk[-1], walk[0], within=scc)[1:]
     return walk[:-1]
 
@@ -135,10 +131,10 @@ def _closed_walk(g, scc, edges, nodes=()) -> list:
 
 
 def _sinks(lg: BeliefGraph) -> list:
-    """The indices of the sinks, ascending: label 0's targets whose every
-    edge is a self loop."""
+    """The indices of the sinks, ascending: the closure's one-node
+    components whose every edge is a self loop."""
     succ = lg.succ
-    return [v for v in sorted(set(lg.delta[0])) if succ[v] == (v,)]
+    return sorted(v for scc in lg.closure if len(scc) == 1 for v in scc if succ[v] == (v,))
 
 
 def sinks(lg: BeliefGraph) -> frozenset:

@@ -42,8 +42,8 @@ class Rows(dict):
 class DynamicsGraph(Frozen):
     """Update dynamics over positional profiles.
 
-    Node i is profile i of the numbering `nodes`, which is `profiles` and
-    makes a profile only when one is read.  succ[i] lists the indices node
+    Node i is profile i of the numbering `nodes`, a Profiles, which makes
+    a profile only when one is read.  succ[i] lists the indices node
     i updates to, ascending, and changed[i] the players each of those
     updates changes, so index order is the one successor order.  Both are
     Rows: succ[i] is worked out when first read, and changed[i] from i and
@@ -51,18 +51,14 @@ class DynamicsGraph(Frozen):
     """
 
     _fields = ("kind", "nodes", "succ", "changed")
-    __slots__ = _fields + ("profiles", "__dict__")  # the __dict__ holds names and sccs
+    __slots__ = _fields + ("__dict__",)  # the __dict__ holds names and sccs
     __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, kind: str, profiles: Profiles, succ: Rows, changed: Rows):
-        # changed: per index, a frozenset of players per successor
-        self._set(kind=kind, profiles=profiles, nodes=profiles, succ=succ, changed=changed)
 
     @cached_property
     def names(self) -> Rows:
         """Compact display name per index, each made when first read."""
-        profiles, one_step = self.profiles, self.kind == "1"  # no cycle through the graph
-        return Rows(profiles.count, lambda i: profiles.name(i, one_step))
+        nodes, one_step = self.nodes, self.kind == "1"  # no cycle through the graph
+        return Rows(nodes.count, lambda i: nodes.name(i, one_step))
 
     @cached_property
     def sccs(self) -> SccReplay:
@@ -81,7 +77,7 @@ class DynamicsGraph(Frozen):
         return Digraph(tuple(self.nodes), tuple(self.succ))
 
     def label(self, node) -> str:
-        return self.names[self.profiles.index(node)]
+        return self.names[self.nodes.index(node)]
 
 
 class _Players(dict):
@@ -161,7 +157,7 @@ def build_dynamics(game: Game, kind: str, guard: int | None = PROFILE_GUARD) -> 
     # changed refers to succ, never the other way round, so a graph is
     # freed as soon as it is dropped
     succ, changed = Rows(profiles.count, updates), Rows(profiles.count, players)
-    return DynamicsGraph(kind=kind, profiles=profiles, succ=succ, changed=changed)
+    return DynamicsGraph(kind=kind, nodes=profiles, succ=succ, changed=changed)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +278,7 @@ def build_belief_graph(game: Game, guard: int | None = PROFILE_GUARD) -> BeliefG
     nodes = Rows(size, lambda i: BeliefNode(tuple(map(profiles.__getitem__, rows(i)))))
     names = Rows(size, lambda i: "|".join(map(shown.__getitem__, rows(i))))
     delta = (tuple(to_true),) + tuple(update(player) for player in range(1, n + 1))
-    v0 = frozenset(t for t in set(to_true) if to_true[t] == t)
+    # node r * diag has every row r, the one kind of node label 0 fixes
+    v0 = frozenset(range(0, size, diag))
     return BeliefGraph(nodes=nodes, n_players=n, delta=delta, names=names, v0=v0,
                        profiles=profiles)

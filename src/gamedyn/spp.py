@@ -75,6 +75,12 @@ class DisputeWheel(Frozen):
         """The link path including its endpoint pivot."""
         return self.links[i] + (self.pivots[(i + 1) % self.k],)
 
+    def steps(self) -> list[tuple[str, str]]:
+        """The edges of the direct paths and the links, pivot by pivot."""
+        return [step for i in range(self.k)
+                for seq in (self.direct[i].path, self.link_states(i))
+                for step in zip(seq, seq[1:])]
+
     def describe(self) -> str:
         parts = [f"pivots: ({', '.join(self.pivots)})"]
         for i, u in enumerate(self.pivots):
@@ -347,14 +353,9 @@ def extract_sdw_minor(otg: OneTargetGame, sdw: DisputeWheel):
     if problems:
         raise InvalidSDW("; ".join(problems))
     game = otg.game
-    keep = set()
-    for i in range(sdw.k):
-        keep.update(sdw.direct[i].steps())
-        keep.update(zip(sdw.link_states(i), sdw.link_states(i)[1:]))
-
     steps: list = []
     g = game
-    for e in sorted(game.edges - keep):
+    for e in sorted(game.edges.difference(sdw.steps())):
         g = delete_edge(g, e)
         steps.append(DeleteEdge(*e))
 
@@ -379,7 +380,7 @@ def extract_sdw_minor(otg: OneTargetGame, sdw: DisputeWheel):
     sigma2 = StrategyProfile.from_dict({u: target for u in sdw.pivots})
     dg = build_dynamics(g, "pc")
     try:
-        i, j = dg.profiles.index(sigma1), dg.profiles.index(sigma2)
+        i, j = dg.nodes.index(sigma1), dg.nodes.index(sigma2)
     except KeyError:
         i = j = None
     if i is None or j not in dg.succ[i] or i not in dg.succ[j]:
@@ -405,23 +406,16 @@ def _sdw_bpc_oscillation(otg: OneTargetGame, sdw: DisputeWheel):
     from .strategy import Profiles, StrategyProfile
 
     game = otg.game
-    hop: dict[str, str] = {}
     pivots = set(sdw.pivots)
-    for i in range(sdw.k):
-        for seq in (sdw.direct[i].path, sdw.link_states(i)):
-            for a, b in zip(seq, seq[1:]):
-                if a not in pivots and hop.setdefault(a, b) != b:
-                    return None  # conflicting wheel routing
+    # strong: shared direct states share suffixes, links share none, so one hop each
+    hop = {a: b for a, b in sdw.steps() if a not in pivots}
     best = {}  # each state's best permitted next hop, else its first successor
     for v in game.non_terminals():
         rank = game.preference(game.owner[v]).rank_of
         perm = min(otg.permitted_at(v), key=lambda p: (rank(p), str(p)), default=None)
         best[v] = perm.path[1] if perm else game.successors(v)[0]
-    ring, direct = {}, {}
-    for i, u in enumerate(sdw.pivots):
-        link = sdw.links[i]
-        ring[u] = link[1] if len(link) > 1 else sdw.pivots[(i + 1) % sdw.k]
-        direct[u] = sdw.direct[i].path[1]
+    ring = {u: sdw.link_states(i)[1] for i, u in enumerate(sdw.pivots)}
+    direct = {u: sdw.direct[i].path[1] for i, u in enumerate(sdw.pivots)}
     s1 = StrategyProfile.from_dict({**best, **hop, **ring})
     s2 = StrategyProfile.from_dict({**best, **hop, **direct})
     profiles = Profiles(game)

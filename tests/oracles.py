@@ -67,6 +67,42 @@ def is_closed_walk(nodes, succ, cycle):
     return all(pos[b] in succ[pos[a]] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
+def is_fair_walk(nodes, edges, players, cycle):
+    """Is cycle a non-empty closed walk (last -> first a step too) over the
+    (node, target, changed) triples edges on which every player either
+    changes on some step, or has, at some node of the walk, no outgoing
+    edge that changes it?  False if a node of cycle is not among nodes."""
+    players = tuple(players)
+    out = {n: {} for n in nodes}
+    for u, v, changed in edges:
+        out[u][v] = out[u].get(v, frozenset()) | frozenset(changed)
+    if not cycle or any(n not in out for n in cycle):
+        return False
+    steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+    if any(b not in out[a] for a, b in steps):
+        return False
+    switched = frozenset().union(*(out[a][b] for a, b in steps))
+    for i in players:
+        if i not in switched and all(any(i in c for c in out[n].values()) for n in cycle):
+            return False
+    return True
+
+
+def is_label_fair_walk(nodes, delta, cycle):
+    """Is cycle a closed walk of the complete deterministic labelled graph
+    whose label a sends node i to delta[a][i], on which every label occurs
+    on some step?  A walk leaves its self loops implicit, so a label whose
+    edge stays put at a node of the walk occurs there: this is is_fair_walk
+    with the labels as its players and the self loops left out."""
+    labels = {}
+    for a, row in enumerate(delta):
+        for i, j in enumerate(row):
+            if i != j:
+                labels.setdefault((i, j), set()).add(a)
+    edges = [(nodes[i], nodes[j], found) for (i, j), found in labels.items()]
+    return is_fair_walk(nodes, edges, range(len(delta)), cycle)
+
+
 def largest_simulation_by_enumeration(small_nodes, small_edges, big_nodes, big_edges):
     """The largest simulation, as the union of every relation R that passes
     the step-matching condition: for each (a, b) in R and each edge a -> a2

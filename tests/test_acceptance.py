@@ -35,7 +35,7 @@ from gamedyn.analysis import NON_SWITCHER
 from gamedyn.strategy import StrategyProfile, enumerate_profiles
 
 from .generators import random_game
-from .oracles import fair_cycle_exists, is_closed_walk
+from .oracles import fair_cycle_exists, is_fair_walk, is_label_fair_walk
 from .theorem_suites import GATED_SUITES
 
 
@@ -150,7 +150,7 @@ def test_belief_graph_pipeline(gdis):
     witness = find_lfair_cycle(bg)
     assert witness is not None
     assert len(set(witness.cycle)) > 1
-    assert is_closed_walk(bg.nodes, bg.succ, witness.cycle)
+    assert is_label_fair_walk(bg.nodes, bg.delta, witness.cycle)
 
 
 def test_fair_cycle_detection_matches_brute_force():
@@ -163,3 +163,5 @@ def test_fair_cycle_detection_matches_brute_force():
             dg = build_dynamics(game, kind, guard=None)
             report = find_fair_cycle(dg, players=players)
             assert report.fair == fair_cycle_exists(dg.nodes, dg.edges, players)
+            if report.witness is not None:
+                assert is_fair_walk(dg.nodes, dg.edges, players, report.witness.cycle)

@@ -24,7 +24,8 @@ from gamedyn.errors import NonDeterministicBestReply
 
 from .conftest import load_game
 from .generators import random_game, ring_doc
-from .oracles import belief_analyses_by_enumeration, fair_cycle_exists, is_closed_walk
+from .oracles import (belief_analyses_by_enumeration, fair_cycle_exists, is_closed_walk,
+                      is_fair_walk, is_label_fair_walk)
 
 
 def all_players(game):
@@ -58,13 +59,15 @@ def test_fair_cycle_matches_oracle():
         report = find_fair_cycle(dg, players=players)
         assert report.fair == fair_cycle_exists(dg.nodes, dg.edges, players)
         if report.witness is not None:
-            assert is_closed_walk(dg.nodes, dg.succ, report.witness.cycle)
+            assert is_fair_walk(dg.nodes, dg.edges, players, report.witness.cycle)
 
 
 def test_fair_cycle_gdis(gdis):
-    report = find_fair_cycle(build_dynamics(gdis, "pc"), players=(1, 2))
+    pc = build_dynamics(gdis, "pc")
+    report = find_fair_cycle(pc, players=(1, 2))
     assert report.fair
     assert report.per_player == {1: SWITCHES, 2: SWITCHES}
+    assert is_fair_walk(pc.nodes, pc.edges, (1, 2), report.witness.cycle)
 
 
 def test_fair_cycle_over_no_players_is_the_first_cycle(gdis):
@@ -81,6 +84,7 @@ def test_fair_cycle_fig3(fig3):
     report = find_fair_cycle(pc, players=(1, 2))
     assert report.fair
     assert {pc.label(n) for n in report.witness.cycle} == {"c1c2", "s1s2"}
+    assert is_fair_walk(pc.nodes, pc.edges, (1, 2), report.witness.cycle)
     # best-reply concurrent updating escapes the oscillation entirely
     bpc = build_dynamics(fig3, "bpc")
     assert terminates(bpc)
@@ -101,7 +105,7 @@ def test_fair_cycle_fig5(fig5):
     pc = build_dynamics(fig5, "pc", guard=None)
     report = find_fair_cycle(pc, players=all_players(fig5))
     assert report.fair
-    assert is_closed_walk(pc.nodes, pc.succ, report.witness.cycle)
+    assert is_fair_walk(pc.nodes, pc.edges, all_players(fig5), report.witness.cycle)
 
 
 def test_per_player_vocabulary():
@@ -138,7 +142,7 @@ def test_belief_analyses_gdis(gdis):
     assert ok and counterexample is None
     witness = find_lfair_cycle(bg)
     assert witness is not None
-    assert is_closed_walk(bg.nodes, bg.succ, witness.cycle)
+    assert is_label_fair_walk(bg.nodes, bg.delta, witness.cycle)
     assert len(set(witness.cycle)) > 1
 
 
@@ -153,7 +157,7 @@ def test_belief_lfair_cycle_random():
             continue
         witness = find_lfair_cycle(bg)
         if witness is not None:
-            assert is_closed_walk(bg.nodes, bg.succ, witness.cycle)
+            assert is_label_fair_walk(bg.nodes, bg.delta, witness.cycle)
 
 
 def _belief_games():
@@ -178,7 +182,8 @@ def _check_against_enumeration(bg, name):
     witness = find_lfair_cycle(bg)
     assert (witness is not None) == want_lfair, name
     if witness is not None:
-        assert is_closed_walk(bg.nodes, bg.succ, witness.cycle) and len(set(witness.cycle)) > 1, name
+        assert is_label_fair_walk(bg.nodes, bg.delta, witness.cycle), name
+        assert len(set(witness.cycle)) > 1, name
     return ok
 
 

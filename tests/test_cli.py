@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamedyn import KINDS, export_dot, parse_game
+from gamedyn import KINDS, build_belief_graph, build_dynamics, export_dot, parse_game
 from gamedyn.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -23,6 +23,7 @@ from gamedyn.cli import (
 from .conftest import FIXTURES
 from .generators import game_doc, random_game, ring_doc
 from .golden import ROOT, TRANSCRIPT, run_captured
+from .oracles import is_fair_walk, is_label_fair_walk
 
 GDIS = str(FIXTURES / "gdis.json")
 FIG2 = str(FIXTURES / "fig2.json")
@@ -248,6 +249,33 @@ def test_golden_transcript(entry, monkeypatch):
     monkeypatch.chdir(ROOT)
     expected = {k: v for k, v in entry.items() if k not in ("id", "argv")}
     assert run_captured(entry["argv"]) == expected
+
+
+def test_golden_fair_cycles_are_fair():
+    """Each fair cycle of the golden transcript, read back through its
+    labels, is fair on its graph, and each label-fair cycle steps on every
+    label."""
+    checked = 0
+    for entry in GOLDEN:
+        argv = entry["argv"]
+        if argv[:2] != ["--output", "json"] or entry["exit"] != EXIT_UNSAFE:
+            continue
+        record = json.loads(entry["stdout"])
+        if "fair-termination" in argv:
+            game = parse_game((ROOT / argv[3]).read_text())
+            dg = build_dynamics(game, record["kind"])
+            node = {dg.label(n): n for n in dg.nodes}
+            cycle = [node[name] for name in record["cycle"]]
+            assert is_fair_walk(dg.nodes, dg.edges, range(1, game.n_players + 1), cycle)
+        elif argv[2] == "belief" and record["label_fair_cycle"]:
+            bg = build_belief_graph(parse_game((ROOT / argv[3]).read_text()))
+            node = {bg.label(n): n for n in bg.nodes}
+            cycle = [node[name] for name in record["label_fair_cycle"]]
+            assert is_label_fair_walk(bg.nodes, bg.delta, cycle)
+        else:
+            continue
+        checked += 1
+    assert checked == 6
 
 
 @pytest.mark.parametrize("name", ["gdis", "fig3", "fig4", "fig5"])

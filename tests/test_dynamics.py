@@ -269,6 +269,15 @@ def test_belief_names_and_v0_follow_the_rows():
     assert checked > 100
 
 
+def test_belief_v0_is_the_diagonal_of_a_large_graph():
+    """On the converging 4-player 4-vertex ring (65,536 nodes), v0 is the
+    set of label 0's fixed points, every one a node whose rows are equal."""
+    bg = build_belief_graph(ring_game(4, "converging", players=4))
+    to_true = bg.delta[0]
+    assert bg.v0 == {t for t in set(to_true) if to_true[t] == t}
+    assert bg.v0 == frozenset(range(0, 65536, 4369))
+
+
 def test_belief_delta_matches_enumeration():
     games = [load_game(name) for name in ("gdis.json", "fig3.json", "fig4.json")]
     checked = nondeterministic = 0
@@ -297,7 +306,7 @@ def test_belief_delta_matches_enumeration():
 
 def _verdicts(dg):
     """Equilibria first, so that on a fresh graph they read no row."""
-    players = range(1, dg.profiles.game.n_players + 1)
+    players = range(1, dg.nodes.game.n_players + 1)
     return equilibria(dg), find_cycle(dg), find_fair_cycle(dg, players=players)
 
 
@@ -467,7 +476,7 @@ def test_a_dropped_graph_is_freed_at_once(fig5):
         dg = build_dynamics(fig5, "pc")
         find_cycle(dg)
         dg.changed[3], dg.names[3]
-        profiles = weakref.ref(dg.profiles)
+        profiles = weakref.ref(dg.nodes)
         del dg
         assert profiles() is None
     finally:
@@ -481,7 +490,7 @@ def test_a_label_makes_one_name():
     labels = [dg.label(node) for node in witness]
     assert dict.__len__(dg.names) == len(set(witness))
     every = list(build_dynamics(ring_game(12, "oscillating"), "pc").names)
-    assert labels == [every[dg.profiles.index(node)] for node in witness]
+    assert labels == [every[dg.nodes.index(node)] for node in witness]
 
 
 @pytest.fixture
@@ -507,12 +516,12 @@ def test_build_makes_no_profile(profiles_made):
     assert profiles_made == [p.items for p in witness.cycle]
     # a profile read again is the one made before, so results share it
     fair = find_fair_cycle(dg, players=(1, 2, 3)).witness
-    assert all(dg.nodes[dg.profiles.index(p)] is p for p in witness.cycle + fair.cycle)
+    assert all(dg.nodes[dg.nodes.index(p)] is p for p in witness.cycle + fair.cycle)
 
     games = [load_game(name) for name in FIXTURE_GAMES] + [parse_game(json.dumps(LOOP_BACK))]
     for game in games + [random_game(seed) for seed in range(200)]:
         dg = build_dynamics(game, "p1", guard=None)
-        listed = list(dg.profiles)
+        listed = list(dg.nodes)
         assert len(dg.nodes) == len(listed) == Profiles(game).count
         assert [dg.nodes[i] for i in range(len(listed))] == listed
         assert dg.nodes[-1] == listed[-1]

@@ -281,5 +281,7 @@ def test_dominated_edge_removal_can_break_a_fair_cycle():
         small = find_fair_cycle(build_dynamics(minor, kind, guard=None), players=players)
         assert big.fair and not small.fair
     # the witness really does park v1 on the dominated edge throughout
-    report = find_fair_cycle(build_dynamics(game, "bp1", guard=None), players=players)
+    bp1 = build_dynamics(game, "bp1", guard=None)
+    report = find_fair_cycle(bp1, players=players)
     assert all(dict(node.items)["v1"] == "v3" for node in report.witness.cycle)
+    assert oracles.is_fair_walk(bp1.nodes, bp1.edges, players, report.witness.cycle)

@@ -39,6 +39,16 @@ def test_kernel_pair_times_deletions():
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
+def test_kernel_pair_times_routing():
+    done = subprocess.run([sys.executable, "scripts/kernel_pair.py", "HEAD", "routing",
+                           "--rounds", "1", "--seeds", "3"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert [line.rsplit(None, 3)[0] for line in done.stdout.splitlines()[1:]] == [
+        "routing random_notg 0..2"]
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
 def test_kernel_pair_times_belief_analyses():
     done = subprocess.run([sys.executable, "scripts/kernel_pair.py", "HEAD", "belief", "label",
                            "--rounds", "1", "--seeds", "1"],

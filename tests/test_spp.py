@@ -188,6 +188,29 @@ def test_extract_minor_squeezes_links():
     assert not terminates(build_dynamics(minor, "pc"))
 
 
+def test_strong_wheels_route_each_state_one_way():
+    """A strong wheel's edges are those of its direct paths and links, and
+    no state but a pivot leaves along two of them: direct paths that share
+    a state share its suffix, and links share no other state."""
+    strong = 0
+    for seed in range(300):
+        otg = random_notg(seed, max_nodes=5)
+        for dw in _wheels(otg):
+            if sdw_violations(otg, dw):
+                continue
+            strong += 1
+            expected = set()
+            for i in range(dw.k):
+                expected.update(dw.direct[i].steps())
+                expected.update(FinitePlay(dw.link_states(i)).steps())
+            assert set(dw.steps()) == expected
+            hops = {}
+            for a, b in expected:
+                hops.setdefault(a, set()).add(b)
+            assert all(len(hops[a]) == 1 for a in set(hops) - set(dw.pivots))
+    assert strong == 92
+
+
 def test_extract_minor_rejects_tampered_wheel(gdis_otg):
     sdw = find_sdw(gdis_otg)
     broken = DisputeWheel(sdw.pivots, tuple(reversed(sdw.direct)), sdw.links)
