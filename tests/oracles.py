@@ -75,7 +75,7 @@ def is_fair_walk(nodes, edges, players, cycle):
     players = tuple(players)
     out = {n: {} for n in nodes}
     for u, v, changed in edges:
-        out[u][v] = out[u].get(v, frozenset()) | frozenset(changed)
+        out[u][v] = frozenset(changed)
     if not cycle or any(n not in out for n in cycle):
         return False
     steps = list(zip(cycle, cycle[1:] + cycle[:1]))
