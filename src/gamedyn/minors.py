@@ -259,15 +259,14 @@ def is_dominated(game: Game, e1: tuple[str, str], e2: tuple[str, str], *,
     profiles.check(guard)
     k = profiles.movers.index(e1[0])
     j1, j2 = (profiles.choices[k].index(e[1]) for e in (e1, e2))
-    player = game.owner[e1[0]] - 1
-    # the profiles whose digit k is 0, a block of equal ranks at a time: a
-    # play from v that returns to v closes its loop there, so v's own digit
-    # is never read
+    move = (j2 - j1) * profiles.weight[k]
+    # a block of profiles that reach one leaf of k's tree at a time
     i = 0
     while i < profiles.count:
-        (r1, r2), i = profiles.reads(i, k, (j1, j2))
-        if r1[player] <= r2[player]:
+        leaf, size = profiles.leaf(k, i)
+        if move not in leaf[j1][0]:
             return False
+        i = (i // size + 1) * size
     return True
 
 

@@ -42,9 +42,10 @@ class Profiles:
     it reads are all that fix its ranks.  So the moves at non-terminal k are
     read from a decision tree over the digits that the plays from k's
     successors read, grown as profiles ask for it: an inner node reads one
-    digit off the index, a leaf holds k's moves per choice of k.  In a scan
-    over the profiles (has_move, reads), every profile that shares digits 0
-    to the last one read with i is answered as i is, so the scan goes on
+    digit off the index, a leaf holds k's moves per choice of k.  Every
+    reader of moves walks these trees: a row (moves_at), and a scan over the
+    profiles (has_move, leaf), which answers every profile that shares
+    digits 0 to the last one read with i as it answers i, and so goes on
     past that block.
     """
 
@@ -60,7 +61,7 @@ class Profiles:
         self._made = {}  # profile index -> its profile, once read, shared by every result
         # made on first use, by _edges and index; plain attributes, as reading
         # an instance's __dict__ (functools.cached_property does) slows every
-        # later attribute read on it under CPython 3.11: has_move ran ~10% slower
+        # later attribute read on it under CPython 3.11: a profile scan ran ~10% slower
         self._pairs = self._pos = None
         self._shown = {}  # one_step -> what name reads, made on first use
         vid = {v: i for i, v in enumerate(game.vertices)}
@@ -74,11 +75,14 @@ class Profiles:
             self._digit[x] = k
         self._trie, self._bottom = game.rank_table()
         self._next = [-1] * len(game.vertices)  # the walked profile; -1 at terminals
-        # per non-terminal k with a choice: [root, owner's index, weight, radix,
-        # k]; an inner node is [weight, radix] + a child per digit value,
-        # None until grown; a leaf is k's (improving, best) offsets per choice
+        # per non-terminal k with a choice, in digit order: [root, owner's
+        # index, weight, radix, k]; an inner node is [weight, radix] + a child
+        # per digit value, None until grown; a leaf is k's (improving, best)
+        # offsets per choice.  Rows iterate the list (a dict's values iterate
+        # slower); _tree finds non-terminal k's tree
         self._trees = [[None, o - 1, w, len(s), k] for k, (s, o, w)
                        in enumerate(zip(self._succ, self.owner, self.weight)) if len(s) > 1]
+        self._tree = {tree[4]: tree for tree in self._trees}
 
     def _edges(self) -> list[tuple]:
         """Per non-terminal: the game's own (vertex, successor) edge per
@@ -145,38 +149,26 @@ class Profiles:
         mine = [(w, r) for (_, _, w, r), o in zip(self._places, self.owner) if o == player]
         return [sum(i // w % r * w for w, r in mine) for i in range(self.count)]
 
-    def _read(self, v, w) -> tuple[tuple, int, dict]:
+    def _read(self, v, w) -> tuple[tuple, dict]:
         """Ranks of the play from v that steps to w and then follows the
-        walked profile, the last digit that fixes them (-1 for none), and
-        the vertices walked, v first, whose digits after v's fix them.  The
-        walk goes down the game's rank trie and stops at a terminal or at a
-        repeat (v's own digit is never read), where the node holds the
-        play's ranks, or where its path leaves the trie: from there the
-        play ranks bottom, whatever the later digits are."""
-        nxt, digit = self._next, self._digit
+        walked profile, and the vertices walked, v first, whose digits after
+        v's fix them.  The walk goes down the game's rank trie and stops at
+        a terminal or at a repeat (v's own digit is never read), where the
+        node holds the play's ranks, or where its path leaves the trie: from
+        there the play ranks bottom, whatever the later digits are."""
+        nxt = self._next
         node = self._trie.get(v, _LEAF)
-        seen, last = {v: 0}, -1  # in walk order: its keys are the path
+        seen = {v: 0}  # in walk order: its keys are the path
         while w not in seen:
             node = node.get(w)
             if node is None:
-                return self._bottom, last, seen
+                return self._bottom, seen
             seen[w] = len(seen)
             x = nxt[w]
             if x < 0:
-                return node.get(-1, self._bottom), last, seen
-            if digit[w] > last:
-                last = digit[w]
+                return node.get(-1, self._bottom), seen
             w = x
-        return node.get(-2 - seen[w], self._bottom), last, seen
-
-    def _decode(self, i: int) -> list[int]:
-        """Walk profile i, decoding its digits in the same loop; its digits."""
-        nxt, digits = self._next, []
-        for x, s, w, r in self._places:
-            c = i // w % r
-            nxt[x] = s[c]
-            digits.append(c)
-        return digits
+        return node.get(-2 - seen[w], self._bottom), seen
 
     def moves_at(self, i: int, best_reply: bool) -> list[list[int]]:
         """Per player: the index offsets of its improving one-vertex moves from
@@ -189,20 +181,36 @@ class Profiles:
             while node.__class__ is list:
                 node = node[i // node[0] % node[1] + 2]
             if node is None:
-                node = self._grow(tree, i)
+                node = self._grow(tree, i)[0]
             by_player[tree[1]] += node[i // tree[2] % tree[3]][which]
         return by_player
 
-    def _grow(self, tree: list, i: int) -> tuple:
-        """The leaf of tree that profile i reaches, hung on the tree: the
-        plays from k's successors are walked under i once, and the digits
-        they read, in order, become the inner nodes down to it."""
+    def leaf(self, k: int, i: int) -> tuple[tuple, int]:
+        """The leaf of non-terminal k's tree that profile i reaches, grown if
+        missing: k's (improving, best) offsets per choice of k; and the size
+        of its block, the least weight among the digits on its path (the
+        profile count if it reads none).  The block, from i's multiple of
+        size to the next, holds the profiles that share i's digits down to
+        that one, and each of them reaches the same leaf."""
+        tree = self._tree[k]
+        node, size = tree[0], self.count
+        while node.__class__ is list:
+            size = min(size, node[0])
+            node = node[i // node[0] % node[1] + 2]
+        return (node, size) if node is not None else self._grow(tree, i)
+
+    def _grow(self, tree: list, i: int) -> tuple[tuple, int]:
+        """The leaf of tree that profile i reaches, hung on the tree, and
+        the size of its block: the plays from k's successors are walked
+        under i once, and the digits they read, in order, become the inner
+        nodes down to it."""
         _, player, step, _, k = tree
-        self._decode(i)
+        for x, s, w, r in self._places:
+            self._next[x] = s[i // w % r]
         v, digit = self._at[k], self._digit
         path, ranks = {}, []
         for w in self._succ[k]:
-            r, _, seen = self._read(v, w)
+            r, seen = self._read(v, w)
             ranks.append(r[player])
             path.update(seen)
         top = min(ranks)  # the best improving moves, wherever some move improves
@@ -212,59 +220,32 @@ class Profiles:
                        tuple([(j - c) * step for j in best]))
                       for c, now in enumerate(ranks)])
         del path[v]  # k's own digit is never read
-        node, at = tree, 0
+        node, at, size = tree, 0, self.count
         for d in map(digit.__getitem__, path):
             if d >= 0:  # not a terminal
                 if node[at] is None:
                     _, _, weight, radix = self._places[d]
                     node[at] = [weight, radix] + [None] * radix
                 node = node[at]
+                size = min(size, node[0])
                 at = i // node[0] % node[1] + 2
         node[at] = leaf
-        return leaf
-
-    def past(self, i: int, last: int) -> int:
-        """The first index past profile i's block: the profiles whose digits
-        0..last are i's (every profile for last -1)."""
-        size = self.weight[last] if last >= 0 else self.count
-        return (i // size + 1) * size
-
-    def reads(self, i: int, k: int, choices) -> tuple[list[tuple], int]:
-        """Under profile i, per choice j of choices: the ranks of the play
-        that steps from non-terminal k to its j-th successor and then follows
-        the profile; and the next profile that a scan of those whose digit k
-        is 0 has to read.  Every profile up to it either gives these ranks
-        or has a digit k other than 0, and so gives what the same profile
-        with digit k at 0 gives: k's own digit is never read."""
-        self._decode(i)
-        v, succ, last, out = self._at[k], self._succ[k], -1, []
-        for j in choices:
-            ranks, p, _ = self._read(v, succ[j])
-            out.append(ranks)
-            last = max(last, p)
-        i = self.past(i, last)
-        if i // self.weight[k] % len(succ):  # a carry reached digit k
-            i = self.past(i, k - 1)
-        return out, i
+        return leaf, size
 
     def has_move(self, i: int) -> int:
         """0 if no player has an improving move from profile i, which is when
         none has a best reply.  Else the first index past the largest block
-        of profiles that share i's digits up to the last one that some move
-        reads (its current play and the improving one): every profile of
-        the block has that move."""
-        digits, read = self._decode(i), self._read
-        best = n = len(digits)
-        for k, (v, succ, owner, c) in enumerate(zip(self._at, self._succ, self.owner, digits)):
-            if k >= best:  # a move at k reads digit k: its block is no larger
+        of profiles that share one of i's moves: the leaf's block, cut to
+        the move's own digit."""
+        best = 0
+        for tree in self._trees:  # in digit order, so weights fall
+            step = tree[2]
+            if step <= best:  # a move at k is no larger a block
                 break
-            now, last, _ = read(v, succ[c])
-            for j, w in enumerate(succ):
-                if j != c:
-                    ranks, p, _ = read(v, w)
-                    if ranks[owner - 1] < now[owner - 1]:
-                        best = min(best, max(k, last, p))
-        return self.past(i, best) if best < n else 0
+            leaf, size = self.leaf(tree[4], i)
+            if leaf[i // step % tree[3]][0]:
+                best = max(best, min(size, step))
+        return (i // best + 1) * best if best else 0
 
 
 def enumerate_profiles(game: Game, guard: int | None = PROFILE_GUARD):

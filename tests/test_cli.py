@@ -89,6 +89,11 @@ def test_arena_dot_output(fig2):
         '"v4" -> "v5";', '"v4" -> "v5" [label="say \\"hi\\""];')
 
 
+def test_export_dot_refuses_other_values():
+    with pytest.raises(TypeError, match="cannot export int as DOT"):
+        export_dot(42)
+
+
 def test_spp_safety_exit_codes():
     code, out, _ = run("spp", "safety", GDIS_SPP, "--mode", "both")
     assert code == EXIT_UNSAFE

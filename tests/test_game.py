@@ -15,6 +15,7 @@ from gamedyn import (
     outcome,
     parse_game,
     positional_plays,
+    validate_game,
 )
 from gamedyn.errors import GameFormatError, UnknownVertex
 from gamedyn.game import is_positional_from, walk_positional_plays
@@ -72,6 +73,11 @@ def test_canonicalize_finite():
     assert play == FinitePlay(("a", "b", "c"))
     assert play.start == "a"
     assert set(play.vertices()) == {"a", "b", "c"}
+
+
+def test_canonicalize_refuses_an_empty_play():
+    with pytest.raises(GameFormatError, match="empty play"):
+        canonicalize(())
 
 
 def test_play_display():
@@ -211,6 +217,21 @@ def test_parse_minimal():
 def test_parse_rejects_malformed(mangle, exc):
     with pytest.raises(exc):
         parse_game(mangle(MINIMAL))
+
+
+def test_positional_plays_refuse_an_unknown_vertex(gdis):
+    with pytest.raises(UnknownVertex):
+        positional_plays(gdis, "zz")
+
+
+def test_validate_game_names_what_a_hand_built_game_gets_wrong():
+    """An owned vertex outside the arena, an edge to one, and a lasso not
+    in canonical form, each named."""
+    lasso = LassoPlay(("a",), ("b", "a"))
+    game = Game(1, ("a", "b", "t"), frozenset({("a", "b"), ("b", "a"), ("a", "t"), ("a", "z")}),
+                {"a": 1, "b": 1, "y": 1}, (PreferenceOrder((frozenset({lasso}),)),), {})
+    assert validate_game(game) == ["UnknownVertex(y)", "UnknownEdgeEndpoint((a,z))",
+                                   f"NonCanonicalPlay(player 1, {lasso})"]
 
 
 def test_parse_rejects_terminal_owner():

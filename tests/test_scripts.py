@@ -18,6 +18,23 @@ def test_reproduce_figures_runs():
     assert done.stdout == (ROOT / "tests" / "data" / "reproduce_figures.txt").read_text()
 
 
+def test_untested_lines_lists_what_the_selection_never_runs():
+    """On test_values.py alone, the refusal to delete a field runs and the
+    DOT export's refusal of other values does not."""
+    def where(module, text):
+        lines = (ROOT / "src" / "gamedyn" / module).read_text().splitlines()
+        return f"src/gamedyn/{module}:{next(n for n, line in enumerate(lines, 1) if text in line)}:"
+
+    done = subprocess.run([sys.executable, "scripts/untested_lines.py", "-q", "-p",
+                           "no:cacheprovider", "tests/test_values.py"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    listed = {line.split()[0] for line in done.stdout.splitlines() if line.startswith("src/")}
+    assert where("dot.py", "raise TypeError(f\"cannot export") in listed
+    assert where("errors.py", "raise AttributeError(f\"cannot delete field") not in listed
+    assert done.stdout.splitlines()[-1].endswith("tests that start a subprocess are not traced")
+
+
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to export from")
 def test_kernel_pair_runs():
     done = subprocess.run([sys.executable, "scripts/kernel_pair.py", "HEAD", "--rounds", "1",

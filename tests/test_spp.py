@@ -87,6 +87,22 @@ def test_validate_reports_a_permitted_lasso_by_its_shape():
         "PermittedShape: player 1: (v1->v2)* is not a v1->vbot path"]
 
 
+def test_validate_names_what_is_no_one_target_game():
+    """Two terminals, a player that owns two vertices, and a permitted path
+    through a vertex that no player owns, each named."""
+    edges = frozenset({("a", "b"), ("a", "t"), ("b", "t")})
+    abt, at = FinitePlay(("a", "b", "t")), FinitePlay(("a", "t"))
+    pref = PreferenceOrder((frozenset({abt}), frozenset({at})))
+    assert validate_otg(Game(1, ("a", "s", "t"), frozenset({("a", "s"), ("a", "t")}),
+                             {"a": 1}, (pref,), {}), {}) == [
+        "SingleTarget: expected one terminal, found ['s', 't']"]
+    assert validate_otg(Game(1, ("a", "b", "t"), edges, {"a": 1, "b": 1}, (pref,), {}), {}) == [
+        "OneStatePerPlayer: player 1 owns ['a', 'b']"]
+    assert validate_otg(Game(1, ("a", "b", "t"), edges, {"a": 1}, (pref,), {}),
+                        {1: frozenset({abt, at})}) == [
+        "SuffixClosure: player 1: suffix of a->b->t at unowned b"]
+
+
 def test_random_instances_validate():
     for seed in range(60):
         otg = random_notg(seed)

@@ -18,7 +18,7 @@ from gamedyn import (
     parse_game,
     positional_plays,
 )
-from gamedyn.errors import CyclicArena, StateSpaceTooLarge
+from gamedyn.errors import CyclicArena, StateSpaceTooLarge, UnknownVertex
 from gamedyn.strategy import (
     Profiles,
     enumerate_histories,
@@ -53,6 +53,16 @@ def changed_vertices(sigma, tau):
     """The vertices whose choice differs between two profiles, sorted."""
     mine, theirs = sigma.as_dict(), tau.as_dict()
     return tuple(sorted(v for v in mine if mine[v] != theirs.get(v)))
+
+
+def test_index_refuses_a_profile_of_other_vertices(gdis):
+    with pytest.raises(KeyError):
+        Profiles(gdis).index(StrategyProfile.from_dict({"v1": "v2"}))
+
+
+def test_outcome_refuses_an_unknown_vertex(gdis):
+    with pytest.raises(UnknownVertex):
+        outcome(gdis, next(enumerate_profiles(gdis)), "zz")
 
 
 def test_updated_and_changed(gdis):
@@ -210,30 +220,33 @@ def _play_by_names(game, profile, v, w):
 
 
 def test_ranks_come_from_the_table_exactly():
-    """reads walks a play only as far as it can still be ranked; its ranks
-    are rank_of's on every profile, and a scan of the profiles whose digit
-    k is 0 skips only profiles whose ranks are the ones read."""
+    """A tree's leaves are read only as far as a play can still be ranked:
+    on every profile, the leaf it reaches holds the improving and
+    best-reply offsets worked out from rank_of, and every profile of the
+    leaf's block reaches the same leaf."""
     games = [load_game(f"{name}.json") for name in ("gdis", "fig2", "fig3", "fig4", "fig5")]
     games += [parse_game(json.dumps(LOOP_BACK)), unfold(games[1]), *_ranked_directly()]
     games += [random_game(seed) for seed in range(200)]
     for game in games:
         profiles = Profiles(game)
-        everything = list(zip(profiles, _digits(profiles)))
+        everything = list(profiles)
         for k, v in enumerate(profiles.movers):
-            every = range(len(profiles.choices[k]))
-            want = [[tuple(pref.rank_of(_play_by_names(game, profile, v, w))
-                           for pref in game.preferences) for w in profiles.choices[k]]
-                    for profile, _ in everything]
-            for i, (profile, _) in enumerate(everything):
-                assert profiles.reads(i, k, every)[0] == want[i], (profile, v)
-            i = 0
-            while i < len(profiles):
-                _, past = profiles.reads(i, k, every)
-                assert i < past <= len(profiles), (game, v, i)
-                assert past == len(profiles) or everything[past][1][k] == 0, (game, v, i)
-                assert all(want[j] == want[i] for j in range(i, past)
-                           if everything[j][1][k] == 0), (game, v, i)
-                i = past
+            if len(profiles.choices[k]) < 2:
+                continue
+            pref, step = game.preference(profiles.owner[k]), profiles.weight[k]
+            leaves = [profiles.leaf(k, i) for i in range(len(profiles))]
+            for i, (profile, (leaf, size)) in enumerate(zip(everything, leaves)):
+                ranks = [pref.rank_of(_play_by_names(game, profile, v, w))
+                         for w in profiles.choices[k]]
+                top = min(ranks)
+                assert leaf == tuple((tuple((j - c) * step for j, r in enumerate(ranks) if r < now),
+                                      tuple((j - c) * step for j, r in enumerate(ranks)
+                                            if r == top < now))
+                                     for c, now in enumerate(ranks)), (profile, v)
+                start = i - i % size
+                assert start + size <= len(profiles), (game, v, i)
+                block = range(start, start + size) if i == start else (start,)
+                assert all(leaves[j][0] is leaf for j in block), (game, v, i)
 
 
 def test_moves_build_no_play(monkeypatch):

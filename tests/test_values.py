@@ -117,6 +117,8 @@ def test_value_class_behaves_as_a_frozen_dataclass(name):
     for attr in fields + ("extra",):
         with pytest.raises(AttributeError):
             setattr(x, attr, None)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(x, attr)
     assert repr(x) == text
     if name in BY_IDENTITY:
         assert x == x and x != y and not x == y
